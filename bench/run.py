@@ -1,14 +1,17 @@
 """forcing-lab benchmark: one command for every workload and metric.
 
-    python3 bench/run.py --workload corpus-256 --seed 1 --seconds 20 --trace 0
+    python3 bench/run.py --workload corpus-256 --seed 1 --seconds 30 --trace 0
 
-Workloads (see README.md): ``corpus-256``, ``ladder-large``, ``cli-session``.
+Workloads (see README.md): ``corpus-256``, ``ladder-large``, ``cli-session``;
+``BENCHMARK.json`` gates the first and the last. It also names the metrics
+and their units.
 With ``--trace 0`` it measures the end-to-end metrics: it starts the workload
 several times only to time set-up, then once more to run it, each time in a
 fresh interpreter. With ``--trace 1`` the worker runs half the time untraced
 and half with the span recorder installed, and reports per-layer metrics and
 the recorder's overhead. Every operation's output is checked against
-``pins.json``.
+``pins.json``. End-to-end timings are scaled to the machine-speed reference
+of ``reference.py``; the report prints the raw wall times beside them.
 
 Output: a readable report (metrics by name, unit and sample count, plus an
 environment stamp), then, as the last line, one JSON object with the keys
@@ -34,80 +37,44 @@ from pathlib import Path
 from typing import Any
 
 import workloads as wl
+from reference import scale
 from worker import all_ops
 
 WORKER = wl.BENCH_DIR / "worker.py"
 
-SETUP_LAUNCHES = 5        # set-up samples per run, the measuring launch included
+SETUP_LAUNCHES = 15       # set-up samples per run, the measuring launch included
 RUN_DEADLINE_S = 170      # the whole command must end within 180 s
-TAIL_PERCENTILES = (99.9, 99.0, 95.0, 90.0, 75.0, 50.0)
 
-END_TO_END = {
-    "setup_s": "s",
-    "ops_per_s": "op/s",
-    "op_s.p50": "s",
-    "op_s.tail": "s",
-    "peak_rss_mb": "MB",
-}
-
-_FG = "groups.FiniteGroup"
-PER_LAYER = {
-    "groupspec.parse_group_spec.total_s": "s",
-    "groups.from_generators.calls": "count",
-    "groups.from_generators.total_s": "s",
-    **{f"{_FG}.{method}.{stat}": unit
-       for method in ("quotient", "conjugacy_classes", "lower_exponent_p_series", "frattini",
-                      "subgroup_closure", "commutator_subgroup",
-                      "intermediate_index_p_subgroups")
-       for stat, unit in (("calls", "count"), ("self_s", "s"))},
-    "groups.Subgroup.init.self_s": "s",
-    f"{_FG}.init.calls": "count",
-    "groups.table_bytes_computed": "bytes",
-    "groups.quotients_per_chain_entry": "ratio",
-    "classify.p_group_profile.total_s": "s",
-    "forcing.build_forcing_sequence.total_s": "s",
-    "forcing.build_forcing_sequence.peak_mb": "MB",
-    "forcing.verify_certificate.total_s": "s",
-    "forcing.verify_certificate.peak_mb": "MB",
-    "forcing.verify.conditions": "count",
+# Per-layer metrics that some workloads never reach, so they are not in
+# BENCHMARK.json, whose per-layer metrics every traced run must report. They
+# are printed and written to the result file where they are reached.
+REPORTED_ONLY = {
     "forcing.refused": "count",
-    "exponents.delta_for_p_group.total_s": "s",
-    "exponents.replay_trace.total_s": "s",
-    "certio.emit.total_s": "s",
-    "certio.parse.total_s": "s",
-    "certio.bytes": "bytes",
-    "trace.overhead": "ratio",
+    "classify.sylow_decomposition.total_s": "s",
+    "exponents.delta_for_nilpotent.total_s": "s",
 }
-
-# Per-layer metrics that only cli-session reaches; reported and written to
-# the result file, but not in the JSON line, where every workload must give
-# every per-layer metric.
-CLI_ONLY_LAYERS = ("classify.sylow_decomposition.total_s", "exponents.delta_for_nilpotent.total_s")
 
 
 class BenchError(Exception):
     """The benchmark could not run; no result is printed."""
 
 
+def declared_metrics(kind: str) -> dict[str, str]:
+    """Name -> unit of the ``end_to_end`` or ``per_layer`` metrics that
+    BENCHMARK.json declares."""
+    spec = json.loads((wl.ROOT / "BENCHMARK.json").read_text())
+    return {m["name"]: m["unit"] for m in spec[kind]}
+
+
 def git_commit(root: Path) -> str:
-    """HEAD of the checkout, read from ``.git`` without running git."""
-    git = root / ".git"
-    head = git / "HEAD"
-    if not head.is_file():
-        return "unknown (not a git checkout)"
-    ref = head.read_text().strip()
-    if not ref.startswith("ref: "):
-        return ref
-    name = ref[5:]
-    loose = git / name
-    if loose.is_file():
-        return loose.read_text().strip()
-    packed = git / "packed-refs"
-    if packed.is_file():
-        for line in packed.read_text().splitlines():
-            if line.endswith(" " + name):
-                return line.split()[0]
-    return "unknown"
+    """HEAD of the checkout, or 'unknown' outside a git checkout."""
+    env = dict(os.environ, GIT_CEILING_DIRECTORIES=str(root.parent))
+    try:
+        proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=10)
+    except (OSError, subprocess.TimeoutExpired):
+        return "unknown"
+    return proc.stdout.strip() if proc.returncode == 0 else "unknown"
 
 
 def environment(args: argparse.Namespace) -> dict[str, Any]:
@@ -148,31 +115,45 @@ def launch(extra: list[str], deadline: float) -> tuple[float, dict[str, Any]]:
     return out["ready"] - t_launch, out
 
 
-def tail(times: list[float]) -> tuple[float, float]:
-    """The highest percentile in TAIL_PERCENTILES with at least ten samples
-    beyond it, and its value, interpolated as ``statistics.median`` does."""
+def tail(times: list[float], q: float) -> float:
+    """Percentile ``q`` of ``times``, interpolated as ``statistics.median``
+    does; it must have at least ten samples beyond it."""
     ordered = sorted(times)
     n = len(ordered)
-    for q in TAIL_PERCENTILES:
-        pos = (n - 1) * q / 100
-        lo = math.floor(pos)
-        if n - 1 - lo >= 10:
-            hi = min(lo + 1, n - 1)
-            return q, ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo)
-    raise BenchError(f"{n} samples leave no percentile with ten beyond it")
+    if wl.samples_beyond(n, q) < 10:
+        raise BenchError(f"{n} samples leave fewer than ten beyond p{q:g}")
+    pos = (n - 1) * q / 100
+    lo = math.floor(pos)
+    hi = min(lo + 1, n - 1)
+    return ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo)
 
 
-def end_to_end(setups: list[float], out: dict[str, Any], workload: str) -> dict[str, Any]:
+def end_to_end(launches: list[tuple[float, dict[str, Any]]], workload: str) -> dict[str, Any]:
+    """The end-to-end metrics from the set-up launches and the measuring
+    launch, which is last. Timings are scaled to the reference speed: a
+    launch's set-up by the rounds sampled right after it, a pass and its
+    operations by the rounds sampled between its operations."""
+    out = launches[-1][1]
     passes = out["passes"]
-    times = [op["s"] for op in all_ops(passes)]
-    q, tail_value = tail(times)
+    factors = [scale(p["ref"]) for p in passes]
+    pass_s = [p["s"] * f for p, f in zip(passes, factors)]
+    times = [op["s"] * f for p, f in zip(passes, factors) for op in p["ops"]]
+    raw_times = [op["s"] for op in all_ops(passes)]
+    per_pass = len(passes[0]["ops"])
+    q = wl.TAIL_PERCENTILE[workload]
     rss_kb = out["children_maxrss_kb"] if workload == "cli-session" else out["maxrss_kb"]
+    raw = "raw wall time"
     return {
-        "setup_s": (statistics.median(setups), f"n={len(setups)} launches"),
-        "ops_per_s": (len(times) / sum(p["s"] for p in passes),
-                      f"over n={len(passes)} whole passes"),
-        "op_s.p50": (statistics.median(times), f"n={len(times)} ops"),
-        "op_s.tail": (tail_value, f"p{q:g}, n={len(times)} ops"),
+        "setup_s": (statistics.median(s * scale(o["setup_ref"]) for s, o in launches),
+                    f"n={len(launches)} launches; {raw} "
+                    f"{statistics.median(s for s, _ in launches):.4g}"),
+        "ops_per_s": (per_pass / statistics.median(pass_s),
+                      f"one pass over its median time, n={len(passes)} passes; {raw} "
+                      f"{per_pass / statistics.median(p['s'] for p in passes):.4g}"),
+        "op_s.p50": (statistics.median(times),
+                     f"n={len(times)} ops; {raw} {statistics.median(raw_times):.4g}"),
+        "op_s.tail": (tail(times, q),
+                      f"p{q:g}, n={len(times)} ops; {raw} {tail(raw_times, q):.4g}"),
         "peak_rss_mb": (rss_kb / 1024, "max over CLI children" if workload == "cli-session"
                         else "worker process"),
     }
@@ -221,6 +202,7 @@ def main(argv: list[str] | None = None) -> int:
     stem = f"{args.workload}-seed{args.seed}-trace{args.trace}"
     common = ["--workload", args.workload, "--seed", str(args.seed),
               "--seconds", str(args.seconds), "--trace", str(args.trace)]
+    launches: list[tuple[float, dict[str, Any]]] = []
     try:
         if args.trace:
             spans_path = wl.RESULTS_DIR / f"{stem}.spans.jsonl"
@@ -229,10 +211,11 @@ def main(argv: list[str] | None = None) -> int:
         else:
             # The first launch compiles and caches; it is not a sample.
             launch(common + ["--setup-only"], deadline)
-            setups = [launch(common + ["--setup-only"], deadline)[0]
-                      for _ in range(SETUP_LAUNCHES - 1)]
-            setup, out = launch(common, deadline)
-            metrics = end_to_end(setups + [setup], out, args.workload)
+            launches = [launch(common + ["--setup-only"], deadline)
+                        for _ in range(SETUP_LAUNCHES - 1)]
+            launches.append(launch(common, deadline))
+            out = launches[-1][1]
+            metrics = end_to_end(launches, args.workload)
     except BenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -244,8 +227,8 @@ def main(argv: list[str] | None = None) -> int:
     for op in ops:
         kinds[op["kind"]] += 1
     commands = per_command(out["passes"]) if args.workload == "cli-session" else {}
-    wanted = PER_LAYER if args.trace else END_TO_END
-    report = {name: metrics.get(name, (0.0, "not reached")) for name in wanted}
+    declared = declared_metrics("per_layer" if args.trace else "end_to_end")
+    report = {name: metrics[name] for name in declared if name in metrics}
 
     print(f"forcing-lab benchmark: workload={args.workload} seed={args.seed} "
           f"seconds={args.seconds:g} trace={args.trace}")
@@ -255,14 +238,19 @@ def main(argv: list[str] | None = None) -> int:
           + (f" untraced, {len(out['traced_passes'])} traced, a warm-up and a tracemalloc pass"
              if args.trace else "")
           + ", " + ", ".join(f"{n} {k}" for k, n in sorted(kinds.items())))
-    for name, (value, note) in report.items():
-        print(f"  {name:<58} {value:>14.6g} {wanted[name]:<6} ({note})")
+    for name, unit in declared.items():
+        if name in report:
+            value, note = report[name]
+            print(f"  {name:<58} {value:>14.6g} {unit:<6} ({note})")
+        else:
+            print(f"  {name:<58} {'-':>14} {unit:<6} (not reached, left out of the JSON line)")
     print(f"  {'failed_frac':<58} {len(failed) / len(ops):>14.6g} {'ratio':<6} "
           f"({len(failed)} of {len(ops)} ops)")
     if args.trace:
-        for name in CLI_ONLY_LAYERS:
+        for name, unit in REPORTED_ONLY.items():
             if name in metrics:
-                print(f"  {name:<58} {metrics[name][0]:>14.6g} s      (cli-session only)")
+                print(f"  {name:<58} {metrics[name][0]:>14.6g} {unit:<6} "
+                      "(not reached on every workload)")
     for name, value in commands.items():
         print(f"  {name:<58} {value:>14.6g} s      (median, untraced)")
     for op in failed[:10]:
@@ -272,13 +260,14 @@ def main(argv: list[str] | None = None) -> int:
         "correct": not failed,
         "attempted": len(ops),
         "failed": len(failed),
-        "metrics": {name: {"value": value, "unit": wanted[name]}
+        "metrics": {name: {"value": value, "unit": declared[name]}
                     for name, (value, _) in report.items()},
     }
     (wl.RESULTS_DIR / f"{stem}.json").write_text(json.dumps({
         "env": env, "result": result,
         "all_metrics": {name: value for name, (value, _) in metrics.items()},
         "cli_commands": commands, "worker": out,
+        "setup_launches": [[setup, o.get("setup_ref")] for setup, o in launches],
     }, indent=1))
     print(json.dumps(result))
     return 0

@@ -247,10 +247,12 @@ def merge(parts: list[dict[str, float]]) -> dict[str, float]:
 
 
 def _with_ratio(out: dict[str, float]) -> dict[str, float]:
-    """Add the useful-work ratio: quotients formed per certificate chain entry."""
-    quotients = out.get("groups.FiniteGroup.quotient.calls", 0)
+    """Add the useful-work ratio, quotients formed per certificate chain
+    entry, where a certificate was built."""
     entries = out.get("forcing.chain_entries", 0)
-    out["groups.quotients_per_chain_entry"] = quotients / entries if entries else 0.0
+    if entries:
+        quotients = out.get("groups.FiniteGroup.quotient.calls", 0)
+        out["groups.quotients_per_chain_entry"] = quotients / entries
     return out
 
 

@@ -3,8 +3,8 @@
     python3 -m pytest bench -q
 
 They check that a seed fixes the inputs, that a wrong pinned output counts as
-a failure, that tracing does not change any output, and that
-``BENCHMARK.json`` names the metrics ``run.py`` prints.
+a failure, that tracing does not change any output, and that timings are
+scaled by the machine-speed reference as documented.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ BENCH = Path(__file__).resolve().parent
 sys.path.insert(0, str(BENCH.parent / "src"))
 sys.path.insert(0, str(BENCH))
 
+import reference  # noqa: E402
 import run  # noqa: E402
 import spans  # noqa: E402
 import workloads as wl  # noqa: E402
@@ -156,16 +158,42 @@ def test_self_time_subtracts_children_and_total_skips_recursion():
     assert "op.calls" not in layers
 
 
-def test_tail_has_ten_samples_beyond_it():
-    q, value = run.tail([float(i) for i in range(300)])
-    assert q == 95.0 and sum(1 for i in range(300) if i > value) >= 10
-    assert run.tail([float(i) for i in range(20)])[0] == 50.0
+def test_tail_is_a_fixed_percentile_with_ten_samples_beyond_it():
+    assert wl.min_ops("corpus-256") == 182
+    assert wl.min_ops("ladder-large") == wl.min_ops("cli-session") == 20
+    for n in (182, 294, 882, 1029):
+        times = [float(i) for i in range(n)]
+        value = run.tail(times, 95.0)
+        assert value == pytest.approx((n - 1) * 0.95)
+        assert sum(1 for t in times if t > value) >= 10
+    assert run.tail([float(i) for i in range(20)], 50.0) == pytest.approx(9.5)
     with pytest.raises(run.BenchError):
-        run.tail([1.0] * 19)
+        run.tail([float(i) for i in range(181)], 95.0)
+    with pytest.raises(run.BenchError):
+        run.tail([1.0] * 19, 50.0)
 
 
-def test_benchmark_json_matches_the_metrics_printed():
-    spec = json.loads((BENCH.parent / "BENCHMARK.json").read_text())
-    assert [w["name"] for w in spec["workloads"]] == list(wl.WORKLOADS)
-    assert {m["name"]: m["unit"] for m in spec["end_to_end"]} == run.END_TO_END
-    assert {m["name"]: m["unit"] for m in spec["per_layer"]} == run.PER_LAYER
+def test_timings_are_scaled_by_the_reference_rounds():
+    factor = 0.25 ** reference.SENSITIVITY
+    slow = [4 * reference.ROUND_S * 10, 10]    # ten rounds at a quarter of the speed
+    fast = [reference.ROUND_S * 10, 10]
+    measuring = {"passes": [{"s": 2.0, "ops": [{"s": 0.5}, {"s": 1.5}], "ref": slow}] * 10,
+                 "setup_ref": fast, "maxrss_kb": 1024}
+    metrics = run.end_to_end([(0.4, {"setup_ref": slow}), (0.1, measuring)], "ladder-large")
+    assert metrics["setup_s"][0] == pytest.approx((0.4 * factor + 0.1) / 2)
+    assert metrics["ops_per_s"][0] == pytest.approx(2 / (2.0 * factor))
+    assert metrics["op_s.p50"][0] == pytest.approx(1.0 * factor)
+    assert metrics["peak_rss_mb"][0] == 1.0
+
+
+def test_sampler_runs_a_share_of_each_operation_outside_the_pass(pins):
+    runner = worker.GroupRunner("corpus-256", 1, pins)
+    runner.specs = ["preset:Dihedral(8)", "preset:Cyclic(9)"]
+    runner.schedule = {}
+    runner.sampler = reference.Sampler()
+    t0 = time.perf_counter()
+    record = runner.run_pass(0, 0)
+    wall = time.perf_counter() - t0
+    seconds, rounds = record["ref"]
+    assert rounds >= 2 and seconds >= reference.SHARE * sum(op["s"] for op in record["ops"])
+    assert record["s"] == pytest.approx(wall - seconds, abs=0.01)

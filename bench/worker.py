@@ -3,8 +3,9 @@
 The worker does its set-up (imports, inputs, pinned outputs), notes the
 moment it is ready to send the first operation, then runs whole passes as a
 closed loop: one caller, each operation sent when the previous one has
-finished. It prints one JSON object of raw samples; ``run.py`` turns them
-into metrics.
+finished. Right after set-up, and between the operations of an untraced
+run, it times rounds of the machine-speed reference (``reference.py``). It
+prints one JSON object of raw samples; ``run.py`` turns them into metrics.
 
     python3 bench/worker.py --workload W --seed N --seconds S [--trace 0|1]
                             [--setup-only] [--spans-out FILE]
@@ -24,10 +25,10 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Any, Callable
 
+import reference
 import spans
 import workloads as wl
 
-MIN_OPS = 20          # op_s.tail needs ten samples beyond at least the median
 CLI_TIMEOUT_S = 120
 
 
@@ -48,6 +49,7 @@ class GroupRunner:
         self.specs = wl.workload_specs(pins, workload)
         self.pins = pins["groups"]
         self.schedule = {0: wl.group_schedule(self.specs, seed, 0)}
+        self.sampler: reference.Sampler | None = None
         self.tracer: spans.Tracer | None = None
         self.tracing = False
 
@@ -69,13 +71,15 @@ class GroupRunner:
             elapsed = time.perf_counter() - t0
             if tracer:
                 tracer.end(sid)
+            if self.sampler:
+                self.sampler.sample(reference.SHARE * elapsed)
             if "error" in outcome:
                 problems = [outcome["error"]]
             else:
                 problems = wl.check_group(outcome, self.pins[spec], ell)
             ops.append({"key": spec, "ell": ell, "s": elapsed, "problems": problems,
                         "kind": "refused" if "refused" in outcome else "certified"})
-        record = {"s": time.perf_counter() - t_pass, "ops": ops}
+        record = pass_record(time.perf_counter() - t_pass, ops, self.sampler)
         if tracer:
             record["layers"] = tracer.take_pass(first_span)
             if tracer.memory:
@@ -109,6 +113,7 @@ class CliRunner:
         wl.prepare_workdir(self.workdir)
         self.env = wl.cli_env()
         self.schedule = {0: wl.cli_schedule(seed, 0)}
+        self.sampler: reference.Sampler | None = None
         self.spans: list[list[Any]] = []
         self.tracing = False
         self.memory = False
@@ -136,6 +141,8 @@ class CliRunner:
             except subprocess.TimeoutExpired:
                 problems = [f"timed out after {CLI_TIMEOUT_S} s"]
             t1 = time.perf_counter()
+            if self.sampler:
+                self.sampler.sample(reference.SHARE * (t1 - t0))
             if self.tracing and child_out.exists():
                 child = json.loads(child_out.read_text())
                 child_out.unlink()
@@ -146,7 +153,7 @@ class CliRunner:
                 layers.append(child["layers"])
             ops.append({"key": command.key, "ell": ell, "s": t1 - t0, "problems": problems,
                         "kind": "command"})
-        record = {"s": time.perf_counter() - t_pass, "ops": ops}
+        record = pass_record(time.perf_counter() - t_pass, ops, self.sampler)
         if self.tracing:
             record["layers"] = spans.merge(layers)
         return record
@@ -161,15 +168,27 @@ class CliRunner:
         shutil.rmtree(self.workdir, ignore_errors=True)
 
 
+def pass_record(wall_s: float, ops: list[dict[str, Any]],
+                sampler: reference.Sampler | None) -> dict[str, Any]:
+    """A pass's time, its operations and, when sampled, the reference
+    rounds run between them, whose time is not counted in the pass."""
+    if sampler is None:
+        return {"s": wall_s, "ops": ops}
+    ref = sampler.take()
+    return {"s": wall_s - ref[0], "ops": ops, "ref": ref}
+
+
 def all_ops(passes: list[dict[str, Any]]) -> list[dict[str, Any]]:
     return [op for p in passes for op in p["ops"]]
 
 
-def run_passes(runner: Any, seconds: float) -> list[dict[str, Any]]:
-    """Whole passes until ``seconds`` have gone by and MIN_OPS are done."""
+def run_passes(runner: Any, seconds: float, min_ops: int) -> list[dict[str, Any]]:
+    """Whole passes, sampling the reference between operations, until
+    ``seconds`` have gone by and ``min_ops`` are done."""
     passes: list[dict[str, Any]] = []
+    runner.sampler = reference.Sampler()
     start = time.perf_counter()
-    while time.perf_counter() - start < seconds or len(all_ops(passes)) < MIN_OPS:
+    while time.perf_counter() - start < seconds or len(all_ops(passes)) < min_ops:
         passes.append(runner.run_pass(len(passes), len(all_ops(passes))))
     return passes
 
@@ -211,6 +230,10 @@ def main(argv: list[str] | None = None) -> int:
     runner = factory(args.workload, args.seed, pins)
     ready = time.monotonic()
     out: dict[str, Any] = {"ready": ready}
+    if not args.trace:
+        sampler = reference.Sampler()
+        sampler.sample(reference.SETUP_SAMPLE_S)
+        out["setup_ref"] = sampler.take()
     if args.setup_only:
         runner.finish(None)
         print(json.dumps(out))
@@ -219,7 +242,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.trace:
         run_traced(runner, args.seconds, out)
     else:
-        out["passes"] = run_passes(runner, args.seconds)
+        out["passes"] = run_passes(runner, args.seconds, wl.min_ops(args.workload))
     runner.finish(Path(args.spans_out) if args.spans_out else None)
     out["maxrss_kb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     out["children_maxrss_kb"] = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss

@@ -14,6 +14,7 @@ patch them before any call is made.
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 from dataclasses import dataclass
@@ -29,6 +30,12 @@ RESULTS_DIR = BENCH_DIR / "results"
 
 WORKLOADS = ("corpus-256", "ladder-large", "cli-session")
 ELLS = (3, 5, 7)
+
+# op_s.tail is this fixed percentile of one workload's operation times, so it
+# does not change with the number of passes that fit in a run. Each is the
+# highest percentile that a run of a few passes can hold with ten samples
+# beyond it; a run keeps going until it has that many (``min_ops``).
+TAIL_PERCENTILE = {"corpus-256": 95.0, "ladder-large": 50.0, "cli-session": 50.0}
 
 # Fixed base exponent for every p = 2 group: the built-in base formula only
 # covers odd p, so without an override no 2-group would get a delta.
@@ -73,6 +80,19 @@ def cli_commands(ell: int) -> tuple[tuple[Command, ...], ...]:
         (Command("forcing-seq-refused", ("forcing-seq", "preset:GenQuaternion(2)",
                                          "--out", "q16.fcert.json", "--no-header")),),
     )
+
+
+def samples_beyond(n: int, q: float) -> int:
+    """Samples above the interpolation point of percentile ``q`` of ``n``."""
+    return n - 1 - math.floor((n - 1) * q / 100)
+
+
+def min_ops(workload: str) -> int:
+    """The fewest operations whose op_s.tail has ten samples beyond it."""
+    n = 1
+    while samples_beyond(n, TAIL_PERCENTILE[workload]) < 10:
+        n += 1
+    return n
 
 
 def _rng(seed: int, pass_index: int) -> random.Random:
