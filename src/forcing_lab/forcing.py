@@ -24,6 +24,7 @@ import numpy as np
 from .classify import is_cyclic, is_generalized_quaternion
 from .errors import (
     CyclicGroup,
+    ForcingLabError,
     MalformedCertificate,
     NotAPGroup,
     PreconditionViolated,
@@ -280,14 +281,15 @@ def verify_certificate(G: FiniteGroup, cert: ForcingCertificate) -> Verification
 
     pp = prime_power(G.order)
     p = pp[0] if pp else None
-    hypotheses_ok = (pp is not None and not is_cyclic(G)
-                     and is_generalized_quaternion(G) is None)
+    cyclic = is_cyclic(G)
+    quaternion = is_generalized_quaternion(G) is not None
+    hypotheses_ok = pp is not None and not cyclic and not quaternion
     detail = ""
     if pp is None:
         detail = f"order {G.order} is not a prime power"
-    elif is_cyclic(G):
+    elif cyclic:
         detail = "group is cyclic"
-    elif is_generalized_quaternion(G) is not None:
+    elif quaternion:
         detail = "group is generalized quaternion"
     checks.append(CheckResult("group-hypotheses", hypotheses_ok, detail))
 
@@ -340,7 +342,7 @@ def verify_certificate(G: FiniteGroup, cert: ForcingCertificate) -> Verification
             try:
                 sub = Subgroup(G, key)
                 quotient_cache[key] = G.quotient(sub)
-            except Exception:
+            except ForcingLabError:
                 return None
         return quotient_cache.get(key)
 

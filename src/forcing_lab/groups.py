@@ -1,11 +1,11 @@
-"""Finite groups realized concretely as permutation groups.
+"""Finite groups realized concretely as Cayley tables.
 
-Every group is fully enumerated: elements are permutations sorted into a
-canonical order (identity first, then lexicographic on image tuples) and the
-whole multiplication table is materialized as a numpy array. Indices into
-that canonical order are the element handles used everywhere else; index 0
-is always the identity. Products read left to right: mul(a, b) applies a
-first, then b.
+Every group is fully enumerated: an element is an index into its numpy
+multiplication table, index 0 is the identity, and mul(a, b) applies a first,
+then b. Permutations are only an input format: ``points`` holds each element's
+images, sorted by from_generators (identity first, then lexicographic). A
+group built from a table alone acts on itself by right multiplication, so its
+points are the transposed table.
 """
 
 from __future__ import annotations
@@ -214,18 +214,21 @@ class QuotientMap:
 
 
 class FiniteGroup:
-    """A fully enumerated permutation group with a materialized product table."""
+    """A fully enumerated group: product table, generator indices and element images."""
 
-    def __init__(self, elements: Sequence[Permutation], mul_table: np.ndarray,
-                 generators: Sequence[int], spec: str | None = None) -> None:
-        self.elements = tuple(elements)
-        self.degree = self.elements[0].degree
+    def __init__(self, mul_table: np.ndarray, generators: Sequence[int],
+                 points: np.ndarray | None = None, spec: str | None = None) -> None:
         mul = np.asarray(mul_table, dtype=_IDX)
-        if mul.shape != (len(self.elements), len(self.elements)):
-            raise PreconditionViolated("multiplication table shape mismatch")
+        n = len(mul)
+        points = mul.T if points is None else np.asarray(points, dtype=_IDX)
+        if mul.shape != (n, n) or len(points) != n:
+            raise PreconditionViolated("multiplication table or points shape mismatch")
         mul.setflags(write=False)
         self._mul = mul
-        inv = np.empty(len(self.elements), dtype=_IDX)
+        points.setflags(write=False)
+        self.points = points
+        self.degree = points.shape[1]
+        inv = np.empty(n, dtype=_IDX)
         rows, cols = np.nonzero(mul == 0)
         inv[rows] = cols
         inv.setflags(write=False)
@@ -237,7 +240,7 @@ class FiniteGroup:
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self._mul)
 
     @property
     def mul_table(self) -> np.ndarray:
@@ -409,13 +412,12 @@ class FiniteGroup:
         reps = np.unique(rep)
         proj = np.searchsorted(reps, rep).astype(_IDX)
         tmul = proj[self._mul[np.ix_(reps, reps)]]
-        elements = [Permutation(tuple(int(v) for v in tmul[:, c])) for c in range(len(reps))]
         gens: list[int] = []
         for g in self.generators:
             img = int(proj[g])
             if img != 0 and img not in gens:
                 gens.append(img)
-        target = FiniteGroup(elements, tmul, gens)
+        target = FiniteGroup(tmul, gens)
         return QuotientMap(self, N, target, proj)
 
     def conjugacy_classes(self) -> tuple[ConjugacyClass, ...]:
@@ -568,20 +570,16 @@ def from_generators(gens: Sequence[Permutation], degree: int,
         raise PreconditionViolated("identity is not the least element; ordering is corrupt")
     n = len(elems)
     rows = np.array(elems, dtype=_IDX)
-    row_key = {rows[i].tobytes(): i for i in range(n)}
     gen_cols = []
     for g in gen_rows:
-        garr = np.fromiter(g, dtype=_IDX, count=degree)
-        composed = garr[rows]
-        gen_cols.append(np.fromiter((row_key[composed[i].tobytes()] for i in range(n)),
-                                    dtype=_IDX, count=n))
+        composed = np.array(g, dtype=_IDX)[rows].tolist()
+        gen_cols.append(np.fromiter((index[tuple(c)] for c in composed), dtype=_IDX, count=n))
     mul = np.empty((n, n), dtype=_IDX)
     mul[:, 0] = np.arange(n, dtype=_IDX)
     for t in discovery[1:]:
         parent, gi = parents[t]  # type: ignore[misc]
         mul[:, index[t]] = gen_cols[gi][mul[:, index[parent]]]
-    return FiniteGroup([Permutation(t) for t in elems], mul,
-                       [index[g] for g in gen_rows])
+    return FiniteGroup(mul, [index[g] for g in gen_rows], rows)
 
 
 def direct_product(groups: Sequence[FiniteGroup], cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -593,10 +591,9 @@ def direct_product(groups: Sequence[FiniteGroup], cap: int = DEFAULT_ORDER_CAP) 
     offset = 0
     for g in groups:
         for gi in g.generators:
-            images = list(range(degree))
-            for a, b in enumerate(g.elements[gi].images):
-                images[offset + a] = offset + b
-            gens.append(Permutation(tuple(images)))
+            images = np.arange(degree)
+            images[offset:offset + g.degree] = g.points[gi] + offset
+            gens.append(Permutation(tuple(images.tolist())))
         offset += g.degree
     return from_generators(gens, degree, cap)
 
@@ -604,22 +601,22 @@ def direct_product(groups: Sequence[FiniteGroup], cap: int = DEFAULT_ORDER_CAP) 
 def subgroup_as_group(H: Subgroup, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Stand-alone group with the same multiplication as the subgroup.
 
-    Generators are chosen greedily (smallest member not yet generated) so the
-    derived spec stays short; for a p-group this yields a minimal set.
+    Its elements are H's members in order, with the parent's points. Generators
+    are chosen greedily (smallest member not yet generated) so the derived
+    spec stays short; for a p-group this yields a minimal set.
     """
+    if H.order > cap:
+        raise OrderCapExceeded(cap)
     parent = H.parent
-    members = list(H.members)
     gens: list[int] = []
     reached = {0}
-    for m in members:
-        if m in reached:
+    for x in H.members:
+        if x in reached:
             continue
-        gens.append(m)
-        sub = parent.subgroup_closure(gens)
-        reached = set(sub.members)
-        if len(reached) == len(members):
+        gens.append(x)
+        reached = set(parent.subgroup_closure(gens).members)
+        if len(reached) == H.order:
             break
-    gen_perms = [parent.elements[m] for m in gens]
-    if not gen_perms:
-        gen_perms = [Permutation.identity(parent.degree)]
-    return from_generators(gen_perms, parent.degree, cap)
+    m = H.member_array()
+    table = np.searchsorted(m, parent.mul_table[np.ix_(m, m)])
+    return FiniteGroup(table, np.searchsorted(m, gens).tolist() or [0], parent.points[m])

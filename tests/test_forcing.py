@@ -3,6 +3,7 @@ import pytest
 
 from forcing_lab import (
     CyclicGroup,
+    FiniteGroup,
     ForcingCertificate,
     ForcingStep,
     ForcingWitness,
@@ -256,6 +257,19 @@ class TestVerifier:
         failed = {c.condition for c in report.failures()}
         assert "chain-normal" in failed
         assert "chain-frattini" in failed
+        # the verifier records the refused quotient as a failure, not a crash
+        assert "quotient-non-quaternion[1]" in {c.label() for c in report.failures()}
+
+    def test_quotient_programming_error_propagates(self, group_of, cert_of, monkeypatch):
+        G = group_of("preset:Dihedral(8)")
+        cert = cert_of("preset:Dihedral(8)")
+
+        def broken_quotient(self, N):
+            raise TypeError("bug in quotient")
+
+        monkeypatch.setattr(FiniteGroup, "quotient", broken_quotient)
+        with pytest.raises(TypeError, match="bug in quotient"):
+            verify_certificate(G, cert)
 
     def test_wrong_witness_class_detected(self, group_of, cert_of):
         G = group_of("preset:Heisenberg(3)")

@@ -12,10 +12,13 @@ from forcing_lab import (
     Permutation,
     PreconditionViolated,
     Subgroup,
+    TWISTED_C4_SPEC,
     direct_product,
     from_generators,
     parse_group_spec,
+    spec_text,
     subgroup_as_group,
+    sylow_decomposition,
 )
 
 AXIOM_SPECS = [
@@ -102,14 +105,15 @@ def test_element_orders_divide_group_order(group_of, spec):
     assert orders[0] == 1
     assert all(G.order % int(o) == 0 for o in orders)
     # table order matches the permutation realization
-    for i, perm in enumerate(G.elements):
-        assert perm.order() == int(orders[i])
+    for i, images in enumerate(G.points):
+        assert Permutation(tuple(images)).order() == int(orders[i])
 
 
 def test_elements_sorted_and_identity_first(group_of):
     G = group_of("preset:Dihedral(8)")
-    assert G.elements[0] == Permutation.identity(G.degree)
-    assert list(G.elements) == sorted(G.elements, key=lambda p: p.images)
+    points = G.points.tolist()
+    assert points[0] == list(range(G.degree))
+    assert points == sorted(points)
 
 
 def test_from_generators_cyclic():
@@ -301,6 +305,61 @@ def test_subgroup_as_group_preserves_structure(group_of):
     assert is_generalized_quaternion(K) == 1
 
 
+def _greedy_generators(H):
+    """Smallest member not yet generated, until H is reached."""
+    gens, reached = [], {0}
+    for x in H.members:
+        if x not in reached:
+            gens.append(x)
+            reached = set(H.parent.subgroup_closure(gens).members)
+    return gens
+
+
+def _subgroup_cases(group_of):
+    for spec in ["product:preset:Heisenberg(5)|preset:ElemAbelian(3,2)",
+                 "product:preset:GenQuaternion(1)|preset:Cyclic(3)"]:
+        for p, sub in sylow_decomposition(group_of(spec)).factors.items():
+            yield f"{spec} Sylow {p}", sub
+    for spec in ["preset:Dihedral(16)", "preset:Heisenberg(3)", "preset:Abelian(4,2)",
+                 "preset:SemiDihedral(16)", TWISTED_C4_SPEC]:
+        G = group_of(spec)
+        yield f"{spec} center", G.center()
+        yield f"{spec} Frattini", G.frattini()
+    D8 = group_of("preset:Dihedral(16)")
+    Q = D8.quotient(D8.center()).target
+    yield "Dihedral(16)/Z subgroup", Q.subgroup_closure([Q.order - 1])
+    yield "trivial", D8.trivial_subgroup()
+
+
+def test_subgroup_as_group_equals_reenumeration(group_of):
+    for name, H in _subgroup_cases(group_of):
+        G = H.parent
+        gens = _greedy_generators(H)
+        perms = [Permutation(tuple(G.points[g].tolist())) for g in gens]
+        ref = from_generators(perms or [Permutation.identity(G.degree)], G.degree)
+        K = subgroup_as_group(H)
+        assert np.array_equal(K.mul_table, ref.mul_table), name
+        assert K.generators == ref.generators, name
+        assert np.array_equal(K.points, ref.points), name
+        assert spec_text(K) == spec_text(ref), name
+
+
+def test_subgroup_as_group_respects_cap(group_of):
+    G = group_of("preset:Heisenberg(3)")
+    H = G.center()
+    assert subgroup_as_group(H, cap=H.order).order == H.order
+    with pytest.raises(OrderCapExceeded):
+        subgroup_as_group(H, cap=H.order - 1)
+
+
+def test_quotient_target_acts_by_right_multiplication(group_of):
+    G = group_of("preset:Heisenberg(3)")
+    Q = G.quotient(G.center()).target
+    assert np.array_equal(Q.points, Q.mul_table.T)
+    assert not Q.points.flags.writeable
+    assert spec_text(Q) == "perm:9:(0 1 2)(3 4 5)(6 7 8),(0 3 6)(1 4 7)(2 5 8)"
+
+
 def test_ancestor_quotients(group_of):
     G = group_of("preset:GenQuaternion(2)")  # series 16 > 4 > 2 > 1
     qs = G.ancestor_quotients()
@@ -333,5 +392,5 @@ def test_generated_groups_satisfy_axioms(data):
     rng = np.random.default_rng(degree * 1000 + n)
     for a, b, c in rng.integers(0, n, size=(60, 3)):
         assert mul[mul[a, b], c] == mul[a, mul[b, c]]
-    for i, perm in enumerate(G.elements):
-        assert perm.order() == int(G.orders()[i])
+    for i, images in enumerate(G.points):
+        assert Permutation(tuple(images)).order() == int(G.orders()[i])
