@@ -201,6 +201,13 @@ def _parse_delta_report(obj: Any) -> DeltaReport:
 
 def parse(data: bytes) -> CertificateDocument:
     try:
+        return _parse_document(data)
+    except RecursionError:  # from decoding, or from re-encoding for the digest
+        raise Malformed("JSON nested too deeply") from None
+
+
+def _parse_document(data: bytes) -> CertificateDocument:
+    try:
         body = json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise Malformed(f"not UTF-8 at byte {exc.start}") from exc

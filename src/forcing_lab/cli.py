@@ -80,14 +80,22 @@ def _resolve_cap(args: argparse.Namespace) -> int:
     return DEFAULT_ORDER_CAP
 
 
+def _fraction(text: Any, what: str) -> Fraction:
+    """A rational given on the command line or in an override file."""
+    try:
+        return Fraction(text)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise ForcingLabError(f"{what} must be a rational like 1/100, got {text!r}") from None
+
+
 def _constants_from(args: argparse.Namespace) -> AnalyticConstants:
     kwargs = {}
     if getattr(args, "beta", None) is not None:
-        kwargs["beta"] = Fraction(args.beta)
+        kwargs["beta"] = _fraction(args.beta, "--beta")
     if getattr(args, "gamma", None) is not None:
-        kwargs["gamma"] = Fraction(args.gamma)
+        kwargs["gamma"] = _fraction(args.gamma, "--gamma")
     if getattr(args, "eps_delta", None) is not None:
-        kwargs["epsilon_delta"] = Fraction(args.eps_delta)
+        kwargs["epsilon_delta"] = _fraction(args.eps_delta, "--eps-delta")
     return AnalyticConstants(**kwargs) if kwargs else DEFAULT_CONSTANTS
 
 
@@ -95,10 +103,13 @@ def _overrides_from(args: argparse.Namespace) -> dict[int, Fraction]:
     path = getattr(args, "base_override", None)
     if path is None:
         return {}
-    raw = json.loads(Path(path).read_text())
+    try:
+        raw = json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ForcingLabError("base override file is nested too deeply") from None
     if not isinstance(raw, dict):
         raise ForcingLabError("base override file must hold a JSON object")
-    return {int(k): Fraction(v) for k, v in raw.items()}
+    return {int(k): _fraction(v, f"base override for {k}") for k, v in raw.items()}
 
 
 def _profile_obj(G: FiniteGroup) -> dict[str, Any]:

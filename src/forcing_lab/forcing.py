@@ -10,9 +10,11 @@ is generalized quaternion. Such a chain exists exactly when G is non-cyclic
 and not generalized quaternion.
 
 build_forcing_sequence constructs certificates; verify_certificate re-checks
-every claimed condition from scratch, sharing nothing with the builder
-beyond the group primitives, and checks the forcing property over every
-class member by brute force.
+every claimed condition from scratch and checks the forcing property over
+every class member by brute force. It derives closure, normality, the
+exponent-p series and the Frattini subgroup on its own, from all products,
+commutators and p-th powers in the table, never from the builder's kernels or
+cached series; it shares FiniteGroup.quotient, conjugacy_classes and orders.
 """
 
 from __future__ import annotations
@@ -251,18 +253,40 @@ def _structural_check(G: FiniteGroup, cert: ForcingCertificate) -> None:
             raise MalformedCertificate(f"step {i} witness representative is negative")
 
 
-def _is_closed(G: FiniteGroup, members: np.ndarray) -> bool:
-    prods = np.unique(G.mul_table[np.ix_(members, members)])
-    return len(prods) == len(members) and bool(np.array_equal(prods, members))
+def _brute_closure(G: FiniteGroup, seed: np.ndarray) -> np.ndarray:
+    """Sorted members of the subgroup generated by seed: square until closed."""
+    members = np.union1d(seed, [0]).astype(np.int32)
+    while True:
+        prods = np.unique(G.mul_table[np.ix_(members, members)])
+        if len(prods) == len(members):
+            return members
+        members = prods
 
 
-def _is_normal_full(G: FiniteGroup, members: np.ndarray) -> bool:
-    """Conjugation by every group element, not only generators."""
-    allg = np.arange(G.order, dtype=members.dtype)
-    conj = G.mul_table[G.mul_table[G.inv_table[allg][:, None], members[None, :]],
-                       allg[:, None]]
-    conj = np.sort(conj, axis=1)
-    return bool((conj == members[None, :]).all())
+def _brute_commutators(G: FiniteGroup, members: np.ndarray) -> np.ndarray:
+    """The distinct [x, g] = x^-1 g^-1 x g for every x in members and g in G."""
+    allg = np.arange(G.order, dtype=np.int32)
+    comm = G.mul_table[np.ix_(G.inv_table[members], G.inv_table[allg])]
+    comm = G.mul_table[comm, members[:, None]]
+    comm = G.mul_table[comm, allg[None, :]]
+    return np.unique(comm)
+
+
+def _brute_series(G: FiniteGroup) -> list[tuple[int, ...]]:
+    """The lower exponent-p series G_j = G_{j-1}^p [G_{j-1}, G], from all p-th
+    powers and all commutators with G of each term."""
+    pp = prime_power(G.order)
+    if pp is None:
+        raise NotAPGroup(f"order {G.order} is not a prime power")
+    series = [np.arange(G.order, dtype=np.int32)]
+    while len(series[-1]) > 1:
+        current = power = series[-1]
+        for _ in range(pp[0] - 1):
+            power = G.mul_table[power, current]
+        series.append(_brute_closure(G, np.union1d(power, _brute_commutators(G, current))))
+        if len(series[-1]) >= len(current):
+            raise NotAPGroup("series failed to descend")
+    return [tuple(term.tolist()) for term in series]
 
 
 def verify_certificate(G: FiniteGroup, cert: ForcingCertificate) -> VerificationReport:
@@ -270,9 +294,10 @@ def verify_certificate(G: FiniteGroup, cert: ForcingCertificate) -> Verification
 
     Structural impossibilities (bad indices, shape mismatches) raise
     MalformedCertificate; every semantic condition becomes a named pass/fail
-    entry in the report. Group-theoretic facts are recomputed independently:
-    normality over all conjugators, forcing over every class member's full
-    fiber.
+    entry in the report. Group-theoretic facts are recomputed independently
+    of the builder: closure by squaring member sets, normality over all
+    conjugators, the exponent-p series and its Frattini term from all powers
+    and commutators, forcing over every class member's full fiber.
     """
     _structural_check(G, cert)
     checks: list[CheckResult] = []
@@ -303,21 +328,24 @@ def verify_certificate(G: FiniteGroup, cert: ForcingCertificate) -> Verification
     checks.append(CheckResult("chain-descending", descending,
                               "entries must strictly decrease"))
     for k, members in enumerate(arrays):
-        closed = chain[k][0] == 0 and _is_closed(G, members)
+        closed = chain[k][0] == 0 and np.array_equal(_brute_closure(G, members), members)
         checks.append(CheckResult("chain-closed", closed,
                                   f"entry of size {len(members)}", step=k))
         if closed:
-            checks.append(CheckResult("chain-normal", _is_normal_full(G, members),
-                                      f"entry {k}", step=k))
+            # x^g = x [x, g] for every group element g, not only generators
+            normal = bool(np.isin(_brute_commutators(G, members), members).all())
+            checks.append(CheckResult("chain-normal", normal, f"entry {k}", step=k))
         else:
             checks.append(CheckResult("chain-normal", False,
                                       f"entry {k} is not even a subgroup", step=k))
     try:
-        frattini = G.frattini().members
-        checks.append(CheckResult("chain-frattini", chain[1] == frattini,
+        series = _brute_series(G)
+        checks.append(CheckResult("chain-frattini", chain[1] == series[1],
                                   "second entry must be the Frattini subgroup"))
     except NotAPGroup as exc:
-        checks.append(CheckResult("chain-frattini", False, str(exc)))
+        series = None
+        series_error = str(exc)
+        checks.append(CheckResult("chain-frattini", False, series_error))
     if p is not None:
         index_ok = all(len(chain[k]) == p * len(chain[k + 1])
                        for k in range(1, len(chain) - 1))
@@ -325,14 +353,13 @@ def verify_certificate(G: FiniteGroup, cert: ForcingCertificate) -> Verification
                                   f"consecutive indices must all be {p}"))
     else:
         checks.append(CheckResult("chain-index-p", False, "no p: order is not a prime power"))
-    try:
-        series_sets = [sub.members for sub in G.lower_exponent_p_series()]
+    if series is None:
+        checks.append(CheckResult("chain-refines-series", False, series_error))
+    else:
         chain_sets = set(chain)
-        refines = all(s in chain_sets for s in series_sets)
+        refines = all(s in chain_sets for s in series)
         checks.append(CheckResult("chain-refines-series", refines,
                                   "every series term must appear in the chain"))
-    except NotAPGroup as exc:
-        checks.append(CheckResult("chain-refines-series", False, str(exc)))
 
     quotient_cache: dict[tuple[int, ...], QuotientMap] = {}
 
@@ -375,11 +402,7 @@ def verify_certificate(G: FiniteGroup, cert: ForcingCertificate) -> Verification
             f"recorded {step.quotient_order}, expected {G.order // len(lower)}", step=i))
 
         # [N_i, G] inside N_{i+1} makes the layer central in G/N_{i+1}
-        allg = np.arange(G.order, dtype=np.int32)
-        comm = G.mul_table[np.ix_(G.inv_table[upper], G.inv_table[allg])]
-        comm = G.mul_table[comm, upper[:, None]]
-        comm = G.mul_table[comm, allg[None, :]]
-        central = set(np.unique(comm).tolist()) <= set(chain[i + 2])
+        central = set(_brute_commutators(G, upper).tolist()) <= set(chain[i + 2])
         checks.append(CheckResult("chain-central-layer", central,
                                   "layer commutators must land below", step=i))
 

@@ -6,6 +6,11 @@ then b. Permutations are only an input format: ``points`` holds each element's
 images, sorted by from_generators (identity first, then lexicographic). A
 group built from a table alone acts on itself by right multiplication, so its
 points are the transposed table.
+
+One kernel closes subgroups from generators, never by squaring member sets:
+``FiniteGroup._closure`` (Dimino's algorithm) serves ``subgroup_closure`` and
+the closure check of ``Subgroup``. Element orders, conjugacy classes and the
+lower exponent-p series are derived once per group and cached on it.
 """
 
 from __future__ import annotations
@@ -146,7 +151,9 @@ class Permutation:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A subset of parent element indices, verified closed at construction."""
+    """A subset of parent element indices, verified closed at construction:
+    their closure contains them all, and stays inside them only if they are
+    closed."""
 
     parent: "FiniteGroup"
     members: tuple[int, ...]
@@ -158,12 +165,20 @@ class Subgroup:
             raise PreconditionViolated("subgroup must contain the identity (index 0)")
         if members[-1] >= self.parent.order:
             raise PreconditionViolated(f"member index {members[-1]} out of range")
-        arr = np.fromiter(members, dtype=_IDX, count=len(members))
-        prods = np.unique(self.parent.mul_table[np.ix_(arr, arr)])
-        if not np.array_equal(prods, arr):
+        allowed = np.zeros(self.parent.order, dtype=bool)
+        allowed[list(members)] = True
+        if self.parent._closure(members, allowed) is None:
             raise PreconditionViolated("member set is not closed under multiplication")
         if self.parent.order % len(members):
             raise PreconditionViolated("subgroup order does not divide group order")
+
+    @classmethod
+    def _checked(cls, parent: "FiniteGroup", members: tuple[int, ...]) -> Subgroup:
+        """A subgroup whose sorted members were already checked for this parent."""
+        sub = object.__new__(cls)
+        object.__setattr__(sub, "parent", parent)
+        object.__setattr__(sub, "members", members)
+        return sub
 
     @property
     def order(self) -> int:
@@ -237,6 +252,7 @@ class FiniteGroup:
         self.spec = spec
         self._orders: np.ndarray | None = None
         self._classes: tuple[ConjugacyClass, ...] | None = None
+        self._series: tuple[tuple[int, ...], ...] | None = None
 
     @property
     def order(self) -> int:
@@ -255,10 +271,6 @@ class FiniteGroup:
 
     def inv(self, a: int) -> int:
         return int(self._inv[a])
-
-    def conjugate(self, g: int, x: int) -> int:
-        """g^-1 x g."""
-        return int(self._mul[self._mul[self._inv[g], x], g])
 
     def orders(self) -> np.ndarray:
         """Element orders, indexed like elements."""
@@ -302,19 +314,51 @@ class FiniteGroup:
     def trivial_subgroup(self) -> Subgroup:
         return Subgroup(self, (0,))
 
+    def _closure(self, seed: Iterable[int], allowed: np.ndarray | None = None
+                 ) -> tuple[np.ndarray, list[int]] | None:
+        """Dimino's closure: the sorted members of <seed>, and the seeds taken
+        as generators (each seed not yet reached, so a sorted seed gives its
+        greedy generators). A new generator x adds the right cosets mul[H, r]
+        of the old group H for r = x, x^2, ... until a power is back in H,
+        then for products of found representatives with every generator so
+        far. With an ``allowed`` mask, return None once a coset leaves it."""
+        mul = self._mul
+        reached = np.zeros(self.order, dtype=bool)
+        reached[0] = True
+        members = np.zeros(1, dtype=_IDX)
+        gens: list[int] = []
+        for x in seed:
+            if reached[x]:
+                continue
+            gens.append(int(x))
+            powers = []
+            while not reached[x]:
+                powers.append(x)
+                x = mul[x, gens[-1]]
+            frontier = np.array(powers, dtype=_IDX)
+            block = mul[members[:, None], frontier]
+            while True:
+                if allowed is not None and not allowed[block].all():
+                    return None
+                reached[block] = True
+                reps = mul[frontier[:, None], gens].ravel()
+                reps = reps[~reached[reps]]
+                if not len(reps):
+                    break
+                # two representatives share a coset exactly when they share its least member
+                block = mul[members[:, None], reps]
+                _, first = np.unique(block.min(axis=0), return_index=True)
+                frontier, block = reps[first], block[:, first]
+            members = np.flatnonzero(reached)
+        return members, gens
+
     def subgroup_closure(self, seed: Iterable[int]) -> Subgroup:
         """Smallest subgroup containing the seed indices."""
-        members = np.unique(np.concatenate([
-            np.zeros(1, dtype=_IDX),
-            np.fromiter((int(s) for s in seed), dtype=_IDX),
-        ]))
-        if len(members) and (members[0] < 0 or members[-1] >= self.order):
+        seed = np.fromiter((int(s) for s in seed), dtype=np.int64)
+        if len(seed) and (seed.min() < 0 or seed.max() >= self.order):
             raise PreconditionViolated("seed index out of range")
-        while True:
-            prods = np.unique(self._mul[np.ix_(members, members)])
-            if len(prods) == len(members):
-                return Subgroup(self, tuple(int(m) for m in members))
-            members = prods
+        members, _ = self._closure(seed)
+        return Subgroup(self, tuple(members.tolist()))
 
     def is_normal(self, H: Subgroup) -> bool:
         """Whether gHg^-1 = H for all g; generator conjugation suffices."""
@@ -334,14 +378,27 @@ class FiniteGroup:
             mask &= self._mul[:, g] == self._mul[g, :]
         return Subgroup(self, tuple(int(z) for z in np.nonzero(mask)[0]))
 
-    def commutator_subgroup(self, A: Subgroup, B: Subgroup) -> Subgroup:
-        """Subgroup generated by all [a, b] = a^-1 b^-1 a b."""
-        a = A.member_array()
-        b = B.member_array()
-        t = self._mul[np.ix_(self._inv[a], self._inv[b])]
+    def _commutators(self, a: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """The table of [x, y] = x^-1 y^-1 x y, rows x in a, columns y in ys."""
+        t = self._mul[self._inv[a][:, None], self._inv[ys]]
         t = self._mul[t, a[:, None]]
-        t = self._mul[t, b[None, :]]
-        return self.subgroup_closure(np.unique(t))
+        return self._mul[t, ys[None, :]]
+
+    def commutator_subgroup(self, A: Subgroup, B: Subgroup) -> Subgroup:
+        """Subgroup generated by all [a, b] = a^-1 b^-1 a b: the closure of the
+        [a, y] for generators y of B, closed under conjugation by the y. This
+        is exact, since [a, yz] = [a, z] [a, y]^z."""
+        gens = self.generators if B.order == self.order else self._closure(B.members)[1]
+        ys = np.array(gens, dtype=_IDX)
+        seed = np.unique(self._commutators(A.member_array(), ys))
+        while True:
+            members, gens = self._closure(seed)
+            g = np.array(gens, dtype=_IDX)
+            # y normalises H once [g, y] = g^-1 g^y lies in H for each generator g of H
+            new = np.setdiff1d(self._commutators(g, ys), members)
+            if not len(new):
+                return Subgroup(self, tuple(members.tolist()))
+            seed = np.concatenate([g, new])
 
     def agemo(self, A: Subgroup, p: int) -> Subgroup:
         """Subgroup generated by the p-th powers of the members of A."""
@@ -354,36 +411,38 @@ class FiniteGroup:
         return self.subgroup_closure(np.unique(power))
 
     def frattini(self, p: int | None = None) -> Subgroup:
-        """G^p [G,G] for a p-group: the Frattini subgroup."""
+        """G^p [G,G] for a p-group: the Frattini subgroup, which is the second
+        term of the lower exponent-p series."""
         pp = prime_power(self.order)
         if pp is None:
             raise NotAPGroup(f"order {self.order} is not a prime power")
-        if p is None:
-            p = pp[0]
-        elif p != pp[0]:
+        if p is not None and p != pp[0]:
             raise NotAPGroup(f"order {self.order} is not a power of {p}")
-        whole = self.whole_subgroup()
-        powers = self.agemo(whole, p)
-        comm = self.commutator_subgroup(whole, whole)
-        return self.subgroup_closure(powers.members + comm.members)
+        return self.lower_exponent_p_series()[1]
 
     def lower_exponent_p_series(self) -> list[Subgroup]:
-        """Descending series G = G_0 > G_1 > ... > 1 with G_j = G_{j-1}^p [G_{j-1}, G]."""
-        pp = prime_power(self.order)
-        if pp is None:
-            raise NotAPGroup(f"order {self.order} is not a prime power")
-        p = pp[0]
-        whole = self.whole_subgroup()
-        series = [whole]
-        while series[-1].order > 1:
-            current = series[-1]
-            powers = self.agemo(current, p)
-            comm = self.commutator_subgroup(current, whole)
-            nxt = self.subgroup_closure(powers.members + comm.members)
-            if nxt.order >= current.order:
-                raise NotAPGroup("series failed to descend")
-            series.append(nxt)
-        return series
+        """Descending series G = G_0 > G_1 > ... > 1 with G_j = G_{j-1}^p [G_{j-1}, G];
+        derived once per group, each call returns a fresh list."""
+        if self._series is None:
+            pp = prime_power(self.order)
+            if pp is None:
+                raise NotAPGroup(f"order {self.order} is not a prime power")
+            p = pp[0]
+            whole = self.whole_subgroup()
+            series = [whole]
+            while series[-1].order > 1:
+                current = series[-1]
+                powers = self.agemo(current, p)
+                comm = self.commutator_subgroup(current, whole)
+                nxt = self.subgroup_closure(powers.members + comm.members)
+                if nxt.order >= current.order:
+                    raise NotAPGroup("series failed to descend")
+                series.append(nxt)
+            self._series = tuple(sub.members for sub in series)
+        # the cache holds member tuples: a cached Subgroup would point back at
+        # this group, and the cycle would keep a dropped group's table alive
+        # until the cycle collector runs
+        return [Subgroup._checked(self, members) for members in self._series]
 
     def p_class(self) -> int:
         return len(self.lower_exponent_p_series()) - 1
@@ -421,34 +480,30 @@ class FiniteGroup:
         return QuotientMap(self, N, target, proj)
 
     def conjugacy_classes(self) -> tuple[ConjugacyClass, ...]:
-        """Classes sorted by least member; the identity class comes first."""
+        """Classes sorted by least member; the identity class comes first.
+
+        Labels fall to the least member of each class: each takes the minimum
+        over its generator conjugates, then jumps (label[label]), until stable."""
         if self._classes is None:
+            gens = np.array(self.generators, dtype=_IDX)
+            conj = self._mul[self._mul[self._inv[gens][:, None], np.arange(self.order)], gens[:, None]]
+            label = np.arange(self.order, dtype=_IDX)
+            while True:
+                nxt = np.minimum(label, label[conj].min(axis=0, initial=self.order))
+                nxt = nxt[nxt]
+                if np.array_equal(nxt, label):
+                    break
+                label = nxt
             orders = self.orders()
-            unseen = np.ones(self.order, dtype=bool)
-            classes = []
-            for x in range(self.order):
-                if not unseen[x]:
-                    continue
-                orbit = [x]
-                unseen[x] = False
-                frontier = [x]
-                while frontier:
-                    nxt = []
-                    for y in frontier:
-                        for g in self.generators:
-                            z = self.conjugate(g, y)
-                            if unseen[z]:
-                                unseen[z] = False
-                                orbit.append(z)
-                                nxt.append(z)
-                    frontier = nxt
-                orbit.sort()
-                common = int(orders[x])
-                if any(int(orders[m]) != common for m in orbit):
-                    raise PreconditionViolated("conjugates of unequal order; table is corrupt")
-                classes.append(ConjugacyClass(representative=orbit[0],
-                                              members=tuple(orbit), order=common))
-            self._classes = tuple(classes)
+            if not np.array_equal(orders, orders[label]):
+                raise PreconditionViolated("conjugates of unequal order; table is corrupt")
+            by_class = np.argsort(label, kind="stable")
+            ends = np.append(np.flatnonzero(np.diff(label[by_class])) + 1, self.order).tolist()
+            by_class = by_class.tolist()
+            self._classes = tuple(
+                ConjugacyClass(representative=by_class[start], members=tuple(by_class[start:end]),
+                               order=int(orders[by_class[start]]))
+                for start, end in zip([0] + ends, ends))
         return self._classes
 
     def intermediate_index_p_subgroups(self, A: Subgroup, B: Subgroup, p: int) -> list[Subgroup]:
@@ -470,11 +525,9 @@ class FiniteGroup:
             raise PreconditionViolated("A and B must both be normal")
         a = A.member_array()
         b = B.member_array()
-        # [a, g] in B for every a in A, g in G makes A/B central in G/B
-        allg = np.arange(self.order, dtype=_IDX)
-        t = self._mul[np.ix_(self._inv[a], self._inv[allg])]
-        t = self._mul[t, a[:, None]]
-        t = self._mul[t, allg[None, :]]
+        # [a, g] in B for every a in A, g in G makes A/B central in G/B; as B
+        # is normal, generators g suffice
+        t = self._commutators(a, np.array(self.generators, dtype=_IDX))
         if not set(np.unique(t).tolist()) <= bset:
             raise PreconditionViolated("A/B is not central in G/B")
         power = a.copy()
@@ -608,15 +661,7 @@ def subgroup_as_group(H: Subgroup, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     if H.order > cap:
         raise OrderCapExceeded(cap)
     parent = H.parent
-    gens: list[int] = []
-    reached = {0}
-    for x in H.members:
-        if x in reached:
-            continue
-        gens.append(x)
-        reached = set(parent.subgroup_closure(gens).members)
-        if len(reached) == H.order:
-            break
+    _, gens = parent._closure(H.members)
     m = H.member_array()
     table = np.searchsorted(m, parent.mul_table[np.ix_(m, m)])
     return FiniteGroup(table, np.searchsorted(m, gens).tolist() or [0], parent.points[m])

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -174,6 +175,18 @@ class TestParseErrors:
         forged = _reforge(json.dumps(body).encode())
         with pytest.raises(Malformed):
             parse(forged)
+
+    def test_deep_nesting_is_malformed(self, cert_of):
+        with pytest.raises(Malformed, match="nested too deeply"):
+            parse(b"[" * 200_000)
+        # nested just deep enough to decode but not to re-encode for the digest
+        head = emit(_doc(cert_of, "preset:Dihedral(8)"))[:-1] + b',"x":'
+        limit = sys.getrecursionlimit()
+        for depth in range(limit - 60, limit + 5):
+            try:
+                parse(head + b"[" * depth + b"]" * depth + b"}")
+            except (Malformed, DigestMismatch):
+                pass
 
     def test_version_constant_matches(self):
         assert SCHEMA_VERSION == "1"

@@ -191,6 +191,25 @@ class TestDelta:
         assert code == 1
         assert "constants invariant rejected" in err
 
+    @pytest.mark.parametrize("flag", ["--beta", "--gamma", "--eps-delta"])
+    @pytest.mark.parametrize("value", ["1/0", "one"])
+    def test_bad_rational_flag(self, capsys, flag, value):
+        code, out, err = run(capsys, "delta", "preset:Heisenberg(3)", "--ell", "5",
+                             flag, value, "--no-header")
+        assert code == 1 and out == ""
+        assert err == f"error: ForcingLabError: {flag} must be a rational like 1/100, got {value!r}\n"
+
+    @pytest.mark.parametrize("content", ['{"2": "1/0"}', '{"2": [1]}', '{"2": null}',
+                                         "[" * 200_000],
+                             ids=["zero-denominator", "list", "null", "deep"])
+    def test_bad_base_override_file(self, capsys, tmp_path, content):
+        override = tmp_path / "base.json"
+        override.write_text(content)
+        code, out, err = run(capsys, "delta", "preset:ElemAbelian(2,2)", "--ell", "3",
+                             "--base-override", str(override), "--no-header")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ForcingLabError: base override")
+
     def test_deterministic_json(self, capsys):
         _, out1, _ = run(capsys, "delta", "preset:Heisenberg(3)", "--ell", "5", "--json")
         _, out2, _ = run(capsys, "delta", "preset:Heisenberg(3)", "--ell", "5", "--json")
@@ -226,6 +245,13 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in out
         assert "chain-frattini" in out or "chain-index-p" in out
+
+    def test_deeply_nested_file(self, capsys, tmp_path):
+        path = tmp_path / "deep.fcert.json"
+        path.write_bytes(b"[" * 200_000)
+        code, out, err = run(capsys, "verify", str(path), "--no-header")
+        assert code == 1
+        assert out == "" and "error: Malformed: JSON nested too deeply" in err
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(tmp_path / "nope.fcert.json"),

@@ -271,6 +271,22 @@ class TestVerifier:
         with pytest.raises(TypeError, match="bug in quotient"):
             verify_certificate(G, cert)
 
+    @pytest.mark.parametrize("spec", ["preset:Dihedral(16)", "preset:Heisenberg(3)",
+                                      "preset:Abelian(4,4)", TWISTED_C4_SPEC])
+    def test_verifier_derives_series_and_frattini_itself(self, group_of, cert_of,
+                                                         monkeypatch, spec):
+        G = group_of(spec)
+        cert = cert_of(spec)
+
+        def builder_only(self, *args):
+            raise AssertionError("the verifier used the builder's series")
+
+        monkeypatch.setattr(FiniteGroup, "lower_exponent_p_series", builder_only)
+        monkeypatch.setattr(FiniteGroup, "frattini", builder_only)
+        report = verify_certificate(G, cert)
+        assert report.all_passed
+        assert {"chain-frattini", "chain-refines-series"} <= {c.condition for c in report.checks}
+
     def test_wrong_witness_class_detected(self, group_of, cert_of):
         G = group_of("preset:Heisenberg(3)")
         cert = cert_of("preset:Heisenberg(3)")

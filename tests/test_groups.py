@@ -15,11 +15,13 @@ from forcing_lab import (
     TWISTED_C4_SPEC,
     direct_product,
     from_generators,
+    p_group_specs,
     parse_group_spec,
     spec_text,
     subgroup_as_group,
     sylow_decomposition,
 )
+from forcing_lab.groups import prime_power
 
 AXIOM_SPECS = [
     "preset:Cyclic(6)",
@@ -184,6 +186,19 @@ def test_subgroup_validation_rejects_non_closed(group_of):
             break
     with pytest.raises(PreconditionViolated):
         Subgroup(G, (0, bad))
+    # {0, x} with x of order 4 misses x^2 and x^3
+    C8 = group_of("preset:Cyclic(8)")
+    x = int(np.nonzero(C8.orders() == 4)[0][0])
+    with pytest.raises(PreconditionViolated):
+        Subgroup(C8, (0, x))
+    # a set of a subgroup's size that is not closed: swap one member of a
+    # subgroup of order 4 for an element outside it
+    D8 = group_of("preset:Dihedral(16)")
+    H = D8.subgroup_closure([int(np.nonzero(D8.orders() == 4)[0][0])])
+    outside = next(g for g in range(D8.order) if g not in H.members)
+    for kept in itertools.combinations(H.members[1:], 2):
+        with pytest.raises(PreconditionViolated):
+            Subgroup(D8, (0, *kept, outside))
 
 
 def test_center_is_normal(group_of):
@@ -269,6 +284,97 @@ def test_intermediate_subgroups_precondition(group_of):
     # A/B here is C8 / C4 which is fine; ask for the wrong prime instead
     with pytest.raises(PreconditionViolated):
         C8.intermediate_index_p_subgroups(whole, agemo, 3)
+
+
+def _fixpoint_closure(G, seed):
+    """Reference closure: square the member set until it stops growing."""
+    members = np.union1d(np.asarray(seed, dtype=np.int64), [0])
+    while True:
+        prods = np.unique(G.mul_table[np.ix_(members, members)])
+        if len(prods) == len(members):
+            return tuple(prods.tolist())
+        members = prods
+
+
+def _all_commutators(G, a, b):
+    """Every [x, y] = x^-1 y^-1 x y with x in a and y in b."""
+    mul, inv = G.mul_table, G.inv_table
+    t = mul[np.ix_(inv[a], inv[b])]
+    return np.unique(mul[mul[t, a[:, None]], b[None, :]])
+
+
+def _reference_series(G, p):
+    series = [np.arange(G.order)]
+    while len(series[-1]) > 1:
+        current = power = series[-1]
+        for _ in range(p - 1):
+            power = G.mul_table[power, current]
+        comms = _all_commutators(G, current, np.arange(G.order))
+        series.append(np.array(_fixpoint_closure(G, np.union1d(power, comms))))
+    return [tuple(term.tolist()) for term in series]
+
+
+def _orbit_classes(G):
+    """Reference classes: a breadth-first orbit search from each unseen element."""
+    classes, seen = [], set()
+    for x in range(G.order):
+        if x in seen:
+            continue
+        orbit, frontier = {x}, [x]
+        while frontier:
+            frontier = [G.mul(G.mul(G.inv(g), y), g) for y in frontier for g in G.generators]
+            frontier = [z for z in frontier if z not in orbit]
+            orbit.update(frontier)
+        seen |= orbit
+        classes.append((x, tuple(sorted(orbit)), int(G.orders()[x])))
+    return classes
+
+
+def _kernel_cases(group_of):
+    """Every p-group of order at most 64, two nilpotent groups that are not
+    p-groups, S4 (where the commutators of A with B's generators need closing
+    under conjugation) and quotient targets of a few larger groups."""
+    for _, spec in p_group_specs(64):
+        yield spec, group_of(spec)
+    for spec in ["product:preset:Heisenberg(3)|preset:Cyclic(2)",
+                 "product:preset:GenQuaternion(1)|preset:Cyclic(3)", "perm:4:(0 1 2 3),(0 1)"]:
+        yield spec, group_of(spec)
+    for spec in ["preset:Dihedral(32)", "preset:Heisenberg(5)", "preset:Abelian(8,4,2)",
+                 "preset:SemiDihedral(64)"]:
+        G = group_of(spec)
+        for N in (G.center(), G.lower_exponent_p_series()[-2]):
+            yield f"{spec}/N{N.order}", G.quotient(N).target
+
+
+def test_closure_kernels_match_fixpoint_references(group_of):
+    rng = np.random.default_rng(3)
+    for name, G in _kernel_cases(group_of):
+        seeds = [[g] for g in G.generators] + [list(G.generators), [G.order - 1]]
+        seeds += [rng.integers(0, G.order, size=k).tolist() for k in (1, 2, 2, 3)]
+        subgroups = []
+        for seed in seeds:
+            H = G.subgroup_closure(seed)
+            assert H.members == _fixpoint_closure(G, seed), (name, seed)
+            subgroups.append(H)
+        proper = [H for H in subgroups if H.order < G.order]
+        for A, B in zip(proper, proper[1:] + proper[:1]):
+            expected = _fixpoint_closure(G, _all_commutators(G, A.member_array(), B.member_array()))
+            assert G.commutator_subgroup(A, B).members == expected, name
+        whole = G.whole_subgroup()
+        for A in proper[:2] + [whole]:
+            expected = _fixpoint_closure(G, _all_commutators(G, A.member_array(), np.arange(G.order)))
+            assert G.commutator_subgroup(A, whole).members == expected, name
+        pp = prime_power(G.order)
+        if pp is not None:
+            series = G.lower_exponent_p_series()
+            assert [H.members for H in series] == _reference_series(G, pp[0]), name
+            assert G.frattini() == series[1], name
+
+
+def test_conjugacy_classes_match_orbit_search(group_of):
+    for name, G in _kernel_cases(group_of):
+        classes = [(c.representative, c.members, c.order) for c in G.conjugacy_classes()]
+        assert classes == _orbit_classes(G), name
 
 
 def test_conjugacy_classes_partition(group_of):
