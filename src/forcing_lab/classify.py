@@ -34,14 +34,6 @@ def is_p_group(G: FiniteGroup) -> int | None:
     return None if pp is None else pp[0]
 
 
-def p_class(G: FiniteGroup) -> int:
-    return G.p_class()
-
-
-def generator_rank(G: FiniteGroup) -> int:
-    return G.generator_rank()
-
-
 def is_cyclic(G: FiniteGroup) -> bool:
     return int(G.orders().max()) == G.order
 

@@ -211,11 +211,14 @@ def build_forcing_sequence(G: FiniteGroup) -> ForcingCertificate:
     for i in range(len(chain) - 2):
         upper = chain[i + 1]
         lower = chain[i + 2]
-        q_low = quotient_by(lower)
+        q_low, q_up = quotient_by(lower), quotient_by(upper)
         src = q_low.target
-        kernel_image = sorted({int(q_low.project[x]) for x in upper.members})
-        inner = src.quotient(Subgroup(src, tuple(kernel_image)))
-        witness = central_step_witness(inner)
+        # the step map phi: G/lower -> G/upper factors the two projections;
+        # G/upper labels its cosets as src.quotient would, so it is the target
+        phi = np.empty(src.order, dtype=np.int32)
+        phi[q_low.project] = q_up.project
+        kernel = Subgroup._checked(src, tuple(np.flatnonzero(phi == 0).tolist()))
+        witness = central_step_witness(QuotientMap(src, kernel, q_up.target, phi))
         if witness is None:
             raise PreconditionViolated("central step lost its forcing witness")
         steps.append(ForcingStep(

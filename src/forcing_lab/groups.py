@@ -2,22 +2,26 @@
 
 Every group is fully enumerated: an element is an index into its numpy
 multiplication table, index 0 is the identity, and mul(a, b) applies a first,
-then b. Permutations are only an input format: ``points`` holds each element's
-images, sorted by from_generators (identity first, then lexicographic). A
-group built from a table alone acts on itself by right multiplication, so its
-points are the transposed table.
+then b. Permutations are only an input format and enter only through
+from_generators: ``points`` holds each element's images, sorted (identity
+first, then lexicographic). Derived groups come from table arithmetic: a
+direct product composes its factors' tables, a quotient or subgroup relabels
+the parent's. A group built from a table alone acts on itself by right
+multiplication, so its points are the transposed table.
 
 One kernel closes subgroups from generators, never by squaring member sets:
 ``FiniteGroup._closure`` (Dimino's algorithm) serves ``subgroup_closure`` and
-the closure check of ``Subgroup``. Element orders, conjugacy classes and the
-lower exponent-p series are derived once per group and cached on it.
+the closure check of ``Subgroup``. What the kernels produce becomes a
+``Subgroup`` unchecked; a member set a caller supplies is checked. Element
+orders, conjugacy classes and the lower exponent-p series are derived once
+per group and cached on it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -174,7 +178,8 @@ class Subgroup:
 
     @classmethod
     def _checked(cls, parent: "FiniteGroup", members: tuple[int, ...]) -> Subgroup:
-        """A subgroup whose sorted members were already checked for this parent."""
+        """A subgroup whose sorted members are known to be closed in this
+        parent: the closure kernel's own output, or members checked before."""
         sub = object.__new__(cls)
         object.__setattr__(sub, "parent", parent)
         object.__setattr__(sub, "members", members)
@@ -309,7 +314,7 @@ class FiniteGroup:
         return bool(np.array_equal(self._mul, self._mul.T))
 
     def whole_subgroup(self) -> Subgroup:
-        return Subgroup(self, tuple(range(self.order)))
+        return Subgroup._checked(self, tuple(range(self.order)))
 
     def trivial_subgroup(self) -> Subgroup:
         return Subgroup(self, (0,))
@@ -358,7 +363,7 @@ class FiniteGroup:
         if len(seed) and (seed.min() < 0 or seed.max() >= self.order):
             raise PreconditionViolated("seed index out of range")
         members, _ = self._closure(seed)
-        return Subgroup(self, tuple(members.tolist()))
+        return Subgroup._checked(self, tuple(members.tolist()))
 
     def is_normal(self, H: Subgroup) -> bool:
         """Whether gHg^-1 = H for all g; generator conjugation suffices."""
@@ -376,7 +381,7 @@ class FiniteGroup:
         mask = np.ones(self.order, dtype=bool)
         for g in self.generators:
             mask &= self._mul[:, g] == self._mul[g, :]
-        return Subgroup(self, tuple(int(z) for z in np.nonzero(mask)[0]))
+        return Subgroup._checked(self, tuple(np.flatnonzero(mask).tolist()))
 
     def _commutators(self, a: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """The table of [x, y] = x^-1 y^-1 x y, rows x in a, columns y in ys."""
@@ -397,7 +402,7 @@ class FiniteGroup:
             # y normalises H once [g, y] = g^-1 g^y lies in H for each generator g of H
             new = np.setdiff1d(self._commutators(g, ys), members)
             if not len(new):
-                return Subgroup(self, tuple(members.tolist()))
+                return Subgroup._checked(self, tuple(members.tolist()))
             seed = np.concatenate([g, new])
 
     def agemo(self, A: Subgroup, p: int) -> Subgroup:
@@ -516,8 +521,7 @@ class FiniteGroup:
             raise PreconditionViolated("subgroup belongs to a different group")
         if not is_prime(p):
             raise PreconditionViolated(f"{p} is not prime")
-        bset = B.member_set()
-        if not bset <= A.member_set():
+        if not B.member_set() <= A.member_set():
             raise PreconditionViolated("B is not contained in A")
         if A.order == B.order:
             raise PreconditionViolated("A/B is trivial")
@@ -525,55 +529,35 @@ class FiniteGroup:
             raise PreconditionViolated("A and B must both be normal")
         a = A.member_array()
         b = B.member_array()
+        in_b = np.zeros(self.order, dtype=bool)
+        in_b[b] = True
         # [a, g] in B for every a in A, g in G makes A/B central in G/B; as B
         # is normal, generators g suffice
-        t = self._commutators(a, np.array(self.generators, dtype=_IDX))
-        if not set(np.unique(t).tolist()) <= bset:
+        if not in_b[self._commutators(a, np.array(self.generators, dtype=_IDX))].all():
             raise PreconditionViolated("A/B is not central in G/B")
         power = a.copy()
         for _ in range(p - 1):
             power = self._mul[power, a]
-        if not set(np.unique(power).tolist()) <= bset:
+        if not in_b[power].all():
             raise PreconditionViolated("A/B has exponent larger than p")
-        # cosets of B inside A form a vector space over F_p
-        rep_global = self._mul[:, b].min(axis=1)
-        vreps = np.unique(rep_global[a])
-        vindex = {int(v): i for i, v in enumerate(vreps)}
-
-        def vmul(i: int, j: int) -> int:
-            return vindex[int(rep_global[self._mul[vreps[i], vreps[j]]])]
-
-        span = {0}
-        basis: list[int] = []
-        for vi in range(1, len(vreps)):
-            if vi in span:
-                continue
-            basis.append(vi)
-            powers = [0]
-            for _ in range(p - 1):
-                powers.append(vmul(powers[-1], vi))
-            span = {vmul(s, w) for s in span for w in powers}
-        r = len(basis)
-        if p ** r != len(vreps):
+        # A/B is a vector space over F_p; the closure kernel's greedy
+        # generators of A past those of B are a basis, and p - 1 right
+        # multiplications by each give every member of A its coordinates
+        basis = [x for x in self._closure(np.concatenate([b, a]))[1] if not in_b[x]]
+        members, coords = b, np.zeros((len(b), len(basis)), dtype=np.int64)
+        for k, x in enumerate(basis):
+            blocks, cblocks = [members], [coords]
+            for c in range(1, p):
+                blocks.append(self._mul[blocks[-1], x])
+                cblocks.append(coords.copy())
+                cblocks[-1][:, k] = c
+            members, coords = np.concatenate(blocks), np.concatenate(cblocks)
+        if len(members) != A.order or len(np.unique(members)) != A.order:
             raise PreconditionViolated("A/B is not elementary abelian")
-        coords: dict[int, tuple[int, ...]] = {}
-        for coord in itertools.product(range(p), repeat=r):
-            v = 0
-            for c, bi in zip(coord, basis):
-                for _ in range(c):
-                    v = vmul(v, bi)
-            coords[v] = coord
         out = []
-        for phi in itertools.product(range(p), repeat=r):
-            nz = next((i for i, c in enumerate(phi) if c), None)
-            if nz is None or phi[nz] != 1:
-                continue
-            kept = [vi for vi in range(len(vreps))
-                    if sum(c * f for c, f in zip(coords[vi], phi)) % p == 0]
-            members: list[int] = []
-            for vi in kept:
-                members.extend(int(m) for m in self._mul[vreps[vi], b])
-            out.append(Subgroup(self, tuple(sorted(members))))
+        for phi in itertools.product(range(p), repeat=len(basis)):
+            if next((c for c in phi if c), None) == 1:
+                out.append(Subgroup(self, tuple(members[coords @ phi % p == 0].tolist())))
         out.sort(key=lambda s: s.members)
         return out
 
@@ -636,19 +620,26 @@ def from_generators(gens: Sequence[Permutation], degree: int,
 
 
 def direct_product(groups: Sequence[FiniteGroup], cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """Direct product acting on the disjoint union of the factors' points."""
+    """Direct product acting on the disjoint union of the factors' points.
+
+    The table is composed from the factors' tables: an element is the
+    mixed-radix index of its factor elements, first factor most significant.
+    Every group's points sort like its indices, so the product's points do too.
+    """
     if not groups:
         raise PreconditionViolated("empty product")
-    degree = sum(g.degree for g in groups)
-    gens: list[Permutation] = []
-    offset = 0
+    if prod(g.order for g in groups) > cap:
+        raise OrderCapExceeded(cap)
+    mul = np.zeros((1, 1), dtype=_IDX)
+    points = np.zeros((1, 0), dtype=_IDX)
+    gens: list[int] = []
     for g in groups:
-        for gi in g.generators:
-            images = np.arange(degree)
-            images[offset:offset + g.degree] = g.points[gi] + offset
-            gens.append(Permutation(tuple(images.tolist())))
-        offset += g.degree
-    return from_generators(gens, degree, cap)
+        m, n = len(mul), g.order
+        mul = (mul[:, None, :, None] * n + g.mul_table[None, :, None, :]).reshape(m * n, m * n)
+        points = np.hstack([np.repeat(points, n, axis=0),
+                            np.tile(g.points + points.shape[1], (m, 1))])
+        gens = [x * n for x in gens] + list(g.generators)
+    return FiniteGroup(mul, list(dict.fromkeys(gens)), points)
 
 
 def subgroup_as_group(H: Subgroup, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:

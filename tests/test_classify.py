@@ -6,13 +6,11 @@ from forcing_lab import (
     PNotDividing,
     count_involutions,
     count_order_p_subgroups,
-    generator_rank,
     is_cyclic,
     is_elementary_abelian,
     is_generalized_quaternion,
     is_nilpotent,
     is_p_group,
-    p_class,
     p_group_profile,
     subgroup_as_group,
     sylow_decomposition,
@@ -108,8 +106,8 @@ class TestPredicates:
 
     def test_rank_and_class(self, group_of):
         G = group_of("preset:Abelian(4,4)")
-        assert generator_rank(G) == 2
-        assert p_class(G) == 2
+        assert G.generator_rank() == 2
+        assert G.p_class() == 2
 
     def test_count_order_p_subgroups(self, group_of):
         assert count_order_p_subgroups(group_of("preset:ElemAbelian(2,2)"), 2) == 3

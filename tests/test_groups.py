@@ -13,6 +13,7 @@ from forcing_lab import (
     PreconditionViolated,
     Subgroup,
     TWISTED_C4_SPEC,
+    catalog_entries,
     direct_product,
     from_generators,
     p_group_specs,
@@ -138,6 +139,48 @@ def test_direct_product_orders_multiply(group_of):
     P = direct_product([A, B])
     assert P.order == 12
     assert P.is_abelian()
+
+
+def _product_by_reenumeration(groups, cap=2048):
+    """Reference product: embed each factor's generators on the disjoint
+    union of the points and enumerate the group they generate."""
+    degree = sum(g.degree for g in groups)
+    gens, offset = [], 0
+    for g in groups:
+        for gi in g.generators:
+            images = np.arange(degree)
+            images[offset:offset + g.degree] = g.points[gi] + offset
+            gens.append(Permutation(tuple(images.tolist())))
+        offset += g.degree
+    return from_generators(gens, degree, cap)
+
+
+def _product_cases(group_of):
+    specs = {spec for _, spec in p_group_specs(256)} | {e.spec for e in catalog_entries()}
+    specs.add("product:preset:Cyclic(1)|preset:Cyclic(1)|preset:Cyclic(2)")
+    for spec in sorted(s for s in specs if s.startswith("product:")):
+        yield spec, [group_of(part) for part in spec.removeprefix("product:").split("|")]
+    yield "ElemAbelian(2,11)", [group_of("preset:Cyclic(2)")] * 11
+    D8 = group_of("preset:Dihedral(16)")
+    yield "Dihedral(16)/Z x C3", [D8.quotient(D8.center()).target, group_of("preset:Cyclic(3)")]
+    H = group_of("preset:Heisenberg(3)")
+    yield "D4 x Z(Heisenberg(3)) x V4", [group_of("preset:Dihedral(8)"),
+                                         subgroup_as_group(H.center()),
+                                         group_of("preset:ElemAbelian(2,2)")]
+
+
+def test_direct_product_equals_reenumeration(group_of):
+    for name, factors in _product_cases(group_of):
+        P = direct_product(factors)
+        ref = _product_by_reenumeration(factors)
+        assert np.array_equal(P.mul_table, ref.mul_table), name
+        assert P.generators == ref.generators, name
+        assert np.array_equal(P.points, ref.points), name
+        assert P.degree == ref.degree, name
+    C4 = group_of("preset:Cyclic(4)")
+    with pytest.raises(OrderCapExceeded):
+        direct_product([C4, C4], cap=15)
+    assert direct_product([C4, C4], cap=16).order == 16
 
 
 def test_center_and_commutator_of_dihedral(group_of):
@@ -356,6 +399,8 @@ def test_closure_kernels_match_fixpoint_references(group_of):
             H = G.subgroup_closure(seed)
             assert H.members == _fixpoint_closure(G, seed), (name, seed)
             subgroups.append(H)
+        assert G.center().members == tuple(
+            x for x in range(G.order) if np.array_equal(G.mul_table[x], G.mul_table[:, x])), name
         proper = [H for H in subgroups if H.order < G.order]
         for A, B in zip(proper, proper[1:] + proper[:1]):
             expected = _fixpoint_closure(G, _all_commutators(G, A.member_array(), B.member_array()))
@@ -369,6 +414,37 @@ def test_closure_kernels_match_fixpoint_references(group_of):
             series = G.lower_exponent_p_series()
             assert [H.members for H in series] == _reference_series(G, pp[0]), name
             assert G.frattini() == series[1], name
+
+
+def _index_p_reference(G, A, B, p):
+    """Sorted distinct closures of B with r - 1 coset representatives of B in
+    A that have order |A|/p, grown one representative at a time."""
+    reps = np.unique(G.mul_table[:, B.member_array()].min(axis=1)[A.member_array()]).tolist()
+    level = {B.members}
+    while max(map(len, level)) * p < A.order:
+        level = {_fixpoint_closure(G, S + (x,)) for S in level for x in reps if x not in S}
+    return sorted(S for S in level if len(S) * p == A.order)
+
+
+def test_index_p_candidates_match_closure_reference(group_of):
+    """Every series layer of rank at most 4 of the p-groups of order at most
+    128, and the layers from each candidate down to the same bottom."""
+    layers = 0
+    for _, spec in p_group_specs(128):
+        G = group_of(spec)
+        p = prime_power(G.order)[0]
+        series = G.lower_exponent_p_series()
+        for A, B in zip(series[1:-1], series[2:]):
+            if A.order > B.order * p ** 4:
+                continue
+            candidates = G.intermediate_index_p_subgroups(A, B, p)
+            assert [S.members for S in candidates] == _index_p_reference(G, A, B, p), spec
+            for S in candidates:
+                if S.order > B.order:
+                    nested = G.intermediate_index_p_subgroups(S, B, p)
+                    assert [T.members for T in nested] == _index_p_reference(G, S, B, p), spec
+            layers += 1
+    assert layers > 50
 
 
 def test_conjugacy_classes_match_orbit_search(group_of):
