@@ -50,7 +50,7 @@ from .exponents import (
     replay_trace,
 )
 from .forcing import build_forcing_sequence, verify_certificate
-from .groups import DEFAULT_ORDER_CAP, FiniteGroup, factorize, subgroup_as_group
+from .groups import DEFAULT_ORDER_CAP, MAX_ORDER_CAP, FiniteGroup, factorize, subgroup_as_group
 from .groupspec import parse_group_spec, spec_text
 
 ENV_CAP = "FORCING_LAB_CAP"
@@ -69,15 +69,21 @@ def _header(args: argparse.Namespace) -> None:
 
 
 def _resolve_cap(args: argparse.Namespace) -> int:
-    if args.cap is not None:
-        return args.cap
-    raw = os.environ.get(ENV_CAP)
-    if raw is not None:
+    """The order cap from --cap, else FORCING_LAB_CAP, else the default;
+    refused past MAX_ORDER_CAP before any table is allocated."""
+    cap = args.cap
+    if cap is None:
+        raw = os.environ.get(ENV_CAP)
+        if raw is None:
+            return DEFAULT_ORDER_CAP
         try:
-            return int(raw)
+            cap = int(raw)
         except ValueError:
             raise ForcingLabError(f"{ENV_CAP} must be an integer, got {raw!r}") from None
-    return DEFAULT_ORDER_CAP
+    if cap > MAX_ORDER_CAP:
+        raise ForcingLabError(f"cap {cap} exceeds {MAX_ORDER_CAP}, the largest order "
+                              "whose table fits in 256 MiB")
+    return cap
 
 
 def _fraction(text: Any, what: str) -> Fraction:

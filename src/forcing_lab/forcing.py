@@ -11,22 +11,23 @@ and not generalized quaternion.
 
 build_forcing_sequence constructs certificates; verify_certificate re-checks
 every claimed condition from scratch and checks the forcing property over
-every class member by brute force. It derives closure, normality, the
-exponent-p series and the Frattini subgroup on its own, from all products,
-commutators and p-th powers in the table, never from the builder's kernels or
-cached series; it shares FiniteGroup.quotient, conjugacy_classes and orders.
+every class member by brute force. It works from G's own table, inverses and
+element orders alone, never from the builder's kernels, quotient groups or
+cached series: closure, normality, the exponent-p series and the Frattini
+subgroup come from all products, commutators and p-th powers in the table,
+and cosets, their orders and their conjugacy classes from membership masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .classify import is_cyclic, is_generalized_quaternion
 from .errors import (
     CyclicGroup,
-    ForcingLabError,
     MalformedCertificate,
     NotAPGroup,
     PreconditionViolated,
@@ -238,13 +239,14 @@ def build_forcing_sequence(G: FiniteGroup) -> ForcingCertificate:
 def _structural_check(G: FiniteGroup, cert: ForcingCertificate) -> None:
     if len(cert.chain) < 2:
         raise MalformedCertificate("chain needs at least the whole group and the trivial subgroup")
+    n = G.order
     for k, entry in enumerate(cert.chain):
         if not entry:
             raise MalformedCertificate(f"chain entry {k} is empty")
         if len(set(entry)) != len(entry):
             raise MalformedCertificate(f"chain entry {k} has duplicate indices")
         for idx in entry:
-            if not isinstance(idx, int) or not 0 <= idx < G.order:
+            if not isinstance(idx, int) or not 0 <= idx < n:
                 raise MalformedCertificate(f"chain entry {k} has bad element index {idx!r}")
     if len(cert.steps) != len(cert.chain) - 2:
         raise MalformedCertificate(
@@ -256,28 +258,33 @@ def _structural_check(G: FiniteGroup, cert: ForcingCertificate) -> None:
             raise MalformedCertificate(f"step {i} witness representative is negative")
 
 
-def _brute_closure(G: FiniteGroup, seed: np.ndarray) -> np.ndarray:
+def _square_until_closed(G: FiniteGroup, seed: np.ndarray) -> np.ndarray:
     """Sorted members of the subgroup generated by seed: square until closed."""
     members = np.union1d(seed, [0]).astype(np.int32)
     while True:
-        prods = np.unique(G.mul_table[np.ix_(members, members)])
-        if len(prods) == len(members):
+        products = np.zeros(G.order, dtype=bool)
+        products[G.mul_table[np.ix_(members, members)]] = True
+        if products.sum() == len(members):
             return members
-        members = prods
+        members = np.flatnonzero(products).astype(np.int32)
 
 
-def _brute_commutators(G: FiniteGroup, members: np.ndarray) -> np.ndarray:
-    """The distinct [x, g] = x^-1 g^-1 x g for every x in members and g in G."""
-    allg = np.arange(G.order, dtype=np.int32)
-    comm = G.mul_table[np.ix_(G.inv_table[members], G.inv_table[allg])]
-    comm = G.mul_table[comm, members[:, None]]
-    comm = G.mul_table[comm, allg[None, :]]
-    return np.unique(comm)
+def _commutator_mask(G: FiniteGroup, members: np.ndarray) -> np.ndarray:
+    """Membership mask of the [x, g] = x^-1 g^-1 x g for every x in members
+    and g in G."""
+    mul = G.mul_table
+    comm = mul[np.ix_(G.inv_table[members], G.inv_table)]
+    comm = mul[comm, members[:, None]]
+    comm = mul[comm, np.arange(G.order)]
+    mask = np.zeros(G.order, dtype=bool)
+    mask[comm] = True
+    return mask
 
 
-def _brute_series(G: FiniteGroup) -> list[tuple[int, ...]]:
+def _brute_series(G: FiniteGroup,
+                  commutators: Callable[[np.ndarray], np.ndarray]) -> list[tuple[int, ...]]:
     """The lower exponent-p series G_j = G_{j-1}^p [G_{j-1}, G], from all p-th
-    powers and all commutators with G of each term."""
+    powers of each term and the mask of all its commutators with G."""
     pp = prime_power(G.order)
     if pp is None:
         raise NotAPGroup(f"order {G.order} is not a prime power")
@@ -286,10 +293,39 @@ def _brute_series(G: FiniteGroup) -> list[tuple[int, ...]]:
         current = power = series[-1]
         for _ in range(pp[0] - 1):
             power = G.mul_table[power, current]
-        series.append(_brute_closure(G, np.union1d(power, _brute_commutators(G, current))))
+        series.append(_square_until_closed(
+            G, np.union1d(power, np.flatnonzero(commutators(current)))))
         if len(series[-1]) >= len(current):
             raise NotAPGroup("series failed to descend")
     return [tuple(term.tolist()) for term in series]
+
+
+def _coset_orders(G: FiniteGroup, inside: np.ndarray) -> np.ndarray:
+    """The order of xN for every element x of G: the least k >= 1 with x^k in
+    N, by power steps over N's membership mask (N must contain the identity)."""
+    orders = inside.astype(np.int32)
+    power = np.arange(G.order, dtype=np.int32)
+    todo = np.flatnonzero(~inside)
+    k = 1
+    while len(todo):
+        power[todo] = G.mul_table[power[todo], todo]
+        k += 1
+        landed = inside[power[todo]]
+        orders[todo[landed]] = k
+        todo = todo[~landed]
+    return orders
+
+
+def _quaternion_index(orders: np.ndarray) -> int | None:
+    """The index n when a group with these element orders (one per element)
+    is generalized quaternion of order 2**(n+2), else None. A non-cyclic
+    2-group of order at least 8 is one exactly when it has one involution."""
+    pp = prime_power(len(orders))
+    if pp is None or pp[0] != 2 or pp[1] < 3:
+        return None
+    if int(orders.max()) == len(orders) or int((orders == 2).sum()) != 1:
+        return None
+    return pp[1] - 2
 
 
 def verify_certificate(G: FiniteGroup, cert: ForcingCertificate) -> VerificationReport:
@@ -297,20 +333,28 @@ def verify_certificate(G: FiniteGroup, cert: ForcingCertificate) -> Verification
 
     Structural impossibilities (bad indices, shape mismatches) raise
     MalformedCertificate; every semantic condition becomes a named pass/fail
-    entry in the report. Group-theoretic facts are recomputed independently
-    of the builder: closure by squaring member sets, normality over all
-    conjugators, the exponent-p series and its Frattini term from all powers
-    and commutators, forcing over every class member's full fiber.
+    entry in the report. Group-theoretic facts are recomputed from G's table
+    alone, independently of the builder: closure by squaring member sets,
+    normality over all conjugators, the exponent-p series and its Frattini
+    term from all powers and commutators. Quotients are never built: a coset
+    xN is labelled by its least member, target index i is the i-th smallest
+    label, and the order of xN is the least k with x^k in N. Forcing is
+    checked over every element of every coset of the witness class.
     """
     _structural_check(G, cert)
     checks: list[CheckResult] = []
     chain = [tuple(sorted(entry)) for entry in cert.chain]
     arrays = [np.fromiter(entry, dtype=np.int32, count=len(entry)) for entry in chain]
+    masks = []
+    for members in arrays:
+        masks.append(np.zeros(G.order, dtype=bool))
+        masks[-1][members] = True
+    mul = G.mul_table
 
     pp = prime_power(G.order)
     p = pp[0] if pp else None
-    cyclic = is_cyclic(G)
-    quaternion = is_generalized_quaternion(G) is not None
+    cyclic = int(G.orders().max()) == G.order
+    quaternion = _quaternion_index(G.orders()) is not None
     hypotheses_ok = pp is not None and not cyclic and not quaternion
     detail = ""
     if pp is None:
@@ -330,19 +374,33 @@ def verify_certificate(G: FiniteGroup, cert: ForcingCertificate) -> Verification
     descending = all(set(chain[k + 1]) < set(chain[k]) for k in range(len(chain) - 1))
     checks.append(CheckResult("chain-descending", descending,
                               "entries must strictly decrease"))
+
+    commutator_masks: dict[tuple[int, ...], np.ndarray] = {}
+
+    def commutators(members: np.ndarray) -> np.ndarray:
+        key = tuple(members.tolist())
+        if key not in commutator_masks:
+            commutator_masks[key] = _commutator_mask(G, members)
+        return commutator_masks[key]
+
+    # an entry is formed, so that its cosets make a quotient, once it is a
+    # normal subgroup
+    formed = []
     for k, members in enumerate(arrays):
-        closed = chain[k][0] == 0 and np.array_equal(_brute_closure(G, members), members)
+        closed = chain[k][0] == 0 and np.array_equal(_square_until_closed(G, members), members)
         checks.append(CheckResult("chain-closed", closed,
                                   f"entry of size {len(members)}", step=k))
         if closed:
             # x^g = x [x, g] for every group element g, not only generators
-            normal = bool(np.isin(_brute_commutators(G, members), members).all())
+            normal = not (commutators(members) & ~masks[k]).any()
             checks.append(CheckResult("chain-normal", normal, f"entry {k}", step=k))
         else:
+            normal = False
             checks.append(CheckResult("chain-normal", False,
                                       f"entry {k} is not even a subgroup", step=k))
+        formed.append(normal)
     try:
-        series = _brute_series(G)
+        series = _brute_series(G, commutators)
         checks.append(CheckResult("chain-frattini", chain[1] == series[1],
                                   "second entry must be the Frattini subgroup"))
     except NotAPGroup as exc:
@@ -364,26 +422,27 @@ def verify_certificate(G: FiniteGroup, cert: ForcingCertificate) -> Verification
         checks.append(CheckResult("chain-refines-series", refines,
                                   "every series term must appear in the chain"))
 
-    quotient_cache: dict[tuple[int, ...], QuotientMap] = {}
+    cosets: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    def quotient_of(entry_index: int) -> QuotientMap | None:
-        key = chain[entry_index]
-        if key not in quotient_cache:
-            try:
-                sub = Subgroup(G, key)
-                quotient_cache[key] = G.quotient(sub)
-            except ForcingLabError:
-                return None
-        return quotient_cache.get(key)
+    def cosets_of(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """For formed entry k: each element's coset label (the least member of
+        xN), the sorted labels, and each element's coset order."""
+        if k not in cosets:
+            labels = mul[:, arrays[k]].min(axis=1)
+            cosets[k] = labels, np.unique(labels), _coset_orders(G, masks[k])
+        return cosets[k]
 
+    quotient_index: list[int | None] = []
     for k in range(len(chain)):
-        q = quotient_of(k)
-        if q is None:
+        if not formed[k]:
+            quotient_index.append(None)
             checks.append(CheckResult("quotient-non-quaternion", False,
                                       f"entry {k}: quotient could not be formed",
                                       step=k))
             continue
-        idx = is_generalized_quaternion(q.target)
+        _, minima, orders = cosets_of(k)
+        idx = _quaternion_index(orders[minima])
+        quotient_index.append(idx)
         checks.append(CheckResult("quotient-non-quaternion", idx is None,
                                   f"entry {k}" + ("" if idx is None else
                                                   f": quotient is Q({idx})"),
@@ -405,50 +464,46 @@ def verify_certificate(G: FiniteGroup, cert: ForcingCertificate) -> Verification
             f"recorded {step.quotient_order}, expected {G.order // len(lower)}", step=i))
 
         # [N_i, G] inside N_{i+1} makes the layer central in G/N_{i+1}
-        central = set(_brute_commutators(G, upper).tolist()) <= set(chain[i + 2])
+        central = not (commutators(upper) & ~masks[i + 2]).any()
         checks.append(CheckResult("chain-central-layer", central,
                                   "layer commutators must land below", step=i))
 
-        q_up = quotient_of(i + 1)
-        q_low = quotient_of(i + 2)
-        if q_up is None or q_low is None:
-            checks.append(CheckResult("step-witness-class", False,
-                                      "quotients could not be formed", step=i))
-            checks.append(CheckResult("step-forcing", False,
-                                      "quotients could not be formed", step=i))
-            checks.append(CheckResult("step-quaternion-flag", False,
-                                      "quotients could not be formed", step=i))
+        if not (formed[i + 1] and formed[i + 2]):
+            for condition in ("step-witness-class", "step-forcing", "step-quaternion-flag"):
+                checks.append(CheckResult(condition, False, "quotients could not be formed",
+                                          step=i))
             continue
-        flag_ok = (step.quotient_is_quaternion is False
-                   and is_generalized_quaternion(q_low.target) is None)
+        flag_ok = step.quotient_is_quaternion is False and quotient_index[i + 2] is None
         checks.append(CheckResult("step-quaternion-flag", flag_ok,
                                   "recorded flag must be false and match recomputation",
                                   step=i))
         witness = step.witness
-        target = q_up.target
-        if witness.class_rep >= target.order:
+        labels_up, minima_up, orders_up = cosets_of(i + 1)
+        labels_low, _, orders_low = cosets_of(i + 2)
+        if witness.class_rep >= len(minima_up):
             checks.append(CheckResult("step-witness-class", False,
                                       f"representative {witness.class_rep} out of range",
                                       step=i))
             checks.append(CheckResult("step-forcing", False, "witness unusable", step=i))
             continue
-        cls = next(c for c in target.conjugacy_classes()
-                   if witness.class_rep in c.members)
-        # the step map phi: G/N_{i+1} -> G/N_i factors the two projections
-        phi = np.empty(q_low.target.order, dtype=np.int32)
-        phi[q_low.project] = q_up.project
-        low_orders = q_low.target.orders()
-        fibers = [np.nonzero(phi == member)[0] for member in cls.members]
-        class_ok = (cls.representative == witness.class_rep
-                    and cls.order == witness.class_order
-                    and len(witness.checked_fiber_sizes) == len(cls.members)
-                    and all(len(f) == s for f, s in
-                            zip(fibers, witness.checked_fiber_sizes)))
+        x = minima_up[int(witness.class_rep)]
+        # the class of x N_{i+1}: the cosets of g^-1 x g over every g in G,
+        # listed by label, so the least is the representative
+        members = np.unique(labels_up[mul[mul[G.inv_table, x], np.arange(G.order)]])
+        rep = int(np.searchsorted(minima_up, members[0]))
+        order = int(orders_up[x])
+        # the fiber over a class coset: the N_{i+2}-cosets of its elements
+        elements = mul[members[:, None], upper]
+        fiber_labels = np.sort(labels_low[elements], axis=1)
+        sizes = ((np.diff(fiber_labels, axis=1) != 0).sum(axis=1) + 1).tolist()
+        class_ok = (rep == witness.class_rep
+                    and order == witness.class_order
+                    and tuple(witness.checked_fiber_sizes) == tuple(sizes))
         checks.append(CheckResult(
             "step-witness-class", class_ok,
-            f"class of {witness.class_rep}: rep {cls.representative}, "
-            f"order {cls.order}, sizes {[len(f) for f in fibers]}", step=i))
-        forcing = all(int(low_orders[x]) == cls.order for f in fibers for x in f)
+            f"class of {witness.class_rep}: rep {rep}, order {order}, sizes {sizes}",
+            step=i))
+        forcing = bool((orders_low[elements] == order).all())
         checks.append(CheckResult(
             "step-forcing", forcing,
             "every fiber element over every class member must keep the class order",

@@ -35,6 +35,8 @@ from .errors import (
 )
 
 DEFAULT_ORDER_CAP = 2048
+# the largest cap whose int32 table, 4 * cap**2 bytes, fits in 256 MiB
+MAX_ORDER_CAP = 8192
 
 _IDX = np.int32
 

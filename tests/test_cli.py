@@ -3,6 +3,7 @@ import json
 import pytest
 
 from forcing_lab.cli import main
+from forcing_lab.groups import MAX_ORDER_CAP
 
 
 def run(capsys, *argv):
@@ -321,3 +322,24 @@ class TestHeaderAndCap:
         code, _, err = run(capsys, "catalog", "--no-header")
         assert code == 1
         assert "FORCING_LAB_CAP" in err
+
+    def test_cap_ceiling_is_the_largest_table_within_256_mib(self):
+        assert 4 * MAX_ORDER_CAP ** 2 <= 256 * 2 ** 20 < 4 * (MAX_ORDER_CAP + 1) ** 2
+
+    def test_cap_past_ceiling_is_refused_from_flag(self, capsys):
+        code, _, err = run(capsys, "analyze", "preset:Heisenberg(3)", "--cap",
+                           str(MAX_ORDER_CAP + 1), "--no-header")
+        assert code == 1
+        assert f"cap {MAX_ORDER_CAP + 1} exceeds {MAX_ORDER_CAP}" in err
+
+    def test_cap_past_ceiling_is_refused_from_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("FORCING_LAB_CAP", str(MAX_ORDER_CAP + 1))
+        code, _, err = run(capsys, "analyze", "preset:Heisenberg(3)", "--no-header")
+        assert code == 1
+        assert f"cap {MAX_ORDER_CAP + 1} exceeds {MAX_ORDER_CAP}" in err
+
+    def test_cap_at_ceiling_runs(self, capsys):
+        code, out, _ = run(capsys, "analyze", "preset:Heisenberg(3)", "--cap",
+                           str(MAX_ORDER_CAP), "--no-header")
+        assert code == 0
+        assert "order: 27" in out

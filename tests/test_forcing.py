@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from forcing_lab import (
+    CheckResult,
     CyclicGroup,
     FiniteGroup,
     ForcingCertificate,
@@ -11,6 +14,7 @@ from forcing_lab import (
     NotAPGroup,
     PreconditionViolated,
     QuaternionGroup,
+    QuotientMap,
     Subgroup,
     TWISTED_C4_SPEC,
     build_forcing_sequence,
@@ -18,6 +22,8 @@ from forcing_lab import (
     is_forcing,
     is_generalized_quaternion,
     p_group_profile,
+    p_group_specs,
+    parse_group_spec,
     verify_certificate,
 )
 
@@ -260,17 +266,6 @@ class TestVerifier:
         # the verifier records the refused quotient as a failure, not a crash
         assert "quotient-non-quaternion[1]" in {c.label() for c in report.failures()}
 
-    def test_quotient_programming_error_propagates(self, group_of, cert_of, monkeypatch):
-        G = group_of("preset:Dihedral(8)")
-        cert = cert_of("preset:Dihedral(8)")
-
-        def broken_quotient(self, N):
-            raise TypeError("bug in quotient")
-
-        monkeypatch.setattr(FiniteGroup, "quotient", broken_quotient)
-        with pytest.raises(TypeError, match="bug in quotient"):
-            verify_certificate(G, cert)
-
     @pytest.mark.parametrize("spec", ["preset:Dihedral(16)", "preset:Heisenberg(3)",
                                       "preset:Abelian(4,4)", TWISTED_C4_SPEC])
     def test_verifier_derives_series_and_frattini_itself(self, group_of, cert_of,
@@ -279,13 +274,29 @@ class TestVerifier:
         cert = cert_of(spec)
 
         def builder_only(self, *args):
-            raise AssertionError("the verifier used the builder's series")
+            raise AssertionError("the verifier used the builder's group code")
 
-        monkeypatch.setattr(FiniteGroup, "lower_exponent_p_series", builder_only)
-        monkeypatch.setattr(FiniteGroup, "frattini", builder_only)
+        for name in ("lower_exponent_p_series", "frattini", "quotient",
+                     "conjugacy_classes", "_closure"):
+            monkeypatch.setattr(FiniteGroup, name, builder_only)
+        monkeypatch.setattr(Subgroup, "__post_init__", builder_only)
         report = verify_certificate(G, cert)
         assert report.all_passed
         assert {"chain-frattini", "chain-refines-series"} <= {c.condition for c in report.checks}
+
+    def test_cyclic_quotient_is_not_quaternion(self, group_of):
+        # C8 x C2 over a C2 with quotient C8: a single involution, but cyclic
+        G = group_of("preset:Abelian(8,2)")
+        kernel = next(H for H in (G.subgroup_closure([m]) for m in range(1, G.order))
+                      if H.order == 2 and int(G.quotient(H).target.orders().max()) == 8)
+        step = ForcingStep(index_in_chain=1, kernel_order=2, quotient_order=16,
+                           quotient_is_quaternion=False, witness=ForcingWitness(1, 2, (2,)))
+        cert = ForcingCertificate(group_spec=G.spec, chain=(tuple(range(16)), kernel.members,
+                                                            (0,)), steps=(step,))
+        report = verify_certificate(G, cert)
+        assert "quotient-non-quaternion[1]" not in {c.label() for c in report.failures()}
+        ours = [c for c in report.checks if c.condition in QUOTIENT_CONDITIONS]
+        assert ours == _quotient_reference(G, cert)
 
     def test_wrong_witness_class_detected(self, group_of, cert_of):
         G = group_of("preset:Heisenberg(3)")
@@ -330,3 +341,178 @@ class TestVerifier:
         report = verify_certificate(G, cert_of("preset:Abelian(4,4)"))
         labels = [c.label() for c in report.checks]
         assert len(labels) == len(set(labels))
+
+
+def _largest_member_representatives(original):
+    def conjugacy_classes(self):
+        return tuple(replace(c, representative=max(c.members)) for c in original(self))
+    return conjugacy_classes
+
+
+def _reversed_target_labels(original):
+    def quotient(self, N):
+        q = original(self, N)
+        # t -> |Q| - t for t >= 1 is an involution, so it is its own inverse
+        relabel = np.concatenate([[0], np.arange(q.target.order - 1, 0, -1)])
+        table = relabel[q.target.mul_table[np.ix_(relabel, relabel)]]
+        target = FiniteGroup(table, [int(relabel[g]) for g in q.target.generators])
+        return QuotientMap(self, N, target, relabel[q.project])
+    return quotient
+
+
+class TestBuilderBugsAreCaught:
+    """Certificates built under a subtly wrong builder kernel fail
+    verification, both while the bug is live and after it is undone."""
+
+    @pytest.mark.parametrize("method, bug, spec", [
+        ("conjugacy_classes", _largest_member_representatives, "preset:Dihedral(16)"),
+        ("conjugacy_classes", _largest_member_representatives, "preset:SemiDihedral(16)"),
+        ("quotient", _reversed_target_labels, "preset:SemiDihedral(16)"),
+        ("quotient", _reversed_target_labels, "preset:ModularMaximalCyclic(16)"),
+    ])
+    def test_forged_certificate_fails(self, monkeypatch, cert_of, method, bug, spec):
+        # a fresh group: the bug must not leave cached structure on a shared one
+        G = parse_group_spec(spec)
+        monkeypatch.setattr(FiniteGroup, method, bug(getattr(FiniteGroup, method)))
+        forged = build_forcing_sequence(G)
+        live = verify_certificate(G, forged)
+        monkeypatch.undo()
+        assert forged != cert_of(spec)
+        assert not live.all_passed
+        assert not verify_certificate(G, forged).all_passed
+
+
+# the conditions the verifier once derived from quotient groups
+QUOTIENT_CONDITIONS = {"chain-normal", "quotient-non-quaternion", "chain-central-layer",
+                       "step-quaternion-flag", "step-witness-class", "step-forcing"}
+
+
+def _quotient_reference(G, cert):
+    """The QUOTIENT_CONDITIONS checks as derived from Subgroup, FiniteGroup.quotient,
+    the targets' conjugacy classes and the step map phi between quotients."""
+    chain = [tuple(sorted(entry)) for entry in cert.chain]
+    checks, quotients = [], []
+    for k, entry in enumerate(chain):
+        try:
+            sub = Subgroup(G, entry)
+        except PreconditionViolated:
+            checks.append(CheckResult("chain-normal", False,
+                                      f"entry {k} is not even a subgroup", step=k))
+            quotients.append(None)
+            continue
+        normal = G.is_normal(sub)
+        checks.append(CheckResult("chain-normal", normal, f"entry {k}", step=k))
+        quotients.append(G.quotient(sub) if normal else None)
+    for k, q in enumerate(quotients):
+        idx = None if q is None else is_generalized_quaternion(q.target)
+        detail = (f"entry {k}: quotient could not be formed" if q is None else
+                  f"entry {k}" + ("" if idx is None else f": quotient is Q({idx})"))
+        checks.append(CheckResult("quotient-non-quaternion", q is not None and idx is None,
+                                  detail, step=k))
+    everything = np.arange(G.order, dtype=np.int32)
+    for i, step in enumerate(cert.steps):
+        upper = np.array(chain[i + 1], dtype=np.int32)
+        central = set(G._commutators(upper, everything).ravel().tolist()) <= set(chain[i + 2])
+        checks.append(CheckResult("chain-central-layer", central,
+                                  "layer commutators must land below", step=i))
+        q_up, q_low = quotients[i + 1], quotients[i + 2]
+        if q_up is None or q_low is None:
+            for condition in ("step-witness-class", "step-forcing", "step-quaternion-flag"):
+                checks.append(CheckResult(condition, False, "quotients could not be formed",
+                                          step=i))
+            continue
+        flag_ok = (step.quotient_is_quaternion is False
+                   and is_generalized_quaternion(q_low.target) is None)
+        checks.append(CheckResult("step-quaternion-flag", flag_ok,
+                                  "recorded flag must be false and match recomputation",
+                                  step=i))
+        witness = step.witness
+        if witness.class_rep >= q_up.target.order:
+            checks.append(CheckResult("step-witness-class", False,
+                                      f"representative {witness.class_rep} out of range",
+                                      step=i))
+            checks.append(CheckResult("step-forcing", False, "witness unusable", step=i))
+            continue
+        cls = next(c for c in q_up.target.conjugacy_classes()
+                   if witness.class_rep in c.members)
+        phi = np.empty(q_low.target.order, dtype=np.int32)
+        phi[q_low.project] = q_up.project
+        low_orders = q_low.target.orders()
+        fibers = [np.flatnonzero(phi == member) for member in cls.members]
+        sizes = [len(f) for f in fibers]
+        class_ok = (cls.representative == witness.class_rep
+                    and cls.order == witness.class_order
+                    and tuple(witness.checked_fiber_sizes) == tuple(sizes))
+        checks.append(CheckResult(
+            "step-witness-class", class_ok,
+            f"class of {witness.class_rep}: rep {cls.representative}, "
+            f"order {cls.order}, sizes {sizes}", step=i))
+        forcing = all(int(low_orders[x]) == cls.order for f in fibers for x in f)
+        checks.append(CheckResult(
+            "step-forcing", forcing,
+            "every fiber element over every class member must keep the class order",
+            step=i))
+    return checks
+
+
+def _with_steps(cert, change):
+    return replace(cert, steps=tuple(change(i, step) for i, step in enumerate(cert.steps)))
+
+
+def _forgeries(G, cert):
+    """(label, certificate) pairs whose consecutive entries stay nested: the
+    genuine certificate, other witness representatives, flipped quaternion
+    flags, and an interior entry swapped for another normal subgroup or for a
+    non-subgroup between its neighbours."""
+    yield "genuine", cert
+    for c in (0, 1, 2, 3):
+        yield f"rep {c}", _with_steps(cert, lambda i, s: replace(
+            s, witness=replace(s.witness, class_rep=c)))
+    # the last coset index, and one past it, in alternate steps
+    yield "rep at range end", _with_steps(cert, lambda i, s: replace(
+        s, witness=replace(s.witness, class_rep=s.quotient_order // s.kernel_order - 1 + i % 2)))
+    yield "flag", _with_steps(cert, lambda i, s: replace(s, quotient_is_quaternion=True))
+    p = p_group_profile(G).p
+    for k in range(1, len(cert.chain) - 1):
+        above, below = Subgroup(G, cert.chain[k - 1]), Subgroup(G, cert.chain[k + 1])
+        try:
+            candidates = G.intermediate_index_p_subgroups(above, below, p)
+        except PreconditionViolated:
+            candidates = []
+        for other in candidates:
+            if other.members != cert.chain[k]:
+                yield f"swap {k}", replace(cert, chain=cert.chain[:k] + (other.members,)
+                                           + cert.chain[k + 1:])
+        entry = list(cert.chain[k])
+        outside = [m for m in cert.chain[k - 1] if m not in cert.chain[k]]
+        inside = [m for m in cert.chain[k] if m not in cert.chain[k + 1]]
+        entry[entry.index(inside[-1])] = outside[0]
+        yield f"tamper {k}", replace(cert, chain=cert.chain[:k] + (tuple(sorted(entry)),)
+                                     + cert.chain[k + 1:])
+
+
+CERTIFIED_64 = [spec for name, spec in p_group_specs(64)
+                if not name.startswith(("Cyclic", "GenQuaternion"))]
+
+
+class TestReportsMatchQuotientReference:
+    @pytest.mark.parametrize("spec", CERTIFIED_64)
+    def test_nested_chains_give_identical_checks(self, group_of, cert_of, spec):
+        G = group_of(spec)
+        for label, cert in _forgeries(G, cert_of(spec)):
+            report = verify_certificate(G, cert)
+            ours = [c for c in report.checks if c.condition in QUOTIENT_CONDITIONS]
+            assert ours == _quotient_reference(G, cert), label
+
+    @pytest.mark.parametrize("spec", CERTIFIED_64)
+    def test_non_nested_chains_fail_descending(self, group_of, cert_of, spec):
+        # the step map phi of a non-nested pair is not a map, so only the
+        # verdict is compared
+        G = group_of(spec)
+        cert = cert_of(spec)
+        for k in range(1, len(cert.chain) - 2):
+            chain = list(cert.chain)
+            chain[k], chain[k + 1] = chain[k + 1], chain[k]
+            report = verify_certificate(G, replace(cert, chain=tuple(chain)))
+            assert not report.all_passed
+            assert "chain-descending" in {c.condition for c in report.failures()}
