@@ -4,14 +4,20 @@ Presets build concrete permutation realizations. Degrees are kept small:
 cyclic and dihedral groups act naturally, the two-generator 2-group families
 act on Z/2^(k-1) by translation and multiplication, quaternion groups act on
 themselves, and the Heisenberg-type groups act affinely on F_p vectors.
+Cyclic groups and their products are built by table arithmetic, the others
+by from_generators. Each preset first checks its arguments and computes its
+order from them, so a group past the cap is refused before anything is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Callable, Sequence
 
-from .errors import GroupSpecError
+import numpy as np
+
+from .errors import GroupSpecError, OrderCapExceeded
 from .groups import (
     DEFAULT_ORDER_CAP,
     FiniteGroup,
@@ -22,34 +28,59 @@ from .groups import (
 )
 
 
-def _cyclic(k: int, cap: int) -> FiniteGroup:
+def _power(p: int, r: int) -> int:
+    """p**r for p >= 2, with r clamped at 64: past any table that fits in
+    memory, without building a huge integer."""
+    return p ** min(r, 64)
+
+
+def _cyclic_order(k: int) -> int:
     if k < 1:
         raise GroupSpecError("Cyclic(k) needs k >= 1")
-    if k == 1:
-        return from_generators([Permutation.identity(1)], 1, cap)
-    gen = Permutation.from_cycles(k, [tuple(range(k))])
-    return from_generators([gen], k, cap)
+    return k
 
 
-def _elem_abelian(p: int, r: int, cap: int) -> FiniteGroup:
+def _cyclic(k: int, cap: int) -> FiniteGroup:
+    """Z/k by arithmetic, x^i x^j = x^(i+j mod k). The generator x is the
+    k-cycle a -> a + 1 mod k, so x^i sends a to a + i and the points are the
+    table itself, sorted as from_generators would sort them."""
+    i = np.arange(k, dtype=np.int32)
+    table = i[:, None] + i
+    table %= k
+    return FiniteGroup(table, [1 % k], table)
+
+
+def _elem_abelian_order(p: int, r: int) -> int:
     if not is_prime(p):
         raise GroupSpecError("ElemAbelian(p, r) needs p prime")
     if r < 1:
         raise GroupSpecError("ElemAbelian(p, r) needs r >= 1")
-    return direct_product([_cyclic(p, cap) for _ in range(r)], cap)
+    return _power(p, r)
 
 
-def _abelian(ks: Sequence[int], cap: int) -> FiniteGroup:
+def _elem_abelian(p: int, r: int, cap: int) -> FiniteGroup:
+    return direct_product([_cyclic(p, cap)] * r, cap)
+
+
+def _abelian_order(ks: Sequence[int]) -> int:
     if not ks:
         raise GroupSpecError("Abelian(k1, ...) needs at least one factor")
     if any(k < 1 for k in ks):
         raise GroupSpecError("Abelian factors must be >= 1")
+    return prod(ks)
+
+
+def _abelian(ks: Sequence[int], cap: int) -> FiniteGroup:
     return direct_product([_cyclic(k, cap) for k in ks], cap)
 
 
-def _dihedral(m: int, cap: int) -> FiniteGroup:
+def _dihedral_order(m: int) -> int:
     if m < 4 or m % 2:
         raise GroupSpecError("Dihedral(m) needs even m >= 4")
+    return m
+
+
+def _dihedral(m: int, cap: int) -> FiniteGroup:
     k = m // 2
     if k == 2:
         gens = [Permutation.from_cycles(4, [(0, 1)]), Permutation.from_cycles(4, [(2, 3)])]
@@ -59,14 +90,18 @@ def _dihedral(m: int, cap: int) -> FiniteGroup:
     return from_generators([rot, ref], k, cap)
 
 
+def _gen_quaternion_order(n: int) -> int:
+    if n < 1:
+        raise GroupSpecError("GenQuaternion(n) needs n >= 1")
+    return _power(2, n + 2)
+
+
 def _gen_quaternion(n: int, cap: int) -> FiniteGroup:
     """Q(n) of order 2**(n+2), acting on itself by right multiplication.
 
     Points encode x^i y^j as i + m*j with m = 2**(n+1); y^2 = x^(2**n) and
     y^-1 x y = x^-1.
     """
-    if n < 1:
-        raise GroupSpecError("GenQuaternion(n) needs n >= 1")
     m = 2 ** (n + 1)
     half = 2 ** n
 
@@ -87,11 +122,15 @@ def _gen_quaternion(n: int, cap: int) -> FiniteGroup:
         [Permutation(tuple(x_images)), Permutation(tuple(y_images))], 2 * m, cap)
 
 
-def _two_generator_metacyclic(order: int, multiplier_offset: int, cap: int,
-                              name: str) -> FiniteGroup:
-    k = order.bit_length() - 1
-    if order != 2 ** k or order < 16:
-        raise GroupSpecError(f"{name}(m) needs m a power of 2, m >= 16")
+def _two_generator_order(name: str) -> Callable[[int], int]:
+    def order(m: int) -> int:
+        if m < 16 or m & (m - 1):
+            raise GroupSpecError(f"{name}(m) needs m a power of 2, m >= 16")
+        return m
+    return order
+
+
+def _two_generator_metacyclic(order: int, multiplier_offset: int, cap: int) -> FiniteGroup:
     half = order // 2
     a = (half // 2 + multiplier_offset) % half
     trans = Permutation(tuple((i + 1) % half for i in range(half)))
@@ -100,17 +139,21 @@ def _two_generator_metacyclic(order: int, multiplier_offset: int, cap: int,
 
 
 def _semidihedral(order: int, cap: int) -> FiniteGroup:
-    return _two_generator_metacyclic(order, -1, cap, "SemiDihedral")
+    return _two_generator_metacyclic(order, -1, cap)
 
 
 def _modular_maximal_cyclic(order: int, cap: int) -> FiniteGroup:
-    return _two_generator_metacyclic(order, +1, cap, "ModularMaximalCyclic")
+    return _two_generator_metacyclic(order, +1, cap)
+
+
+def _heisenberg_order(p: int) -> int:
+    if not is_prime(p):
+        raise GroupSpecError("Heisenberg(p) needs p prime")
+    return p ** 3
 
 
 def _heisenberg(p: int, cap: int) -> FiniteGroup:
     """Unitriangular 3x3 matrices over F_p, acting affinely on F_p^2."""
-    if not is_prime(p):
-        raise GroupSpecError("Heisenberg(p) needs p prime")
     deg = p * p
 
     def enc(u: int, v: int) -> int:
@@ -122,13 +165,17 @@ def _heisenberg(p: int, cap: int) -> FiniteGroup:
         [Permutation(tuple(x_images)), Permutation(tuple(y_images))], deg, cap)
 
 
-def _extraspecial(p: int, m: int, cap: int) -> FiniteGroup:
-    """Exponent-p extraspecial group of order p**(2m+1), odd p, acting
-    affinely on F_p^(m+1)."""
+def _extraspecial_order(p: int, m: int) -> int:
     if not is_prime(p) or p == 2:
         raise GroupSpecError("Extraspecial(p, m) needs p an odd prime")
     if m < 1:
         raise GroupSpecError("Extraspecial(p, m) needs m >= 1")
+    return _power(p, 2 * m + 1)
+
+
+def _extraspecial(p: int, m: int, cap: int) -> FiniteGroup:
+    """Exponent-p extraspecial group of order p**(2m+1), odd p, acting
+    affinely on F_p^(m+1)."""
     deg = p ** (m + 1)
 
     def decode(pt: int) -> tuple[int, list[int]]:
@@ -159,18 +206,25 @@ def _extraspecial(p: int, m: int, cap: int) -> FiniteGroup:
     return from_generators(gens, deg, cap)
 
 
-PRESETS: dict[str, tuple[Callable[..., FiniteGroup], int, int, str]] = {
-    # name: (builder taking (*args, cap), min arity, max arity, signature doc)
-    "Cyclic": (_cyclic, 1, 1, "Cyclic(k): cyclic group of order k"),
-    "ElemAbelian": (_elem_abelian, 2, 2, "ElemAbelian(p, r): (Z/p)^r"),
-    "Abelian": (_abelian, 1, 16, "Abelian(k1, ..., kt): product of cyclic groups"),
-    "Dihedral": (_dihedral, 1, 1, "Dihedral(m): dihedral group of order m (even m >= 4)"),
-    "GenQuaternion": (_gen_quaternion, 1, 1, "GenQuaternion(n): order 2^(n+2), unique involution"),
-    "SemiDihedral": (_semidihedral, 1, 1, "SemiDihedral(m): order m = 2^k >= 16"),
-    "ModularMaximalCyclic": (_modular_maximal_cyclic, 1, 1,
+PRESETS: dict[str, tuple[Callable[..., int], Callable[..., FiniteGroup], int, int, str]] = {
+    # name: (order, which checks the arguments and computes the order from
+    # them; builder taking (*args, cap); min arity; max arity; signature doc)
+    "Cyclic": (_cyclic_order, _cyclic, 1, 1, "Cyclic(k): cyclic group of order k"),
+    "ElemAbelian": (_elem_abelian_order, _elem_abelian, 2, 2, "ElemAbelian(p, r): (Z/p)^r"),
+    "Abelian": (_abelian_order, _abelian, 1, 16,
+                "Abelian(k1, ..., kt): product of cyclic groups"),
+    "Dihedral": (_dihedral_order, _dihedral, 1, 1,
+                 "Dihedral(m): dihedral group of order m (even m >= 4)"),
+    "GenQuaternion": (_gen_quaternion_order, _gen_quaternion, 1, 1,
+                      "GenQuaternion(n): order 2^(n+2), unique involution"),
+    "SemiDihedral": (_two_generator_order("SemiDihedral"), _semidihedral, 1, 1,
+                     "SemiDihedral(m): order m = 2^k >= 16"),
+    "ModularMaximalCyclic": (_two_generator_order("ModularMaximalCyclic"),
+                             _modular_maximal_cyclic, 1, 1,
                              "ModularMaximalCyclic(m): order m = 2^k >= 16"),
-    "Heisenberg": (_heisenberg, 1, 1, "Heisenberg(p): unitriangular 3x3 over F_p, order p^3"),
-    "Extraspecial": (_extraspecial, 2, 2,
+    "Heisenberg": (_heisenberg_order, _heisenberg, 1, 1,
+                   "Heisenberg(p): unitriangular 3x3 over F_p, order p^3"),
+    "Extraspecial": (_extraspecial_order, _extraspecial, 2, 2,
                      "Extraspecial(p, m): exponent-p extraspecial, order p^(2m+1), odd p"),
 }
 
@@ -179,14 +233,14 @@ def build_preset(name: str, args: Sequence[int], cap: int = DEFAULT_ORDER_CAP) -
     if name not in PRESETS:
         known = ", ".join(sorted(PRESETS))
         raise GroupSpecError(f"unknown preset {name!r}; known presets: {known}")
-    builder, lo, hi, _ = PRESETS[name]
+    order, builder, lo, hi, _ = PRESETS[name]
     if not lo <= len(args) <= hi:
         raise GroupSpecError(f"{name} takes {lo}"
                              + (f"..{hi}" if hi != lo else "") + " arguments")
-    if name == "Abelian":
-        group = builder(tuple(args), cap)
-    else:
-        group = builder(*args, cap)
+    call = (tuple(args),) if name == "Abelian" else tuple(args)
+    if order(*call) > cap:
+        raise OrderCapExceeded(cap)
+    group = builder(*call, cap)
     group.spec = f"preset:{name}({','.join(str(a) for a in args)})"
     return group
 

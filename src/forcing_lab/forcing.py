@@ -20,6 +20,7 @@ and cosets, their orders and their conjugacy classes from membership masks.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -316,14 +317,17 @@ def _coset_orders(G: FiniteGroup, inside: np.ndarray) -> np.ndarray:
     return orders
 
 
-def _quaternion_index(orders: np.ndarray) -> int | None:
-    """The index n when a group with these element orders (one per element)
-    is generalized quaternion of order 2**(n+2), else None. A non-cyclic
-    2-group of order at least 8 is one exactly when it has one involution."""
-    pp = prime_power(len(orders))
+def _quaternion_index(orders: np.ndarray, weight: int = 1) -> int | None:
+    """The index n when a group is generalized quaternion of order 2**(n+2),
+    else None, from its element orders with each element listed ``weight``
+    times: for G/N, the coset order of every x in G, with weight |N|. A
+    non-cyclic 2-group of order at least 8 is one exactly when it has one
+    involution."""
+    order = len(orders) // weight
+    pp = prime_power(order)
     if pp is None or pp[0] != 2 or pp[1] < 3:
         return None
-    if int(orders.max()) == len(orders) or int((orders == 2).sum()) != 1:
+    if int(orders.max()) == order or int((orders == 2).sum()) != weight:
         return None
     return pp[1] - 2
 
@@ -422,15 +426,17 @@ def verify_certificate(G: FiniteGroup, cert: ForcingCertificate) -> Verification
         checks.append(CheckResult("chain-refines-series", refines,
                                   "every series term must appear in the chain"))
 
-    cosets: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    @functools.cache
+    def coset_orders(k: int) -> np.ndarray:
+        """For formed entry k: the order of xN for each element x."""
+        return _coset_orders(G, masks[k])
 
-    def cosets_of(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    @functools.cache
+    def cosets_of(k: int) -> tuple[np.ndarray, np.ndarray]:
         """For formed entry k: each element's coset label (the least member of
-        xN), the sorted labels, and each element's coset order."""
-        if k not in cosets:
-            labels = mul[:, arrays[k]].min(axis=1)
-            cosets[k] = labels, np.unique(labels), _coset_orders(G, masks[k])
-        return cosets[k]
+        xN) and the sorted labels. Only the steps' entries need them."""
+        labels = mul[:, arrays[k]].min(axis=1)
+        return labels, np.unique(labels)
 
     quotient_index: list[int | None] = []
     for k in range(len(chain)):
@@ -440,8 +446,7 @@ def verify_certificate(G: FiniteGroup, cert: ForcingCertificate) -> Verification
                                       f"entry {k}: quotient could not be formed",
                                       step=k))
             continue
-        _, minima, orders = cosets_of(k)
-        idx = _quaternion_index(orders[minima])
+        idx = _quaternion_index(coset_orders(k), len(arrays[k]))
         quotient_index.append(idx)
         checks.append(CheckResult("quotient-non-quaternion", idx is None,
                                   f"entry {k}" + ("" if idx is None else
@@ -478,8 +483,9 @@ def verify_certificate(G: FiniteGroup, cert: ForcingCertificate) -> Verification
                                   "recorded flag must be false and match recomputation",
                                   step=i))
         witness = step.witness
-        labels_up, minima_up, orders_up = cosets_of(i + 1)
-        labels_low, _, orders_low = cosets_of(i + 2)
+        labels_up, minima_up = cosets_of(i + 1)
+        labels_low, _ = cosets_of(i + 2)
+        orders_up, orders_low = coset_orders(i + 1), coset_orders(i + 2)
         if witness.class_rep >= len(minima_up):
             checks.append(CheckResult("step-witness-class", False,
                                       f"representative {witness.class_rep} out of range",

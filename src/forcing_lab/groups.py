@@ -4,10 +4,12 @@ Every group is fully enumerated: an element is an index into its numpy
 multiplication table, index 0 is the identity, and mul(a, b) applies a first,
 then b. Permutations are only an input format and enter only through
 from_generators: ``points`` holds each element's images, sorted (identity
-first, then lexicographic). Derived groups come from table arithmetic: a
-direct product composes its factors' tables, a quotient or subgroup relabels
-the parent's. A group built from a table alone acts on itself by right
-multiplication, so its points are the transposed table.
+first, then lexicographic). It enumerates by Dimino's algorithm on blocks of
+int32 image rows, one gather per coset, and fills the table a coset at a
+time; no element is ever a Python tuple. Derived groups come from table
+arithmetic: a direct product composes its factors' tables, a quotient or
+subgroup relabels the parent's. A group built from a table alone acts on
+itself by right multiplication, so its points are the transposed table.
 
 One kernel closes subgroups from generators, never by squaring member sets:
 ``FiniteGroup._closure`` (Dimino's algorithm) serves ``subgroup_closure`` and
@@ -569,56 +571,135 @@ class FiniteGroup:
         return [self.quotient(series[j]) for j in range(1, len(series) - 1)]
 
 
+def _dimino(gen_rows: list[np.ndarray], degree: int, cap: int
+            ) -> tuple[np.ndarray, dict[bytes, int], list[tuple[int, int, int, int, bool]]]:
+    """Dimino's algorithm on int32 image rows. The first generator's powers
+    come by doubling, x^b[P] on the block P of powers found so far, cut at
+    the first identity row; each further generator adds right cosets H r of
+    the group H found before it, one gather r[H] each, for r the products of
+    found representatives with every generator so far.
+
+    Returns the rows in discovery order (the identity first), a dict from
+    each row's bytes to its discovery index, and one (start, size, parent,
+    generator, doubled) per block: rows [start, start + size) are the rows
+    [parent, parent + size) times the generator, or, when doubled, times
+    x^start for the first generator x. Raises OrderCapExceeded before a
+    block would take the order past cap."""
+    key = np.dtype((np.void, 4 * degree))
+    ident = np.arange(degree, dtype=_IDX)
+    found = {ident.tobytes(): 0}
+    blocks = [ident[None, :]]
+    fills: list[tuple[int, int, int, int, bool]] = []
+    used: list[int] = []
+    n = 1
+    for gi, s in enumerate(gen_rows):
+        if s.tobytes() in found:
+            continue
+        if n == 1:
+            power = s
+            while True:
+                # x^n times the powers found so far, block by block
+                block = np.empty((min(n, cap + 1 - n), degree), dtype=_IDX)
+                filled = 0
+                for b in blocks:
+                    b = b[:len(block) - filled]
+                    block[filled:filled + len(b)] = power[b]
+                    filled += len(b)
+                hit = np.flatnonzero((block == ident).all(axis=1))
+                if len(hit):
+                    block = block[:hit[0]]
+                elif n + len(block) > cap:
+                    raise OrderCapExceeded(cap)
+                found.update(zip(block.view(key).ravel().tolist(), range(n, n + len(block))))
+                fills.append((n, len(block), 0, gi, True))
+                blocks.append(block)
+                n += len(block)
+                if len(hit):
+                    break
+                power = power[power]
+        else:
+            # s is not in H, so the group has at least 2|H| elements
+            if 2 * n > cap:
+                raise OrderCapExceeded(cap)
+            h = n
+            cosets = [(0, np.concatenate(blocks))]
+            blocks = [cosets[0][1]]
+            for start, coset in cosets:
+                for gj in used + [gi]:
+                    t = gen_rows[gj]
+                    if t[coset[0]].tobytes() in found:
+                        continue
+                    if n + h > cap:
+                        raise OrderCapExceeded(cap)
+                    block = t[coset]
+                    found.update(zip(block.view(key).ravel().tolist(), range(n, n + h)))
+                    fills.append((n, h, start, gj, False))
+                    cosets.append((n, block))
+                    blocks.append(block)
+                    n += h
+        used.append(gi)
+    return np.concatenate(blocks), found, fills
+
+
 def from_generators(gens: Sequence[Permutation], degree: int,
                     cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Enumerate the group generated by gens and build its product table.
 
-    Raises OrderCapExceeded as soon as the closure grows past cap.
+    The rows come from ``_dimino`` and are sorted with np.lexsort. A
+    generator's column, the index of x s for every x, is one gather of all
+    rows looked up in the dict. The table is filled a block at a time, as
+    mul[:, H r s] = col_s[mul[:, H r]]. Raises OrderCapExceeded once the
+    order would pass cap.
     """
     if cap < 1:
         raise PreconditionViolated("cap must be at least 1")
     if degree < 1:
         raise InvalidPermutation("degree must be at least 1")
-    gen_rows: list[tuple[int, ...]] = []
+    gen_images: list[tuple[int, ...]] = []
     for g in gens:
         if not isinstance(g, Permutation):
             g = Permutation(tuple(g))
         if g.degree != degree:
             raise InvalidPermutation(f"generator degree {g.degree} != {degree}")
-        if g.images not in gen_rows:
-            gen_rows.append(g.images)
-    ident = tuple(range(degree))
-    parents: dict[tuple[int, ...], tuple[tuple[int, ...], int] | None] = {ident: None}
-    discovery = [ident]
-    frontier = [ident]
-    while frontier:
-        new = []
-        for t in frontier:
-            for gi, g in enumerate(gen_rows):
-                u = tuple(g[i] for i in t)
-                if u not in parents:
-                    parents[u] = (t, gi)
-                    discovery.append(u)
-                    if len(parents) > cap:
-                        raise OrderCapExceeded(cap)
-                    new.append(u)
-        frontier = new
-    elems = sorted(parents)
-    index = {t: i for i, t in enumerate(elems)}
-    if index[ident] != 0:
+        if g.images not in gen_images:
+            gen_images.append(g.images)
+    gen_rows = [np.array(images, dtype=_IDX) for images in gen_images]
+    rows, found, fills = _dimino(gen_rows, degree, cap)
+    n = len(rows)
+    order = np.lexsort(rows.T[::-1])
+    if order[0] != 0:
         raise PreconditionViolated("identity is not the least element; ordering is corrupt")
-    n = len(elems)
-    rows = np.array(elems, dtype=_IDX)
-    gen_cols = []
-    for g in gen_rows:
-        composed = np.array(g, dtype=_IDX)[rows].tolist()
-        gen_cols.append(np.fromiter((index[tuple(c)] for c in composed), dtype=_IDX, count=n))
+    rank = np.empty(n, dtype=_IDX)
+    rank[order] = np.arange(n, dtype=_IDX)
+    points = rows[order]
+    del rows
+
+    def index_of(block: np.ndarray) -> np.ndarray:
+        keys = block.view(np.dtype((np.void, 4 * degree))).ravel().tolist()
+        return rank[np.fromiter(map(found.__getitem__, keys), dtype=np.int64, count=len(keys))]
+
+    cols = {gi: index_of(gen_rows[gi][points]) for gi in {fill[3] for fill in fills}}
+    generators = [int(rank[found[row.tobytes()]]) for row in gen_rows]
+    del found
+    # rows by sorted index, columns in discovery order, so each block is a slice
     mul = np.empty((n, n), dtype=_IDX)
     mul[:, 0] = np.arange(n, dtype=_IDX)
-    for t in discovery[1:]:
-        parent, gi = parents[t]  # type: ignore[misc]
-        mul[:, index[t]] = gen_cols[gi][mul[:, index[parent]]]
-    return FiniteGroup(mul, [index[g] for g in gen_rows], rows)
+    power = None
+    for start, size, parent, gi, doubled in fills:
+        if doubled:
+            power = cols[gi] if power is None else power[power]
+        col = power if doubled else cols[gi]
+        # np.take copies a block's indices as intp, so a large block goes in
+        # slabs of rows; 'clip' is safe, as the indices are in range, and
+        # spares the output buffer that 'raise' makes
+        step = (1 << 18) // max(size, 1)
+        for i in range(0, n, step):
+            np.take(col, mul[i:i + step, parent:parent + size],
+                    out=mul[i:i + step, start:start + size], mode="clip")
+    # relabel the columns in slabs of rows, so no second n x n array is made
+    for i in range(0, n, 256):
+        mul[i:i + 256] = np.take(mul[i:i + 256], order, axis=1)
+    return FiniteGroup(mul, generators, points)
 
 
 def direct_product(groups: Sequence[FiniteGroup], cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:

@@ -1,0 +1,199 @@
+"""from_generators against a breadth-first reference, preset cap checks, and
+the memory the parse layer may take."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from forcing_lab import (
+    FiniteGroup,
+    GroupSpecError,
+    InvalidPermutation,
+    OrderCapExceeded,
+    Permutation,
+    catalog_entries,
+    from_generators,
+    p_group_specs,
+    parse_group_spec,
+    spec_text,
+)
+from forcing_lab.cli import main
+
+
+def reference_from_generators(gens, degree, cap=2048):
+    """Breadth-first enumeration with one image tuple per element: each new
+    element is found as a known one times a generator, and its table column
+    is the generator's column applied to the known one's."""
+    gen_rows = []
+    for g in gens:
+        if not isinstance(g, Permutation):
+            g = Permutation(tuple(g))
+        if g.degree != degree:
+            raise InvalidPermutation(f"generator degree {g.degree} != {degree}")
+        if g.images not in gen_rows:
+            gen_rows.append(g.images)
+    ident = tuple(range(degree))
+    parents = {ident: None}
+    discovery = [ident]
+    frontier = [ident]
+    while frontier:
+        new = []
+        for t in frontier:
+            for gi, g in enumerate(gen_rows):
+                u = tuple(g[i] for i in t)
+                if u not in parents:
+                    parents[u] = (t, gi)
+                    discovery.append(u)
+                    if len(parents) > cap:
+                        raise OrderCapExceeded(cap)
+                    new.append(u)
+        frontier = new
+    elems = sorted(parents)
+    index = {t: i for i, t in enumerate(elems)}
+    assert index[ident] == 0
+    n = len(elems)
+    rows = np.array(elems, dtype=np.int32)
+    gen_cols = []
+    for g in gen_rows:
+        composed = np.array(g, dtype=np.int32)[rows].tolist()
+        gen_cols.append(np.fromiter((index[tuple(c)] for c in composed), dtype=np.int32, count=n))
+    mul = np.empty((n, n), dtype=np.int32)
+    mul[:, 0] = np.arange(n, dtype=np.int32)
+    for t in discovery[1:]:
+        parent, gi = parents[t]
+        mul[:, index[t]] = gen_cols[gi][mul[:, index[parent]]]
+    return FiniteGroup(mul, [index[g] for g in gen_rows], rows)
+
+
+def assert_same_group(G, H, name=""):
+    assert np.array_equal(G.mul_table, H.mul_table), name
+    assert G.generators == H.generators, name
+    assert np.array_equal(G.points, H.points), name
+    assert G.points.shape == H.points.shape, name
+    assert spec_text(G) == spec_text(H), name
+
+
+def _generator_perms(G):
+    return [Permutation(tuple(G.points[g].tolist())) for g in G.generators]
+
+
+class TestMatchesReference:
+    def test_corpus_catalog_and_large_groups(self, group_of):
+        specs = [spec for _, spec in p_group_specs(256)] + [e.spec for e in catalog_entries()]
+        specs += ["preset:Dihedral(1024)", "preset:Heisenberg(11)"]
+        for spec in dict.fromkeys(specs):
+            G = group_of(spec)
+            gens = _generator_perms(G)
+            assert_same_group(from_generators(gens, G.degree),
+                              reference_from_generators(gens, G.degree), spec)
+
+    def test_presets_built_by_enumeration_are_unchanged(self, group_of):
+        for spec in ["preset:Dihedral(1024)", "preset:Heisenberg(11)", "preset:Dihedral(4)",
+                     "preset:Extraspecial(3,2)", "preset:GenQuaternion(3)"]:
+            G = group_of(spec)
+            ref = reference_from_generators(_generator_perms(G), G.degree)
+            ref.spec = spec
+            assert_same_group(G, ref, spec)
+
+    @pytest.mark.parametrize("degree, gens", [
+        (4, [(1, 0, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2)]),        # duplicate
+        (4, [(0, 1, 2, 3), (1, 2, 3, 0)]),                       # identity first
+        (4, [(1, 2, 3, 0), (0, 1, 2, 3), (3, 2, 1, 0)]),         # identity between
+        (5, [(0, 1, 2, 3, 4)]),                                  # identity only
+        (5, [(0, 1, 2, 3, 4), (0, 1, 2, 3, 4)]),                 # identity twice
+        (6, [(1, 2, 0, 3, 4, 5), (2, 0, 1, 3, 4, 5), (0, 1, 2, 4, 5, 3)]),  # g and g^-1
+        (6, [(1, 0, 2, 3, 4, 5), (0, 2, 1, 3, 4, 5), (0, 1, 2, 3, 5, 4)]),  # S3 x C2
+        (1, [(0,)]),                                             # degree 1
+        (1, [(0,), (0,)]),
+        (3, []),                                                 # no generators
+    ])
+    def test_edge_cases(self, degree, gens):
+        plain = [tuple(g) for g in gens]
+        perms = [Permutation(g) for g in plain]
+        G = from_generators(plain, degree)
+        assert_same_group(G, reference_from_generators(plain, degree))
+        assert_same_group(from_generators(perms, degree), G)
+
+    def test_generator_that_is_a_product_of_earlier_ones(self):
+        r = Permutation.from_cycles(8, [tuple(range(8))])
+        gens = [r, r.then(r), Permutation(tuple((8 - i) % 8 for i in range(8))), r.inverse()]
+        assert_same_group(from_generators(gens, 8), reference_from_generators(gens, 8))
+
+    @pytest.mark.parametrize("spec", ["preset:Dihedral(16)", "preset:Heisenberg(3)",
+                                      "preset:GenQuaternion(2)", "perm:7:(0 1 2 3 4 5 6)"])
+    def test_cap_is_inclusive(self, group_of, spec):
+        G = group_of(spec)
+        gens = _generator_perms(G)
+        assert_same_group(from_generators(gens, G.degree, cap=G.order),
+                          reference_from_generators(gens, G.degree))
+        with pytest.raises(OrderCapExceeded):
+            from_generators(gens, G.degree, cap=G.order - 1)
+
+    def test_cyclic_preset_equals_enumerated_cycle(self):
+        for k in range(1, 301):
+            cycle = Permutation.from_cycles(k, [tuple(range(k))])
+            ref = reference_from_generators([cycle], k)
+            ref.spec = f"preset:Cyclic({k})"
+            assert_same_group(parse_group_spec(f"preset:Cyclic({k})"), ref, k)
+
+    def test_input_checks_are_kept(self):
+        with pytest.raises(InvalidPermutation):
+            from_generators([(0, 1, 2)], 4)
+        with pytest.raises(InvalidPermutation):
+            from_generators([(0, 0, 1)], 3)
+        with pytest.raises(InvalidPermutation):
+            from_generators([], 0)
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestParseMemory:
+    def test_parse_peak_is_a_few_tables(self):
+        G, peak = _peak_bytes(lambda: parse_group_spec("preset:Dihedral(1024)"))
+        assert peak <= 4 * (G.mul_table.nbytes + G.points.nbytes)
+
+    @pytest.mark.parametrize("spec", ["preset:Cyclic(2049)", "preset:Dihedral(4098)",
+                                      "preset:Heisenberg(53)", "preset:Abelian(2048,2048)",
+                                      "preset:ElemAbelian(2,100000)",
+                                      "preset:GenQuaternion(100000)",
+                                      "preset:Extraspecial(3,100000)",
+                                      "preset:SemiDihedral(4096)"])
+    def test_presets_past_the_cap_allocate_nothing(self, spec):
+        def parse():
+            with pytest.raises(OrderCapExceeded, match="exceeds the cap of 2048"):
+                parse_group_spec(spec)
+        _, peak = _peak_bytes(parse)
+        assert peak < 2 ** 20
+
+
+class TestPresetOrderCheck:
+    @pytest.mark.parametrize("spec", ["preset:Dihedral(4097)", "preset:Heisenberg(4096)",
+                                      "preset:SemiDihedral(4095)", "preset:Cyclic(0)",
+                                      "preset:Abelian(4096,0)", "preset:Extraspecial(2,100)"])
+    def test_malformed_and_too_large_is_a_spec_error(self, spec):
+        with pytest.raises(GroupSpecError):
+            parse_group_spec(spec)
+
+    @pytest.mark.parametrize("spec, order", [
+        ("preset:Cyclic(12)", 12), ("preset:ElemAbelian(3,4)", 81),
+        ("preset:Abelian(4,2,3)", 24), ("preset:Dihedral(20)", 20),
+        ("preset:GenQuaternion(3)", 32), ("preset:SemiDihedral(64)", 64),
+        ("preset:ModularMaximalCyclic(32)", 32), ("preset:Heisenberg(5)", 125),
+        ("preset:Extraspecial(3,2)", 243),
+    ])
+    def test_cap_equal_to_the_order_builds(self, spec, order):
+        assert parse_group_spec(spec, cap=order).order == order
+        with pytest.raises(OrderCapExceeded, match=f"exceeds the cap of {order - 1}"):
+            parse_group_spec(spec, cap=order - 1)
+
+    def test_cli_refusal_is_unchanged(self, capsys):
+        assert main(["analyze", "preset:Heisenberg(53)", "--no-header"]) == 1
+        err = capsys.readouterr().err
+        assert err.strip() == "error: OrderCapExceeded: group order exceeds the cap of 2048"
