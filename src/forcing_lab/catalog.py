@@ -20,6 +20,7 @@ import numpy as np
 from .errors import GroupSpecError, OrderCapExceeded
 from .groups import (
     DEFAULT_ORDER_CAP,
+    PRIME_TEST_LIMIT,
     FiniteGroup,
     Permutation,
     direct_product,
@@ -32,6 +33,13 @@ def _power(p: int, r: int) -> int:
     """p**r for p >= 2, with r clamped at 64: past any table that fits in
     memory, without building a huge integer."""
     return p ** min(r, 64)
+
+
+def _not_prime(p: int) -> bool:
+    """Whether a preset's prime argument p is refused as not prime. A p past
+    the exact prime test gives an order past any cap a table fits under, so
+    it is left untested, for the cap check to refuse."""
+    return p < PRIME_TEST_LIMIT and not is_prime(p)
 
 
 def _cyclic_order(k: int) -> int:
@@ -51,7 +59,7 @@ def _cyclic(k: int, cap: int) -> FiniteGroup:
 
 
 def _elem_abelian_order(p: int, r: int) -> int:
-    if not is_prime(p):
+    if _not_prime(p):
         raise GroupSpecError("ElemAbelian(p, r) needs p prime")
     if r < 1:
         raise GroupSpecError("ElemAbelian(p, r) needs r >= 1")
@@ -147,7 +155,7 @@ def _modular_maximal_cyclic(order: int, cap: int) -> FiniteGroup:
 
 
 def _heisenberg_order(p: int) -> int:
-    if not is_prime(p):
+    if _not_prime(p):
         raise GroupSpecError("Heisenberg(p) needs p prime")
     return p ** 3
 
@@ -166,7 +174,7 @@ def _heisenberg(p: int, cap: int) -> FiniteGroup:
 
 
 def _extraspecial_order(p: int, m: int) -> int:
-    if not is_prime(p) or p == 2:
+    if _not_prime(p) or p == 2:
         raise GroupSpecError("Extraspecial(p, m) needs p an odd prime")
     if m < 1:
         raise GroupSpecError("Extraspecial(p, m) needs m >= 1")

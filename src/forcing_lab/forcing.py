@@ -9,13 +9,17 @@ quotient-to-quotient map G/N_{i+1} -> G/N_i is forcing and no quotient G/N_i
 is generalized quaternion. Such a chain exists exactly when G is non-cyclic
 and not generalized quaternion.
 
-build_forcing_sequence constructs certificates; verify_certificate re-checks
-every claimed condition from scratch and checks the forcing property over
-every class member by brute force. It works from G's own table, inverses and
-element orders alone, never from the builder's kernels, quotient groups or
-cached series: closure, normality, the exponent-p series and the Frattini
-subgroup come from all products, commutators and p-th powers in the table,
-and cosets, their orders and their conjugacy classes from membership masks.
+build_forcing_sequence constructs certificates from G's own table and one
+quotient per step: a step's witness is the class, in G/N_i, of the least x
+outside N_i with x^p in N_{i+1}, and a refinement candidate S is screened for
+a quaternion quotient by counting the elements of G that square into S.
+verify_certificate re-checks every claimed condition from scratch, and the
+forcing property over every class member by brute force. It works from G's
+own table, inverses and element orders alone, never from the builder's
+kernels, quotient groups or cached series: closure, normality, the
+exponent-p series and the Frattini subgroup come from all products,
+commutators and p-th powers in the table, and cosets, their orders and their
+conjugacy classes from membership masks.
 """
 
 from __future__ import annotations
@@ -101,72 +105,60 @@ def is_forcing(quotient: QuotientMap) -> ForcingWitness | None:
     Classes are scanned in (order, representative) order so the returned
     witness has minimal class order, ties broken by least representative.
     The identity class never qualifies: its fiber is the kernel, whose
-    non-identity elements have the wrong order. One representative decides
-    each class (conjugate fibers have equal order multisets), but the witness
-    records the full per-member check.
+    non-identity elements have the wrong order. The witness records the
+    check over every class member's fiber.
     """
-    source = quotient.source
-    src_orders = source.orders()
+    src_orders = quotient.source.orders()
     classes = [c for c in quotient.target.conjugacy_classes() if c.representative != 0]
     classes.sort(key=lambda c: (c.order, c.representative))
     for cls in classes:
-        rep_fiber = quotient.fiber(cls.representative)
-        if any(int(src_orders[x]) != cls.order for x in rep_fiber):
-            continue
-        sizes = []
-        good = True
-        for member in cls.members:
-            fib = quotient.fiber(member)
-            if any(int(src_orders[x]) != cls.order for x in fib):
-                good = False
-                break
-            sizes.append(len(fib))
-        if good:
-            return ForcingWitness(class_rep=cls.representative,
-                                  class_order=cls.order,
-                                  checked_fiber_sizes=tuple(sizes))
+        fibers = [quotient.fiber(member) for member in cls.members]
+        if all(int(src_orders[x]) == cls.order for fib in fibers for x in fib):
+            return ForcingWitness(class_rep=cls.representative, class_order=cls.order,
+                                  checked_fiber_sizes=tuple(len(fib) for fib in fibers))
     return None
 
 
-def central_step_witness(quotient: QuotientMap) -> ForcingWitness | None:
-    """Witness for a quotient by a central subgroup of prime order p.
-
-    Any order-p element y of the source outside the kernel works: for kernel
-    elements a, (ya)^p = y^p a^p = e, so the whole fiber of the class of
-    project(y) consists of order-p elements. Among the classes so obtained
-    (which are exactly the qualifying classes), the one with the least
-    representative is returned; None when no such y exists, which for a
-    p-group source means it is cyclic or generalized quaternion.
+def central_step_witness(G: FiniteGroup, upper: Subgroup,
+                         lower: Subgroup) -> ForcingWitness | None:
+    """Witness for the step G/lower -> G/upper of a central layer of prime
+    index p: the class, in G/upper, of the least x not in upper with x^p in
+    lower. Such x make up whole cosets of upper, as (xa)^p lies in x^p lower
+    for a in upper, and whole conjugacy classes; their fibers hold p cosets
+    of order p. The least x is the least member of its coset, so its class
+    has the least representative among the qualifying ones. None when there
+    is no such x: for a p-group, G/lower is then cyclic or quaternion.
     """
-    source = quotient.source
-    kernel = quotient.kernel
-    p = kernel.order
-    if not is_prime(p):
-        raise PreconditionViolated(f"kernel order {p} is not prime")
-    center = source.center().member_set()
-    if not kernel.member_set() <= center:
-        raise PreconditionViolated("kernel is not central in the source")
-    src_orders = source.orders()
-    kset = kernel.member_set()
-    candidates = [x for x in range(source.order)
-                  if int(src_orders[x]) == p and x not in kset]
-    if not candidates:
+    p = upper.order // lower.order
+    if upper.order % lower.order or not is_prime(p):
+        raise PreconditionViolated(f"index {upper.order}/{lower.order} is not prime")
+    everything = np.arange(G.order, dtype=np.int32)
+    in_upper, in_lower = (np.bincount(S.member_array(), minlength=G.order) > 0
+                          for S in (upper, lower))
+    # generators suffice, as lower is normal
+    gens = np.array(G.generators, dtype=np.int32)
+    if not in_lower[G._commutators(upper.member_array(), gens)].all():
+        raise PreconditionViolated("layer is not central: [upper, G] is not inside lower")
+    power = everything
+    for _ in range(p - 1):
+        power = G.mul_table[power, everything]
+    found = np.flatnonzero(in_lower[power] & ~in_upper)
+    if not len(found):
         return None
-    target_class_of: dict[int, int] = {}
-    for cls in quotient.target.conjugacy_classes():
-        for member in cls.members:
-            target_class_of[member] = cls.representative
-    best_rep = min(target_class_of[int(quotient.project[x])] for x in candidates)
-    cls = next(c for c in quotient.target.conjugacy_classes()
-               if c.representative == best_rep)
-    sizes = []
-    for member in cls.members:
-        fib = quotient.fiber(member)
-        if any(int(src_orders[x]) != cls.order for x in fib):
-            raise PreconditionViolated("central fiber of mixed order; state is corrupt")
-        sizes.append(len(fib))
+    quotient = G.quotient(upper)
+    image = int(quotient.project[found[0]])
+    cls = next(c for c in quotient.target.conjugacy_classes() if image in c.members)
     return ForcingWitness(class_rep=cls.representative, class_order=cls.order,
-                          checked_fiber_sizes=tuple(sizes))
+                          checked_fiber_sizes=(p,) * len(cls.members))
+
+
+def _quaternion_quotient(G: FiniteGroup, S: Subgroup) -> bool:
+    """Whether G/S is generalized quaternion, for S inside the Frattini
+    subgroup of a non-cyclic 2-group G. G/S is then never cyclic (Burnside's
+    basis theorem), so it is quaternion exactly when it has one involution:
+    when exactly 2|S| elements of G square into S."""
+    inside = np.bincount(S.member_array(), minlength=G.order) > 0
+    return int(inside[G.mul_table.diagonal()].sum()) == 2 * S.order
 
 
 def build_forcing_sequence(G: FiniteGroup) -> ForcingCertificate:
@@ -174,8 +166,10 @@ def build_forcing_sequence(G: FiniteGroup) -> ForcingCertificate:
 
     Refines each layer of the lower exponent-p series one index-p step at a
     time, always taking the first candidate subgroup (in canonical order)
-    whose quotient is not generalized quaternion. For odd p no candidate is
-    ever rejected; for p = 2 at most one candidate per layer can be bad.
+    whose quotient is not generalized quaternion, as read from G's squares.
+    For odd p no candidate is ever rejected; for p = 2 at most one candidate
+    per layer can be bad. Each step's witness comes from the one quotient
+    G/N_i of that step.
     """
     pp = prime_power(G.order)
     if pp is None:
@@ -188,22 +182,13 @@ def build_forcing_sequence(G: FiniteGroup) -> ForcingCertificate:
         raise QuaternionGroup(quaternion)
     series = G.lower_exponent_p_series()
     chain: list[Subgroup] = [series[0], series[1]]
-    quotients: dict[tuple[int, ...], QuotientMap] = {}
-
-    def quotient_by(sub: Subgroup) -> QuotientMap:
-        if sub.members not in quotients:
-            quotients[sub.members] = G.quotient(sub)
-        return quotients[sub.members]
-
     for j in range(1, len(series) - 1):
         current = series[j]
         bottom = series[j + 1]
         while current.order > bottom.order:
-            chosen = None
-            for candidate in G.intermediate_index_p_subgroups(current, bottom, p):
-                if is_generalized_quaternion(quotient_by(candidate).target) is None:
-                    chosen = candidate
-                    break
+            chosen = next((candidate for candidate
+                           in G.intermediate_index_p_subgroups(current, bottom, p)
+                           if p != 2 or not _quaternion_quotient(G, candidate)), None)
             if chosen is None:
                 raise PreconditionViolated(
                     "every refinement candidate has a generalized quaternion quotient")
@@ -213,20 +198,13 @@ def build_forcing_sequence(G: FiniteGroup) -> ForcingCertificate:
     for i in range(len(chain) - 2):
         upper = chain[i + 1]
         lower = chain[i + 2]
-        q_low, q_up = quotient_by(lower), quotient_by(upper)
-        src = q_low.target
-        # the step map phi: G/lower -> G/upper factors the two projections;
-        # G/upper labels its cosets as src.quotient would, so it is the target
-        phi = np.empty(src.order, dtype=np.int32)
-        phi[q_low.project] = q_up.project
-        kernel = Subgroup._checked(src, tuple(np.flatnonzero(phi == 0).tolist()))
-        witness = central_step_witness(QuotientMap(src, kernel, q_up.target, phi))
+        witness = central_step_witness(G, upper, lower)
         if witness is None:
             raise PreconditionViolated("central step lost its forcing witness")
         steps.append(ForcingStep(
             index_in_chain=i + 1,
             kernel_order=upper.order // lower.order,
-            quotient_order=src.order,
+            quotient_order=G.order // lower.order,
             quotient_is_quaternion=False,
             witness=witness,
         ))

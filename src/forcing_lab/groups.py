@@ -62,8 +62,23 @@ def prime_power(n: int) -> tuple[int, int] | None:
     return (p, k) if m == 1 else None
 
 
+# the first 13 primes; as Miller-Rabin bases they decide every n below
+# PRIME_TEST_LIMIT exactly (Sorenson and Webster, Math. Comp. 86, 2017)
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    return prime_power(n) == (n, 1)
+    """Deterministic Miller-Rabin, exact for n below PRIME_TEST_LIMIT; a
+    larger n raises PreconditionViolated before any test."""
+    if n >= PRIME_TEST_LIMIT:
+        raise PreconditionViolated(f"{n} is past the exact prime test's limit")
+    if n < 2 or any(n % a == 0 for a in _WITNESSES):
+        return n in _WITNESSES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    d = (n - 1) >> s
+    return all(pow(a, d, n) == 1 or n - 1 in (pow(a, d << k, n) for k in range(s))
+               for a in _WITNESSES)
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -252,9 +267,8 @@ class FiniteGroup:
         points.setflags(write=False)
         self.points = points
         self.degree = points.shape[1]
-        inv = np.empty(n, dtype=_IDX)
-        rows, cols = np.nonzero(mul == 0)
-        inv[rows] = cols
+        # the identity 0 is each row's least entry, and appears in it once
+        inv = mul.argmin(axis=1).astype(_IDX)
         inv.setflags(write=False)
         self._inv = inv
         self.generators = tuple(int(g) for g in generators)
@@ -564,11 +578,6 @@ class FiniteGroup:
                 out.append(Subgroup(self, tuple(members[coords @ phi % p == 0].tolist())))
         out.sort(key=lambda s: s.members)
         return out
-
-    def ancestor_quotients(self) -> list[QuotientMap]:
-        """Quotients by the proper, nontrivial terms of the exponent-p series."""
-        series = self.lower_exponent_p_series()
-        return [self.quotient(series[j]) for j in range(1, len(series) - 1)]
 
 
 def _dimino(gen_rows: list[np.ndarray], degree: int, cap: int

@@ -1,0 +1,48 @@
+"""The benchmark's traced run must report every per-layer metric that
+BENCHMARK.json declares.
+
+``bench/run.py`` leaves out of its JSON line any declared metric that the
+traced run never reached, so a program that stops calling a traced method
+makes the benchmark's output malformed. This runs the corpus-256 pipeline
+once under the benchmark's own tracer and checks that nothing is left out.
+"""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
+from forcing_lab import certio, classify, errors, exponents, forcing, groupspec
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # a dataclass looks its module up in sys.modules while it is defined
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_corpus_pass_reaches_every_declared_per_layer_metric():
+    spans, workloads = _load("spans"), _load("workloads")
+    pins = workloads.load_pins()
+    fl = SimpleNamespace(certio=certio, classify=classify, errors=errors,
+                         exponents=exponents, forcing=forcing, groupspec=groupspec)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for spec in workloads.workload_specs(pins, "corpus-256"):
+            outcome = workloads.run_group(fl, spec, 3)
+            assert not workloads.check_group(outcome, pins["groups"][spec], 3), spec
+    finally:
+        tracer.uninstall()
+    metrics = spans.aggregate(tracer.spans, 0, tracer.counters, tracer.peaks)
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    # run.py computes the tracing overhead and the tracemalloc peaks itself
+    missing = [m["name"] for m in declared if m["name"] != "trace.overhead"
+               and not m["name"].endswith(".peak_mb") and m["name"] not in metrics]
+    assert not missing

@@ -1,6 +1,7 @@
 """from_generators against a breadth-first reference, preset cap checks, and
 the memory the parse layer may take."""
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,7 @@ from forcing_lab import (
     spec_text,
 )
 from forcing_lab.cli import main
+from forcing_lab.groups import PRIME_TEST_LIMIT
 
 
 def reference_from_generators(gens, degree, cap=2048):
@@ -197,3 +199,19 @@ class TestPresetOrderCheck:
         assert main(["analyze", "preset:Heisenberg(53)", "--no-header"]) == 1
         err = capsys.readouterr().err
         assert err.strip() == "error: OrderCapExceeded: group order exceeds the cap of 2048"
+
+    def test_large_prime_argument_is_refused_at_once(self, capsys):
+        # 2^61 - 1 is prime: trial division up to its square root would take minutes
+        t0 = time.perf_counter()
+        assert main(["analyze", "preset:Heisenberg(2305843009213693951)", "--no-header"]) == 1
+        assert time.perf_counter() - t0 < 0.5
+        err = capsys.readouterr().err
+        assert err.strip() == "error: OrderCapExceeded: group order exceeds the cap of 2048"
+
+    @pytest.mark.parametrize("spec", ["preset:Heisenberg({})", "preset:ElemAbelian({},2)",
+                                      "preset:Extraspecial({},1)"],
+                             ids=["Heisenberg", "ElemAbelian", "Extraspecial"])
+    def test_argument_past_the_prime_test_goes_to_the_cap_check(self, spec):
+        for p in (PRIME_TEST_LIMIT, 10 ** 30, 2 ** 89 - 1):
+            with pytest.raises(OrderCapExceeded):
+                parse_group_spec(spec.format(p))

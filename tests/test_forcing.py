@@ -24,8 +24,10 @@ from forcing_lab import (
     p_group_profile,
     p_group_specs,
     parse_group_spec,
+    two_group_specs,
     verify_certificate,
 )
+from forcing_lab.forcing import _quaternion_quotient
 
 BUILDABLE = [
     "preset:Dihedral(8)",
@@ -38,6 +40,11 @@ BUILDABLE = [
     "preset:ElemAbelian(3,2)",
     TWISTED_C4_SPEC,
 ]
+
+CERTIFIED_64 = [spec for name, spec in p_group_specs(64)
+                if not name.startswith(("Cyclic", "GenQuaternion"))]
+# the non-cyclic 2-groups, TWISTED_C4_SPEC among them
+TWO_GROUPS_64 = [spec for name, spec in two_group_specs(64) if not name.startswith("Cyclic")]
 
 
 def _order_p_kernel(G, order):
@@ -86,45 +93,42 @@ class TestIsForcing:
 
 
 class TestCentralStepWitness:
-    def test_agrees_with_brute_force(self, group_of):
-        """The targeted witness search and the exhaustive predicate must pick
-        the same class on every central index-p quotient we build."""
-        for spec in BUILDABLE:
+    def test_agrees_with_brute_force(self, group_of, cert_of):
+        """The witness read from G/N_i and the exhaustive predicate, run on the
+        quotient of quotients (G/N_{i+1}) / (N_i/N_{i+1}) built here, pick the
+        same class on every step."""
+        for spec in BUILDABLE + CERTIFIED_64:
             G = group_of(spec)
-            cert = build_forcing_sequence(G)
+            cert = cert_of(spec)
             for i in range(1, len(cert.chain) - 1):
-                lower = Subgroup(G, cert.chain[i + 1])
-                upper_members = cert.chain[i]
+                upper, lower = Subgroup(G, cert.chain[i]), Subgroup(G, cert.chain[i + 1])
                 q_low = G.quotient(lower)
                 src = q_low.target
                 kernel = src.subgroup_closure(
-                    sorted({int(q_low.project[m]) for m in upper_members}))
-                inner = src.quotient(kernel)
-                targeted = central_step_witness(inner)
-                brute = is_forcing(inner)
-                assert targeted is not None and brute is not None, spec
-                assert targeted == brute, spec
+                    sorted({int(q_low.project[m]) for m in upper.members}))
+                brute = is_forcing(src.quotient(kernel))
+                assert brute is not None, spec
+                assert central_step_witness(G, upper, lower) == brute, spec
+                assert cert.steps[i - 1].witness == brute, spec
 
     def test_rejects_non_prime_kernel(self, group_of):
         C8 = group_of("preset:Cyclic(8)")
-        q = C8.quotient(C8.frattini())  # kernel order 4
-        with pytest.raises(PreconditionViolated):
-            central_step_witness(q)
+        with pytest.raises(PreconditionViolated):  # index 4
+            central_step_witness(C8, C8.frattini(), C8.trivial_subgroup())
 
     def test_rejects_non_central_kernel(self, group_of):
         G = group_of("product:perm:3:(0 1 2),(0 1)|preset:Cyclic(3)")
         orders = G.orders()
-        kernel = None
+        upper = None
         for m in range(1, G.order):
             if int(orders[m]) == 3:
                 H = G.subgroup_closure([m])
                 if G.is_normal(H) and not set(H.members) <= set(G.center().members):
-                    kernel = H
+                    upper = H
                     break
-        assert kernel is not None
-        q = G.quotient(kernel)
+        assert upper is not None
         with pytest.raises(PreconditionViolated):
-            central_step_witness(q)
+            central_step_witness(G, upper, G.trivial_subgroup())
 
 
 class TestBuilder:
@@ -179,6 +183,29 @@ class TestBuilder:
                 assert all(size == step.kernel_order
                            for size in step.witness.checked_fiber_sizes)
 
+    def test_forms_one_quotient_per_step(self, monkeypatch, group_of):
+        """The builder quotients G by each chain entry from the Frattini
+        subgroup down to the entry of order p, once, and never by 1."""
+        original = FiniteGroup.quotient
+        formed = []
+
+        def quotient(self, N):
+            assert N.order > 1, "quotient by the trivial subgroup"
+            formed.append(N.members)
+            return original(self, N)
+
+        monkeypatch.setattr(FiniteGroup, "quotient", quotient)
+        built = 0
+        for _, spec in p_group_specs(256):
+            formed.clear()
+            try:
+                cert = build_forcing_sequence(group_of(spec))
+            except (CyclicGroup, QuaternionGroup):
+                continue
+            assert formed == list(cert.chain[1:-1]), spec
+            built += 1
+        assert built == 121
+
 
 class TestQuaternionDetour:
     def test_twist_has_exactly_one_quaternion_candidate(self, group_of):
@@ -199,6 +226,29 @@ class TestQuaternionDetour:
         for entry in cert.chain[:-1]:
             q = G.quotient(Subgroup(G, entry))
             assert is_generalized_quaternion(q.target) is None
+
+    def test_squares_agree_with_quotient_groups(self, group_of):
+        """Over every subgroup the builder could refine to, between each pair
+        of consecutive series terms, the squares screen and the quotient
+        group's own unique-involution test agree."""
+        quaternion = 0
+        assert TWISTED_C4_SPEC in TWO_GROUPS_64
+        for spec in TWO_GROUPS_64:
+            G = group_of(spec)
+            series = G.lower_exponent_p_series()
+            for j in range(1, len(series) - 1):
+                todo, seen = [series[j]], set()
+                while todo:
+                    current = todo.pop()
+                    if current.order == series[j + 1].order or current.members in seen:
+                        continue
+                    seen.add(current.members)
+                    for S in G.intermediate_index_p_subgroups(current, series[j + 1], 2):
+                        expected = is_generalized_quaternion(G.quotient(S).target) is not None
+                        assert _quaternion_quotient(G, S) == expected, (spec, S.members)
+                        quaternion += expected
+                        todo.append(S)
+        assert quaternion > 0
 
     def test_quaternion_itself_cannot_detour(self, group_of):
         # Q(2)'s own chain would need a Q(1) quotient at the last layer; the
@@ -489,10 +539,6 @@ def _forgeries(G, cert):
         entry[entry.index(inside[-1])] = outside[0]
         yield f"tamper {k}", replace(cert, chain=cert.chain[:k] + (tuple(sorted(entry)),)
                                      + cert.chain[k + 1:])
-
-
-CERTIFIED_64 = [spec for name, spec in p_group_specs(64)
-                if not name.startswith(("Cyclic", "GenQuaternion"))]
 
 
 class TestReportsMatchQuotientReference:

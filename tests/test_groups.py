@@ -22,7 +22,7 @@ from forcing_lab import (
     subgroup_as_group,
     sylow_decomposition,
 )
-from forcing_lab.groups import prime_power
+from forcing_lab.groups import PRIME_TEST_LIMIT, is_prime, prime_power
 
 AXIOM_SPECS = [
     "preset:Cyclic(6)",
@@ -544,7 +544,8 @@ def test_quotient_target_acts_by_right_multiplication(group_of):
 
 def test_ancestor_quotients(group_of):
     G = group_of("preset:GenQuaternion(2)")  # series 16 > 4 > 2 > 1
-    qs = G.ancestor_quotients()
+    series = G.lower_exponent_p_series()
+    qs = [G.quotient(term) for term in series[1:-1]]
     assert [q.target.order for q in qs] == [4, 8]
 
 
@@ -576,3 +577,33 @@ def test_generated_groups_satisfy_axioms(data):
         assert mul[mul[a, b], c] == mul[a, mul[b, c]]
     for i, images in enumerate(G.points):
         assert Permutation(tuple(images)).order() == int(G.orders()[i])
+
+
+def test_inverses_are_where_each_row_holds_the_identity(group_of):
+    for _, spec in p_group_specs(256):
+        G = group_of(spec)
+        rows, cols = np.nonzero(G.mul_table == 0)
+        assert np.array_equal(rows, np.arange(G.order)), spec
+        assert np.array_equal(G.inv_table, cols), spec
+        assert G.inv_table.dtype == np.int32 and not G.inv_table.flags.writeable
+
+
+def test_is_prime_matches_a_sieve_and_known_pseudoprimes():
+    limit = 20000
+    sieve = np.ones(limit, dtype=bool)
+    sieve[:2] = False
+    for k in range(2, int(limit ** 0.5) + 1):
+        sieve[k * k::k] = False
+    assert [is_prime(n) for n in range(-3, limit)] == [False] * 3 + sieve.tolist()
+    # the least strong pseudoprimes to the first 1, 2, ..., 12 prime bases, and
+    # two composite Mersenne numbers
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 3825123056546413051, 318665857834031151167461,
+              2 ** 67 - 1, 2 ** 79 - 1):
+        assert not is_prime(n), n
+    # the last prime below the limit is PRIME_TEST_LIMIT - 168
+    for n in (2 ** 31 - 1, 2 ** 61 - 1, 10 ** 18 + 9, PRIME_TEST_LIMIT - 168):
+        assert is_prime(n), n
+    # the least strong pseudoprime to the first 13 prime bases is the limit
+    with pytest.raises(PreconditionViolated):
+        is_prime(PRIME_TEST_LIMIT)
