@@ -84,9 +84,10 @@ def sylow_decomposition(G: FiniteGroup) -> SylowDecomposition:
     anything else raises NotNilpotent.
     """
     orders = G.orders()
+    distinct = np.unique(orders).tolist()
     factors: dict[int, Subgroup] = {}
     for p, k in sorted(factorize(G.order).items()):
-        members = [x for x in range(G.order) if prime_power_of(int(orders[x]), p)]
+        members = np.flatnonzero(np.isin(orders, [o for o in distinct if prime_power_of(o, p)]))
         if len(members) != p ** k:
             raise NotNilpotent(
                 f"{len(members)} elements of {p}-power order, expected {p ** k}")

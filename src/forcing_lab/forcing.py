@@ -19,14 +19,19 @@ own table, inverses and element orders alone, never from the builder's
 kernels, quotient groups or cached series: closure, normality, the
 exponent-p series and the Frattini subgroup come from all products,
 commutators and p-th powers in the table, and cosets, their orders and their
-conjugacy classes from membership masks.
+conjugacy classes from membership masks. Chain entry 0 passes closure without
+a squaring: |G| distinct in-range indices are G itself. Every gather of
+n x |N| products or more is one flat take from the table per row block of at
+most _BLOCK_ITEMS int32 products. The order of a coset xN divides [G:N], so
+for an index q^m it is the least q^j with x^(q^j) in N, reached in at most m
+steps of the q-th power map.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -237,26 +242,45 @@ def _structural_check(G: FiniteGroup, cert: ForcingCertificate) -> None:
             raise MalformedCertificate(f"step {i} witness representative is negative")
 
 
+# int32 products gathered per row block by the verifier's table kernels: a
+# table of order up to 128 is one block, and a block's temporaries (its intp
+# indices among them) stay well under a quarter of an order-1024 table
+_BLOCK_ITEMS = 1 << 14
+
+
+def _gather(G: FiniteGroup, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The products left * right of broadcast int32 element arrays, as one
+    gather from the flat table (an int32 flat index holds any order below
+    46341, far above MAX_ORDER_CAP); callers keep the broadcast shape under
+    _BLOCK_ITEMS."""
+    return np.take(G.mul_table.reshape(-1), left * G.order + right)
+
+
+def _row_blocks(rows: np.ndarray, width: int) -> Iterator[np.ndarray]:
+    """rows in consecutive runs of max(1, _BLOCK_ITEMS // width) rows."""
+    step = max(1, _BLOCK_ITEMS // width)
+    return (rows[start:start + step] for start in range(0, len(rows), step))
+
+
 def _square_until_closed(G: FiniteGroup, seed: np.ndarray) -> np.ndarray:
     """Sorted members of the subgroup generated by seed: square until closed."""
     members = np.union1d(seed, [0]).astype(np.int32)
     while True:
         products = np.zeros(G.order, dtype=bool)
-        products[G.mul_table[np.ix_(members, members)]] = True
+        for block in _row_blocks(members, len(members)):
+            products[_gather(G, block[:, None], members)] = True
         if products.sum() == len(members):
             return members
         members = np.flatnonzero(products).astype(np.int32)
 
 
 def _commutator_mask(G: FiniteGroup, members: np.ndarray) -> np.ndarray:
-    """Membership mask of the [x, g] = x^-1 g^-1 x g for every x in members
+    """Membership mask of the [x, g] = (x^-1 g^-1)(x g) for every x in members
     and g in G."""
-    mul = G.mul_table
-    comm = mul[np.ix_(G.inv_table[members], G.inv_table)]
-    comm = mul[comm, members[:, None]]
-    comm = mul[comm, np.arange(G.order)]
+    mul, inv = G.mul_table, G.inv_table
     mask = np.zeros(G.order, dtype=bool)
-    mask[comm] = True
+    for block in _row_blocks(members, G.order):
+        mask[_gather(G, np.take(mul[inv[block]], inv, axis=1), mul[block])] = True
     return mask
 
 
@@ -267,28 +291,49 @@ def _brute_series(G: FiniteGroup,
     pp = prime_power(G.order)
     if pp is None:
         raise NotAPGroup(f"order {G.order} is not a prime power")
+    pth = _power_map(G, pp[0])
     series = [np.arange(G.order, dtype=np.int32)]
     while len(series[-1]) > 1:
-        current = power = series[-1]
-        for _ in range(pp[0] - 1):
-            power = G.mul_table[power, current]
+        current = series[-1]
         series.append(_square_until_closed(
-            G, np.union1d(power, np.flatnonzero(commutators(current)))))
+            G, np.union1d(pth[current], np.flatnonzero(commutators(current)))))
         if len(series[-1]) >= len(current):
             raise NotAPGroup("series failed to descend")
     return [tuple(term.tolist()) for term in series]
 
 
+def _power_map(G: FiniteGroup, e: int) -> np.ndarray:
+    """x^e for every element x, by square-and-multiply over whole columns."""
+    mul = G.mul_table
+    result = np.zeros(G.order, dtype=np.int32)
+    square = np.arange(G.order, dtype=np.int32)
+    while e:
+        if e & 1:
+            result = mul[result, square]
+        e >>= 1
+        if e:
+            square = mul[square, square]
+    return result
+
+
 def _coset_orders(G: FiniteGroup, inside: np.ndarray) -> np.ndarray:
-    """The order of xN for every element x of G: the least k >= 1 with x^k in
-    N, by power steps over N's membership mask (N must contain the identity)."""
+    """The order of xN for every element x of G, from N's membership mask (N
+    normal). It divides [G:N], so when [G:N] = q^m it is the least q^j with
+    x^(q^j) in N, reached in at most m steps of the q-th power map; otherwise
+    it is the least k >= 1 with x^k in N, by unit power steps."""
     orders = inside.astype(np.int32)
-    power = np.arange(G.order, dtype=np.int32)
     todo = np.flatnonzero(~inside)
+    pp = prime_power(G.order // int(inside.sum()))
+    qth = None if pp is None else _power_map(G, pp[0])
+    power = np.arange(G.order, dtype=np.int32)
     k = 1
     while len(todo):
-        power[todo] = G.mul_table[power[todo], todo]
-        k += 1
+        if qth is None:
+            power[todo] = G.mul_table[power[todo], todo]
+            k += 1
+        else:
+            power[todo] = qth[power[todo]]
+            k *= pp[0]
         landed = inside[power[todo]]
         orders[todo[landed]] = k
         todo = todo[~landed]
@@ -357,10 +402,10 @@ def verify_certificate(G: FiniteGroup, cert: ForcingCertificate) -> Verification
     checks.append(CheckResult("chain-descending", descending,
                               "entries must strictly decrease"))
 
-    commutator_masks: dict[tuple[int, ...], np.ndarray] = {}
+    commutator_masks: dict[bytes, np.ndarray] = {}
 
     def commutators(members: np.ndarray) -> np.ndarray:
-        key = tuple(members.tolist())
+        key = members.tobytes()
         if key not in commutator_masks:
             commutator_masks[key] = _commutator_mask(G, members)
         return commutator_masks[key]
@@ -369,7 +414,9 @@ def verify_certificate(G: FiniteGroup, cert: ForcingCertificate) -> Verification
     # normal subgroup
     formed = []
     for k, members in enumerate(arrays):
-        closed = chain[k][0] == 0 and np.array_equal(_square_until_closed(G, members), members)
+        # |G| distinct in-range indices are G itself
+        closed = chain[k][0] == 0 and (len(members) == G.order or np.array_equal(
+            _square_until_closed(G, members), members))
         checks.append(CheckResult("chain-closed", closed,
                                   f"entry of size {len(members)}", step=k))
         if closed:
@@ -413,7 +460,9 @@ def verify_certificate(G: FiniteGroup, cert: ForcingCertificate) -> Verification
     def cosets_of(k: int) -> tuple[np.ndarray, np.ndarray]:
         """For formed entry k: each element's coset label (the least member of
         xN) and the sorted labels. Only the steps' entries need them."""
-        labels = mul[:, arrays[k]].min(axis=1)
+        labels = np.empty(G.order, dtype=np.int32)
+        for block in _row_blocks(np.arange(G.order, dtype=np.int32), len(arrays[k])):
+            labels[block] = _gather(G, block[:, None], arrays[k]).min(axis=1)
         return labels, np.unique(labels)
 
     quotient_index: list[int | None] = []
@@ -477,7 +526,8 @@ def verify_certificate(G: FiniteGroup, cert: ForcingCertificate) -> Verification
         rep = int(np.searchsorted(minima_up, members[0]))
         order = int(orders_up[x])
         # the fiber over a class coset: the N_{i+2}-cosets of its elements
-        elements = mul[members[:, None], upper]
+        # (one coset of N_{i+1} per class member, so at most n products)
+        elements = _gather(G, members[:, None], upper)
         fiber_labels = np.sort(labels_low[elements], axis=1)
         sizes = ((np.diff(fiber_labels, axis=1) != 0).sum(axis=1) + 1).tolist()
         class_ok = (rep == witness.class_rep

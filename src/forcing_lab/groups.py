@@ -257,7 +257,8 @@ class FiniteGroup:
 
     def __init__(self, mul_table: np.ndarray, generators: Sequence[int],
                  points: np.ndarray | None = None, spec: str | None = None) -> None:
-        mul = np.asarray(mul_table, dtype=_IDX)
+        # C order: flat gathers then index a view of the table, never a copy
+        mul = np.ascontiguousarray(mul_table, dtype=_IDX)
         n = len(mul)
         points = mul.T if points is None else np.asarray(points, dtype=_IDX)
         if mul.shape != (n, n) or len(points) != n:

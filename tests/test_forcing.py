@@ -1,3 +1,6 @@
+import gc
+import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -27,7 +30,7 @@ from forcing_lab import (
     two_group_specs,
     verify_certificate,
 )
-from forcing_lab.forcing import _quaternion_quotient
+from forcing_lab.forcing import _BLOCK_ITEMS, _coset_orders, _quaternion_quotient, _row_blocks
 
 BUILDABLE = [
     "preset:Dihedral(8)",
@@ -327,7 +330,9 @@ class TestVerifier:
             raise AssertionError("the verifier used the builder's group code")
 
         for name in ("lower_exponent_p_series", "frattini", "quotient",
-                     "conjugacy_classes", "_closure"):
+                     "conjugacy_classes", "_closure", "_commutators", "agemo",
+                     "commutator_subgroup", "subgroup_closure", "is_normal", "center",
+                     "intermediate_index_p_subgroups"):
             monkeypatch.setattr(FiniteGroup, name, builder_only)
         monkeypatch.setattr(Subgroup, "__post_init__", builder_only)
         report = verify_certificate(G, cert)
@@ -562,3 +567,113 @@ class TestReportsMatchQuotientReference:
             report = verify_certificate(G, replace(cert, chain=tuple(chain)))
             assert not report.all_passed
             assert "chain-descending" in {c.condition for c in report.failures()}
+
+
+CERTIFIED_256 = [spec for name, spec in p_group_specs(256)
+                 if not name.startswith(("Cyclic", "GenQuaternion"))]
+
+
+def _report_text(G, cert):
+    try:
+        return repr(verify_certificate(G, cert).checks)
+    except MalformedCertificate as exc:
+        return f"MalformedCertificate: {exc}"
+
+
+def _pinned_reports(group_of, cert_of):
+    """(label, report text) over every corpus-256 certificate on its own group
+    and on the next five groups of its order in corpus order, then every
+    forgery of the order-64 certificates."""
+    same_order = {}
+    for _, spec in p_group_specs(256):
+        same_order.setdefault(group_of(spec).order, []).append(spec)
+    for spec in CERTIFIED_256:
+        G, cert = group_of(spec), cert_of(spec)
+        yield spec, _report_text(G, cert)
+        peers = same_order[G.order]
+        at = peers.index(spec)
+        for other in (peers[at + 1:] + peers[:at])[:5]:
+            yield f"{spec} on {other}", _report_text(group_of(other), cert)
+    for spec in CERTIFIED_64:
+        G = group_of(spec)
+        for label, cert in _forgeries(G, cert_of(spec)):
+            yield f"{spec} {label}", _report_text(G, cert)
+
+
+# SHA-256 of every pinned report, one "label<TAB>text" line each: a change
+# to any check, verdict or detail of these reports changes it
+PINNED_REPORTS_SHA256 = "be5d29479d913a023d4fbe6e5761d8e91f69dbda48b1cec1881a5b23fe36b3da"
+
+
+def test_pinned_reports_are_unchanged(group_of, cert_of):
+    lines = "\n".join(f"{label}\t{text}" for label, text in _pinned_reports(group_of, cert_of))
+    assert hashlib.sha256(lines.encode()).hexdigest() == PINNED_REPORTS_SHA256
+
+
+def _unit_step_coset_orders(G, members):
+    """The order of xN for every x: the least k >= 1 with x^k in N, one
+    product at a time."""
+    inside = set(members)
+    orders = []
+    for x in range(G.order):
+        power, k = x, 1
+        while power not in inside:
+            power, k = G.mul(power, x), k + 1
+        orders.append(k)
+    return orders
+
+
+def _normal_subgroups(G):
+    """Every normal subgroup of a small group, from all two-element seeds."""
+    found = {H.members: H for a in range(G.order) for b in range(a, G.order)
+             for H in [G.subgroup_closure([a, b])]}
+    return [H for H in found.values() if G.is_normal(H)]
+
+
+class TestCosetOrders:
+    def _check(self, G, members):
+        inside = np.zeros(G.order, dtype=bool)
+        inside[list(members)] = True
+        assert _coset_orders(G, inside).tolist() == _unit_step_coset_orders(G, members)
+
+    @pytest.mark.parametrize("spec", CERTIFIED_64)
+    def test_chain_entries_match_unit_steps(self, group_of, cert_of, spec):
+        G = group_of(spec)
+        for entry in cert_of(spec).chain:
+            self._check(G, entry)
+
+    @pytest.mark.parametrize("spec", ["preset:Cyclic(6)",
+                                      "product:perm:3:(0 1 2),(0 1)|preset:Cyclic(3)"])
+    def test_index_not_a_prime_power(self, group_of, spec):
+        G = group_of(spec)
+        normal = _normal_subgroups(G)
+        indices = {G.order // H.order for H in normal}
+        # both the q-th power steps and the unit steps run
+        assert {2, 3, 6} <= indices
+        for H in normal:
+            self._check(G, H.members)
+
+
+class TestVerifierMemory:
+    @pytest.mark.parametrize("width", [1, 3, 64, 1000, _BLOCK_ITEMS, 3 * _BLOCK_ITEMS])
+    def test_row_blocks_cover_rows_within_budget(self, width):
+        rows = np.arange(2 * _BLOCK_ITEMS + 5, dtype=np.int32)
+        blocks = list(_row_blocks(rows, width))
+        assert np.array_equal(np.concatenate(blocks), rows)
+        # one row per block once a row alone fills the budget
+        assert all(len(b) * width <= max(_BLOCK_ITEMS, width) for b in blocks)
+        assert all(len(b) == len(blocks[0]) for b in blocks[:-1])
+
+    @pytest.mark.parametrize("spec", ["preset:Dihedral(1024)", "preset:ElemAbelian(2,10)"])
+    def test_peak_within_a_quarter_table(self, group_of, cert_of, spec):
+        G, cert = group_of(spec), cert_of(spec)
+        G.orders()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            report = verify_certificate(G, cert)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.all_passed
+        assert peak <= G.mul_table.nbytes // 4
