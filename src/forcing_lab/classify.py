@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotAPGroup, NotNilpotent, PNotDividing
+from .errors import NotNilpotent, PNotDividing
 from .groups import FiniteGroup, Subgroup, factorize, prime_power
 
 
@@ -87,7 +87,8 @@ def sylow_decomposition(G: FiniteGroup) -> SylowDecomposition:
     distinct = np.unique(orders).tolist()
     factors: dict[int, Subgroup] = {}
     for p, k in sorted(factorize(G.order).items()):
-        members = np.flatnonzero(np.isin(orders, [o for o in distinct if prime_power_of(o, p)]))
+        p_orders = [o for o in distinct if set(factorize(o)) <= {p}]
+        members = np.flatnonzero(np.isin(orders, p_orders))
         if len(members) != p ** k:
             raise NotNilpotent(
                 f"{len(members)} elements of {p}-power order, expected {p ** k}")
@@ -100,13 +101,6 @@ def sylow_decomposition(G: FiniteGroup) -> SylowDecomposition:
     return SylowDecomposition(factors)
 
 
-def prime_power_of(n: int, p: int) -> bool:
-    """Whether n is a power of p (including n = 1)."""
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
 def is_nilpotent(G: FiniteGroup) -> bool:
     try:
         sylow_decomposition(G)
@@ -116,13 +110,10 @@ def is_nilpotent(G: FiniteGroup) -> bool:
 
 
 def p_group_profile(G: FiniteGroup) -> PGroupProfile:
-    pp = prime_power(G.order)
-    if pp is None:
-        raise NotAPGroup(f"order {G.order} is not a prime power")
-    p, n = pp
+    p = G.prime()
     return PGroupProfile(
         p=p,
-        n=n,
+        n=prime_power(G.order)[1],
         p_class=G.p_class(),
         rank=G.generator_rank(),
         is_cyclic=is_cyclic(G),

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -86,8 +87,24 @@ def _resolve_cap(args: argparse.Namespace) -> int:
     return cap
 
 
+# bounds on a rational's text and on its decimal exponent, checked before
+# Fraction parses it: "1e2000000" is nine characters but a 2000001-digit
+# integer, which takes a second to build and cannot be printed
+_RATIONAL_MAX_CHARS = 64
+_RATIONAL_MAX_EXPONENT = 64
+_DECIMAL_EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)")
+
+
 def _fraction(text: Any, what: str) -> Fraction:
     """A rational given on the command line or in an override file."""
+    raw = str(text)
+    if len(raw) > _RATIONAL_MAX_CHARS:
+        raise ForcingLabError(f"{what} is {len(raw)} characters long; a rational "
+                              f"takes at most {_RATIONAL_MAX_CHARS}")
+    exponent = _DECIMAL_EXPONENT.search(raw)
+    if exponent and abs(int(exponent[1].replace("_", ""))) > _RATIONAL_MAX_EXPONENT:
+        raise ForcingLabError(f"{what} has decimal exponent {exponent[1]}; its size "
+                              f"may be at most {_RATIONAL_MAX_EXPONENT}")
     try:
         return Fraction(text)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
@@ -113,9 +130,14 @@ def _overrides_from(args: argparse.Namespace) -> dict[int, Fraction]:
         raw = json.loads(Path(path).read_text())
     except RecursionError:
         raise ForcingLabError("base override file is nested too deeply") from None
+    except ValueError as exc:
+        raise ForcingLabError(f"base override file is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ForcingLabError("base override file must hold a JSON object")
-    return {int(k): _fraction(v, f"base override for {k}") for k, v in raw.items()}
+    try:
+        return {int(k): _fraction(v, f"base override for {k}") for k, v in raw.items()}
+    except ValueError:
+        raise ForcingLabError('base override keys must be integers like "2"') from None
 
 
 def _profile_obj(G: FiniteGroup) -> dict[str, Any]:

@@ -259,8 +259,9 @@ def delta_for_nilpotent(G: FiniteGroup, ell: int,
     if G.order == 1:
         raise PreconditionViolated("the trivial group has no saving exponent")
     overrides = dict(overrides or {})
-    if prime_power(G.order) is not None:
-        factors: list[tuple[int, FiniteGroup]] = [(prime_power(G.order)[0], G)]
+    pp = prime_power(G.order)
+    if pp is not None:
+        factors: list[tuple[int, FiniteGroup]] = [(pp[0], G)]
     else:
         decomposition = sylow_decomposition(G)
         factors = [(p, subgroup_as_group(sub))

@@ -137,17 +137,13 @@ def central_step_witness(G: FiniteGroup, upper: Subgroup,
     p = upper.order // lower.order
     if upper.order % lower.order or not is_prime(p):
         raise PreconditionViolated(f"index {upper.order}/{lower.order} is not prime")
-    everything = np.arange(G.order, dtype=np.int32)
     in_upper, in_lower = (np.bincount(S.member_array(), minlength=G.order) > 0
                           for S in (upper, lower))
     # generators suffice, as lower is normal
     gens = np.array(G.generators, dtype=np.int32)
     if not in_lower[G._commutators(upper.member_array(), gens)].all():
         raise PreconditionViolated("layer is not central: [upper, G] is not inside lower")
-    power = everything
-    for _ in range(p - 1):
-        power = G.mul_table[power, everything]
-    found = np.flatnonzero(in_lower[power] & ~in_upper)
+    found = np.flatnonzero(in_lower[G.power_map(p)] & ~in_upper)
     if not len(found):
         return None
     quotient = G.quotient(upper)
@@ -176,10 +172,7 @@ def build_forcing_sequence(G: FiniteGroup) -> ForcingCertificate:
     per layer can be bad. Each step's witness comes from the one quotient
     G/N_i of that step.
     """
-    pp = prime_power(G.order)
-    if pp is None:
-        raise NotAPGroup(f"order {G.order} is not a prime power")
-    p, _ = pp
+    p = G.prime()
     if is_cyclic(G):
         raise CyclicGroup(f"cyclic group of order {G.order} admits no forcing sequence")
     quaternion = is_generalized_quaternion(G)

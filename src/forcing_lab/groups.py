@@ -15,8 +15,8 @@ One kernel closes subgroups from generators, never by squaring member sets:
 ``FiniteGroup._closure`` (Dimino's algorithm) serves ``subgroup_closure`` and
 the closure check of ``Subgroup``. What the kernels produce becomes a
 ``Subgroup`` unchecked; a member set a caller supplies is checked. Element
-orders, conjugacy classes and the lower exponent-p series are derived once
-per group and cached on it.
+orders, power maps x -> x^e, conjugacy classes and the lower exponent-p
+series are derived once per group and cached on it.
 """
 
 from __future__ import annotations
@@ -41,25 +41,6 @@ DEFAULT_ORDER_CAP = 2048
 MAX_ORDER_CAP = 8192
 
 _IDX = np.int32
-
-
-def prime_power(n: int) -> tuple[int, int] | None:
-    """Return (p, k) with n = p**k and k >= 1, or None."""
-    if n < 2:
-        return None
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            break
-        p += 1
-    else:
-        return (n, 1)
-    k = 0
-    m = n
-    while m % p == 0:
-        m //= p
-        k += 1
-    return (p, k) if m == 1 else None
 
 
 # the first 13 primes; as Miller-Rabin bases they decide every n below
@@ -94,6 +75,13 @@ def factorize(n: int) -> dict[int, int]:
     if m > 1:
         out[m] = out.get(m, 0) + 1
     return out
+
+
+def prime_power(n: int) -> tuple[int, int] | None:
+    """Return (p, k) with n = p**k and k >= 1, or None. Callers pass group
+    orders, at most MAX_ORDER_CAP, so trial division is cheap."""
+    factors = factorize(n)
+    return next(iter(factors.items())) if len(factors) == 1 else None
 
 
 @dataclass(frozen=True)
@@ -211,9 +199,6 @@ class Subgroup:
     def member_array(self) -> np.ndarray:
         return np.fromiter(self.members, dtype=_IDX, count=len(self.members))
 
-    def member_set(self) -> frozenset[int]:
-        return frozenset(self.members)
-
 
 @dataclass(frozen=True)
 class ConjugacyClass:
@@ -275,6 +260,7 @@ class FiniteGroup:
         self.generators = tuple(int(g) for g in generators)
         self.spec = spec
         self._orders: np.ndarray | None = None
+        self._powers: dict[int, np.ndarray] = {}
         self._classes: tuple[ConjugacyClass, ...] | None = None
         self._series: tuple[tuple[int, ...], ...] | None = None
 
@@ -321,16 +307,39 @@ class FiniteGroup:
             raise PreconditionViolated(f"element index {x} out of range")
         return int(self.orders()[x])
 
+    def power_map(self, e: int) -> np.ndarray:
+        """x^e for every element x, by square-and-multiply over whole
+        columns; derived once per exponent, read-only."""
+        if e < 0:
+            raise PreconditionViolated(f"exponent {e} is negative")
+        if e not in self._powers:
+            result = np.zeros(self.order, dtype=_IDX)
+            square = np.arange(self.order, dtype=_IDX)
+            k = e
+            while k:
+                if k & 1:
+                    result = self._mul[result, square]
+                k >>= 1
+                if k:
+                    square = self._mul[square, square]
+            result.setflags(write=False)
+            self._powers[e] = result
+        return self._powers[e]
+
+    def prime(self) -> int:
+        """The prime p of a p-group; NotAPGroup for any other order."""
+        pp = prime_power(self.order)
+        if pp is None:
+            raise NotAPGroup(f"order {self.order} is not a prime power")
+        return pp[0]
+
     def exponent(self) -> int:
-        out = 1
-        for k in np.unique(self.orders()):
-            k = int(k)
-            g = np.gcd(out, k)
-            out = out * k // g
-        return out
+        return lcm(*np.unique(self.orders()).tolist())
 
     def is_abelian(self) -> bool:
-        return bool(np.array_equal(self._mul, self._mul.T))
+        """Whether the generators commute pairwise, as they generate G."""
+        table = self._mul[np.ix_(self.generators, self.generators)]
+        return bool(np.array_equal(table, table.T))
 
     def whole_subgroup(self) -> Subgroup:
         return Subgroup._checked(self, tuple(range(self.order)))
@@ -424,41 +433,27 @@ class FiniteGroup:
                 return Subgroup._checked(self, tuple(members.tolist()))
             seed = np.concatenate([g, new])
 
-    def agemo(self, A: Subgroup, p: int) -> Subgroup:
-        """Subgroup generated by the p-th powers of the members of A."""
-        if not is_prime(p):
-            raise PreconditionViolated(f"{p} is not prime")
-        base = A.member_array()
-        power = base.copy()
-        for _ in range(p - 1):
-            power = self._mul[power, base]
-        return self.subgroup_closure(np.unique(power))
-
     def frattini(self, p: int | None = None) -> Subgroup:
         """G^p [G,G] for a p-group: the Frattini subgroup, which is the second
         term of the lower exponent-p series."""
-        pp = prime_power(self.order)
-        if pp is None:
-            raise NotAPGroup(f"order {self.order} is not a prime power")
-        if p is not None and p != pp[0]:
+        if p is not None and p != self.prime():
             raise NotAPGroup(f"order {self.order} is not a power of {p}")
         return self.lower_exponent_p_series()[1]
 
     def lower_exponent_p_series(self) -> list[Subgroup]:
         """Descending series G = G_0 > G_1 > ... > 1 with G_j = G_{j-1}^p [G_{j-1}, G];
-        derived once per group, each call returns a fresh list."""
+        derived once per group, each call returns a fresh list. One closure
+        per term: closing the p-th powers together with [G_{j-1}, G] gives
+        the same group as closing the powers first."""
         if self._series is None:
-            pp = prime_power(self.order)
-            if pp is None:
-                raise NotAPGroup(f"order {self.order} is not a prime power")
-            p = pp[0]
+            pth = self.power_map(self.prime())
             whole = self.whole_subgroup()
             series = [whole]
             while series[-1].order > 1:
                 current = series[-1]
-                powers = self.agemo(current, p)
                 comm = self.commutator_subgroup(current, whole)
-                nxt = self.subgroup_closure(powers.members + comm.members)
+                nxt = self.subgroup_closure(
+                    np.union1d(pth[current.member_array()], comm.member_array()))
                 if nxt.order >= current.order:
                     raise NotAPGroup("series failed to descend")
                 series.append(nxt)
@@ -473,16 +468,7 @@ class FiniteGroup:
 
     def generator_rank(self) -> int:
         """log_p of the index of the Frattini subgroup."""
-        pp = prime_power(self.order)
-        if pp is None:
-            raise NotAPGroup(f"order {self.order} is not a prime power")
-        p = pp[0]
-        index = self.order // self.frattini(p).order
-        r = 0
-        while index > 1:
-            index //= p
-            r += 1
-        return r
+        return prime_power(self.order // self.frattini().order)[1]
 
     def quotient(self, N: Subgroup) -> QuotientMap:
         """Quotient by a normal subgroup, cosets labeled by least member index."""
@@ -540,24 +526,21 @@ class FiniteGroup:
             raise PreconditionViolated("subgroup belongs to a different group")
         if not is_prime(p):
             raise PreconditionViolated(f"{p} is not prime")
-        if not B.member_set() <= A.member_set():
+        a = A.member_array()
+        b = B.member_array()
+        in_b = np.zeros(self.order, dtype=bool)
+        in_b[b] = True
+        if int(in_b[a].sum()) != B.order:
             raise PreconditionViolated("B is not contained in A")
         if A.order == B.order:
             raise PreconditionViolated("A/B is trivial")
         if not self.is_normal(A) or not self.is_normal(B):
             raise PreconditionViolated("A and B must both be normal")
-        a = A.member_array()
-        b = B.member_array()
-        in_b = np.zeros(self.order, dtype=bool)
-        in_b[b] = True
         # [a, g] in B for every a in A, g in G makes A/B central in G/B; as B
         # is normal, generators g suffice
         if not in_b[self._commutators(a, np.array(self.generators, dtype=_IDX))].all():
             raise PreconditionViolated("A/B is not central in G/B")
-        power = a.copy()
-        for _ in range(p - 1):
-            power = self._mul[power, a]
-        if not in_b[power].all():
+        if not in_b[self.power_map(p)[a]].all():
             raise PreconditionViolated("A/B has exponent larger than p")
         # A/B is a vector space over F_p; the closure kernel's greedy
         # generators of A past those of B are a basis, and p - 1 right

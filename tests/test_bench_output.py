@@ -4,7 +4,8 @@ BENCHMARK.json declares.
 ``bench/run.py`` leaves out of its JSON line any declared metric that the
 traced run never reached, so a program that stops calling a traced method
 makes the benchmark's output malformed. This runs the corpus-256 pipeline
-once under the benchmark's own tracer and checks that nothing is left out.
+and the cli-session commands once each under the benchmark's own tracer and
+checks that nothing is left out.
 """
 
 import importlib.util
@@ -13,7 +14,7 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-from forcing_lab import certio, classify, errors, exponents, forcing, groupspec
+from forcing_lab import certio, classify, cli, errors, exponents, forcing, groupspec
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -25,6 +26,15 @@ def _load(name):
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def _unreached(spans, tracer):
+    """The declared per-layer metrics that the traced calls did not reach."""
+    metrics = spans.aggregate(tracer.spans, 0, tracer.counters, tracer.peaks)
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    # run.py computes the tracing overhead and the tracemalloc peaks itself
+    return [m["name"] for m in declared if m["name"] != "trace.overhead"
+            and not m["name"].endswith(".peak_mb") and m["name"] not in metrics]
 
 
 def test_traced_corpus_pass_reaches_every_declared_per_layer_metric():
@@ -40,9 +50,25 @@ def test_traced_corpus_pass_reaches_every_declared_per_layer_metric():
             assert not workloads.check_group(outcome, pins["groups"][spec], 3), spec
     finally:
         tracer.uninstall()
-    metrics = spans.aggregate(tracer.spans, 0, tracer.counters, tracer.peaks)
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
-    # run.py computes the tracing overhead and the tracemalloc peaks itself
-    missing = [m["name"] for m in declared if m["name"] != "trace.overhead"
-               and not m["name"].endswith(".peak_mb") and m["name"] not in metrics]
-    assert not missing
+    assert not _unreached(spans, tracer)
+
+
+def test_traced_cli_session_reaches_every_declared_per_layer_metric(tmp_path, monkeypatch,
+                                                                    capsys):
+    spans, workloads = _load("spans"), _load("workloads")
+    pins = workloads.load_pins()["cli"]["5"]
+    workloads.prepare_workdir(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("FORCING_LAB_CAP", raising=False)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for unit in workloads.cli_commands(5):
+            for command in unit:
+                code = cli.main(list(command.argv))
+                problems = workloads.check_command(code, capsys.readouterr().out,
+                                                   pins[command.key])
+                assert not problems, (command.key, problems)
+    finally:
+        tracer.uninstall()
+    assert not _unreached(spans, tracer)

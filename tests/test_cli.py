@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -200,9 +201,21 @@ class TestDelta:
         assert code == 1 and out == ""
         assert err == f"error: ForcingLabError: {flag} must be a rational like 1/100, got {value!r}\n"
 
+    @pytest.mark.parametrize("flag, value", [("--beta", "1e2000000"), ("--gamma", "1E-2_000_000"),
+                                             ("--eps-delta", "1/" + "7" * 64)])
+    def test_huge_rational_is_refused_before_it_is_parsed(self, capsys, flag, value):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "delta", "preset:Heisenberg(3)", "--ell", "5",
+                             flag, value, "--no-header")
+        assert time.perf_counter() - start < 0.5
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: ForcingLabError: {flag} ")
+
     @pytest.mark.parametrize("content", ['{"2": "1/0"}', '{"2": [1]}', '{"2": null}',
-                                         "[" * 200_000],
-                             ids=["zero-denominator", "list", "null", "deep"])
+                                         "[" * 200_000, '{"2": ' + "9" * 5000 + "}",
+                                         '{"2": "1/100"', '{"2": "1e999"}', '{"two": "1/100"}'],
+                             ids=["zero-denominator", "list", "null", "deep", "huge-int",
+                                  "malformed", "huge-exponent", "non-integer-key"])
     def test_bad_base_override_file(self, capsys, tmp_path, content):
         override = tmp_path / "base.json"
         override.write_text(content)

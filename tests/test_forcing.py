@@ -330,7 +330,7 @@ class TestVerifier:
             raise AssertionError("the verifier used the builder's group code")
 
         for name in ("lower_exponent_p_series", "frattini", "quotient",
-                     "conjugacy_classes", "_closure", "_commutators", "agemo",
+                     "conjugacy_classes", "_closure", "_commutators", "power_map", "prime",
                      "commutator_subgroup", "subgroup_closure", "is_normal", "center",
                      "intermediate_index_p_subgroups"):
             monkeypatch.setattr(FiniteGroup, name, builder_only)

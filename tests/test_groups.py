@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from forcing_lab import (
     FiniteGroup,
     InvalidPermutation,
+    NotAPGroup,
     NotNormal,
     OrderCapExceeded,
     Permutation,
@@ -607,3 +608,48 @@ def test_is_prime_matches_a_sieve_and_known_pseudoprimes():
     # the least strong pseudoprime to the first 13 prime bases is the limit
     with pytest.raises(PreconditionViolated):
         is_prime(PRIME_TEST_LIMIT)
+
+
+def test_prime_power_matches_a_brute_force_reference():
+    limit = 10_000
+    primes = [n for n in range(2, limit) if all(n % d for d in range(2, int(n ** 0.5) + 1))]
+    expected = {p ** k: (p, k) for p in primes for k in range(1, 14) if p ** k < limit}
+    assert [prime_power(n) for n in range(-2, limit)] == [expected.get(n) for n in range(-2, limit)]
+
+
+@pytest.mark.parametrize("spec", AXIOM_SPECS)
+def test_power_map_matches_repeated_multiplication(group_of, spec):
+    G = group_of(spec)
+    everything = np.arange(G.order)
+    for e in (0, 1, 2, 3, G.order, G.order + 1):
+        expected = np.zeros(G.order, dtype=np.int32)
+        for _ in range(e):
+            expected = G.mul_table[expected, everything]
+        powers = G.power_map(e)
+        assert np.array_equal(powers, expected), e
+        assert powers.dtype == np.int32 and not powers.flags.writeable
+        assert G.power_map(e) is powers
+        with pytest.raises(ValueError):
+            powers[0] = 0
+    with pytest.raises(PreconditionViolated):
+        G.power_map(-1)
+
+
+@pytest.mark.parametrize("spec, p", [("preset:Dihedral(8)", 2), ("preset:Heisenberg(3)", 3),
+                                     ("preset:Cyclic(121)", 11), ("preset:Cyclic(6)", None),
+                                     ("product:preset:GenQuaternion(1)|preset:Cyclic(3)", None)])
+def test_prime_of_a_p_group(group_of, spec, p):
+    G = group_of(spec)
+    if p is None:
+        with pytest.raises(NotAPGroup, match=f"order {G.order} is not a prime power"):
+            G.prime()
+    else:
+        assert G.prime() == p
+
+
+def test_is_abelian_from_generator_pairs_matches_the_whole_table(group_of):
+    specs = [spec for _, spec in p_group_specs(256)] + [e.spec for e in catalog_entries()]
+    for spec in specs:
+        G = group_of(spec)
+        for H in (G, G.quotient(G.center()).target):
+            assert H.is_abelian() == np.array_equal(H.mul_table, H.mul_table.T), spec
