@@ -121,6 +121,10 @@ def _expect(obj: Any, typ: type, where: str) -> Any:
 
 def _int_list(obj: Any, where: str) -> list[int]:
     _expect(obj, list, where)
+    # JSON decodes integers as exact ints; entry locations are formatted only
+    # for a list holding something else
+    if all(type(v) is int for v in obj):
+        return obj
     return [_expect(v, int, f"{where}[{i}]") for i, v in enumerate(obj)]
 
 

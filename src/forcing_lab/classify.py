@@ -46,8 +46,8 @@ def is_elementary_abelian(G: FiniteGroup) -> tuple[int, int] | None:
     p, n = pp
     if not G.is_abelian():
         return None
-    orders = np.unique(G.orders())
-    if not set(orders.tolist()) <= {1, p}:
+    # element orders of a p-group are powers of p
+    if int(G.orders().max()) > p:
         return None
     return (p, n)
 
@@ -84,11 +84,10 @@ def sylow_decomposition(G: FiniteGroup) -> SylowDecomposition:
     anything else raises NotNilpotent.
     """
     orders = G.orders()
-    distinct = np.unique(orders).tolist()
     factors: dict[int, Subgroup] = {}
     for p, k in sorted(factorize(G.order).items()):
-        p_orders = [o for o in distinct if set(factorize(o)) <= {p}]
-        members = np.flatnonzero(np.isin(orders, p_orders))
+        # an element order divides |G|, so it is a power of p exactly when it divides p^k
+        members = np.flatnonzero(p ** k % orders == 0)
         if len(members) != p ** k:
             raise NotNilpotent(
                 f"{len(members)} elements of {p}-power order, expected {p ** k}")

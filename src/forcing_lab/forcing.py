@@ -9,10 +9,12 @@ quotient-to-quotient map G/N_{i+1} -> G/N_i is forcing and no quotient G/N_i
 is generalized quaternion. Such a chain exists exactly when G is non-cyclic
 and not generalized quaternion.
 
-build_forcing_sequence constructs certificates from G's own table and one
-quotient per step: a step's witness is the class, in G/N_i, of the least x
-outside N_i with x^p in N_{i+1}, and a refinement candidate S is screened for
-a quaternion quotient by counting the elements of G that square into S.
+build_forcing_sequence constructs certificates from G's own table and its
+cached structures, and builds no quotient group: a step's witness is the
+class, in G/N_i, of the least x outside N_i with x^p in N_{i+1}, read as the
+image of x's class in G under the coset labels of N_i. It takes refinement
+candidates one at a time and screens each for a quaternion quotient by
+counting the elements of G that square into it.
 verify_certificate re-checks every claimed condition from scratch, and the
 forcing property over every class member by brute force. It works from G's
 own table, inverses and element orders alone, never from the builder's
@@ -43,7 +45,7 @@ from .errors import (
     PreconditionViolated,
     QuaternionGroup,
 )
-from .groups import FiniteGroup, QuotientMap, Subgroup, is_prime, prime_power
+from .groups import ConjugacyClass, FiniteGroup, QuotientMap, Subgroup, is_prime, prime_power
 from .groupspec import spec_text
 
 BUILDER_VERSION = "1"
@@ -131,8 +133,11 @@ def central_step_witness(G: FiniteGroup, upper: Subgroup,
     lower. Such x make up whole cosets of upper, as (xa)^p lies in x^p lower
     for a in upper, and whole conjugacy classes; their fibers hold p cosets
     of order p. The least x is the least member of its coset, so its class
-    has the least representative among the qualifying ones. None when there
-    is no such x: for a p-group, G/lower is then cyclic or quaternion.
+    has the least representative among the qualifying ones. Conjugation
+    commutes with projection, so that class is the image of x's class in G,
+    and x upper has order p, as x lies outside upper and x^p inside. None
+    when there is no such x: for a p-group, G/lower is then cyclic or
+    quaternion.
     """
     p = upper.order // lower.order
     if upper.order % lower.order or not is_prime(p):
@@ -146,11 +151,20 @@ def central_step_witness(G: FiniteGroup, upper: Subgroup,
     found = np.flatnonzero(in_lower[G.power_map(p)] & ~in_upper)
     if not len(found):
         return None
-    quotient = G.quotient(upper)
-    image = int(quotient.project[found[0]])
-    cls = next(c for c in quotient.target.conjugacy_classes() if image in c.members)
-    return ForcingWitness(class_rep=cls.representative, class_order=cls.order,
-                          checked_fiber_sizes=(p,) * len(cls.members))
+    x = int(found[0])
+    cls = next(c for c in G.conjugacy_classes() if x in c.members)
+    image = _image_class(G.quotient(upper).project, cls, p)
+    return ForcingWitness(class_rep=image.representative, class_order=image.order,
+                          checked_fiber_sizes=(p,) * len(image.members))
+
+
+def _image_class(project: np.ndarray, cls: ConjugacyClass, order: int) -> ConjugacyClass:
+    """The class of the quotient that is the image of cls under project, whose
+    elements have the given order: its distinct images, the least as its
+    representative."""
+    images = np.flatnonzero(np.bincount(project[list(cls.members)]))
+    return ConjugacyClass(representative=int(images[0]), members=tuple(images.tolist()),
+                          order=order)
 
 
 def _quaternion_quotient(G: FiniteGroup, S: Subgroup) -> bool:
@@ -169,8 +183,9 @@ def build_forcing_sequence(G: FiniteGroup) -> ForcingCertificate:
     time, always taking the first candidate subgroup (in canonical order)
     whose quotient is not generalized quaternion, as read from G's squares.
     For odd p no candidate is ever rejected; for p = 2 at most one candidate
-    per layer can be bad. Each step's witness comes from the one quotient
-    G/N_i of that step.
+    per layer can be bad, and only then are the layer's other candidates
+    built. Each step's witness is read from G's own classes and the coset
+    labels of N_i.
     """
     p = G.prime()
     if is_cyclic(G):
@@ -255,9 +270,18 @@ def _row_blocks(rows: np.ndarray, width: int) -> Iterator[np.ndarray]:
     return (rows[start:start + step] for start in range(0, len(rows), step))
 
 
+def _sorted_set(G: FiniteGroup, elements: np.ndarray) -> np.ndarray:
+    """The distinct element indices in elements, sorted, from a membership
+    mask: np.unique and np.union1d import numpy.ma on their first call, which
+    costs a fresh interpreter about 14 ms."""
+    mask = np.zeros(G.order, dtype=bool)
+    mask[elements] = True
+    return np.flatnonzero(mask).astype(np.int32)
+
+
 def _square_until_closed(G: FiniteGroup, seed: np.ndarray) -> np.ndarray:
     """Sorted members of the subgroup generated by seed: square until closed."""
-    members = np.union1d(seed, [0]).astype(np.int32)
+    members = _sorted_set(G, np.append(seed, 0))
     while True:
         products = np.zeros(G.order, dtype=bool)
         for block in _row_blocks(members, len(members)):
@@ -289,7 +313,7 @@ def _brute_series(G: FiniteGroup,
     while len(series[-1]) > 1:
         current = series[-1]
         series.append(_square_until_closed(
-            G, np.union1d(pth[current], np.flatnonzero(commutators(current)))))
+            G, np.append(pth[current], np.flatnonzero(commutators(current)))))
         if len(series[-1]) >= len(current):
             raise NotAPGroup("series failed to descend")
     return [tuple(term.tolist()) for term in series]
@@ -456,7 +480,7 @@ def verify_certificate(G: FiniteGroup, cert: ForcingCertificate) -> Verification
         labels = np.empty(G.order, dtype=np.int32)
         for block in _row_blocks(np.arange(G.order, dtype=np.int32), len(arrays[k])):
             labels[block] = _gather(G, block[:, None], arrays[k]).min(axis=1)
-        return labels, np.unique(labels)
+        return labels, _sorted_set(G, labels)
 
     quotient_index: list[int | None] = []
     for k in range(len(chain)):
@@ -515,7 +539,7 @@ def verify_certificate(G: FiniteGroup, cert: ForcingCertificate) -> Verification
         x = minima_up[int(witness.class_rep)]
         # the class of x N_{i+1}: the cosets of g^-1 x g over every g in G,
         # listed by label, so the least is the representative
-        members = np.unique(labels_up[mul[mul[G.inv_table, x], np.arange(G.order)]])
+        members = _sorted_set(G, labels_up[mul[mul[G.inv_table, x], np.arange(G.order)]])
         rep = int(np.searchsorted(minima_up, members[0]))
         order = int(orders_up[x])
         # the fiber over a class coset: the N_{i+2}-cosets of its elements

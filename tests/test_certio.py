@@ -143,13 +143,15 @@ class TestParseErrors:
         with pytest.raises(Malformed):
             parse(forged)
 
-    def test_wrong_value_type_rejected(self, cert_of):
+    @pytest.mark.parametrize("value, name", [("zero", "str"), (True, "bool")])
+    def test_wrong_value_type_rejected(self, cert_of, value, name):
         data = emit(_doc(cert_of, "preset:Dihedral(8)"))
         body = json.loads(data)
-        body["certificate"]["chain"][0][0] = "zero"
+        body["certificate"]["chain"][1][1] = value
         forged = _reforge(json.dumps(body).encode())
-        with pytest.raises(Malformed):
+        with pytest.raises(Malformed) as info:
             parse(forged)
+        assert str(info.value) == f"certificate.chain[1][1]: expected int, got {name}"
 
     def test_missing_witness_rejected(self, cert_of):
         data = emit(_doc(cert_of, "preset:Dihedral(8)"))

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from forcing_lab.cli import main
 from forcing_lab.groups import MAX_ORDER_CAP
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -356,3 +362,27 @@ class TestHeaderAndCap:
                            str(MAX_ORDER_CAP), "--no-header")
         assert code == 0
         assert "order: 27" in out
+
+
+def test_commands_leave_numpy_ma_unimported(tmp_path):
+    """np.unique and its relatives import numpy.ma, about 14 ms of a fresh
+    interpreter's start, which no command needs."""
+    cert = str(tmp_path / "sd32.fcert.json")
+    commands = [["forcing-seq", "preset:SemiDihedral(32)", "--out", cert, "--no-header"],
+                ["verify", cert, "--no-header"],
+                ["analyze", "preset:Heisenberg(5)", "--no-header"],
+                ["delta", "product:preset:Heisenberg(3)|preset:ElemAbelian(5,2)", "--ell", "7",
+                 "--no-header"]]
+    script = ("import contextlib, io, json, sys\n"
+              "from forcing_lab.cli import main\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        code = main(argv)\n"
+              "    print(argv[0], code, 'numpy.ma' in sys.modules)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", script, json.dumps(commands)], cwd=tmp_path,
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [f"{argv[0]} 0 False" for argv in commands]

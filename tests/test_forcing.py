@@ -30,6 +30,7 @@ from forcing_lab import (
     two_group_specs,
     verify_certificate,
 )
+from forcing_lab import forcing
 from forcing_lab.forcing import _BLOCK_ITEMS, _coset_orders, _quaternion_quotient, _row_blocks
 
 BUILDABLE = [
@@ -215,7 +216,7 @@ class TestQuaternionDetour:
         G = group_of(TWISTED_C4_SPEC)
         series = G.lower_exponent_p_series()
         assert [len(s.members) for s in series] == [16, 4, 1]
-        candidates = G.intermediate_index_p_subgroups(series[1], series[2], 2)
+        candidates = list(G.intermediate_index_p_subgroups(series[1], series[2], 2))
         assert len(candidates) == 3
         flags = []
         for cand in candidates:
@@ -398,20 +399,19 @@ class TestVerifier:
         assert len(labels) == len(set(labels))
 
 
-def _largest_member_representatives(original):
-    def conjugacy_classes(self):
-        return tuple(replace(c, representative=max(c.members)) for c in original(self))
-    return conjugacy_classes
+def _largest_member_representative(original):
+    def image_class(project, cls, order):
+        image = original(project, cls, order)
+        return replace(image, representative=max(image.members))
+    return image_class
 
 
 def _reversed_target_labels(original):
     def quotient(self, N):
         q = original(self, N)
         # t -> |Q| - t for t >= 1 is an involution, so it is its own inverse
-        relabel = np.concatenate([[0], np.arange(q.target.order - 1, 0, -1)])
-        table = relabel[q.target.mul_table[np.ix_(relabel, relabel)]]
-        target = FiniteGroup(table, [int(relabel[g]) for g in q.target.generators])
-        return QuotientMap(self, N, target, relabel[q.project])
+        relabel = np.concatenate([[0], np.arange(self.order // N.order - 1, 0, -1)])
+        return QuotientMap(self, N, relabel[q.project])
     return quotient
 
 
@@ -419,16 +419,16 @@ class TestBuilderBugsAreCaught:
     """Certificates built under a subtly wrong builder kernel fail
     verification, both while the bug is live and after it is undone."""
 
-    @pytest.mark.parametrize("method, bug, spec", [
-        ("conjugacy_classes", _largest_member_representatives, "preset:Dihedral(16)"),
-        ("conjugacy_classes", _largest_member_representatives, "preset:SemiDihedral(16)"),
-        ("quotient", _reversed_target_labels, "preset:SemiDihedral(16)"),
-        ("quotient", _reversed_target_labels, "preset:ModularMaximalCyclic(16)"),
+    @pytest.mark.parametrize("owner, method, bug, spec", [
+        (forcing, "_image_class", _largest_member_representative, "preset:Dihedral(16)"),
+        (forcing, "_image_class", _largest_member_representative, "preset:SemiDihedral(16)"),
+        (FiniteGroup, "quotient", _reversed_target_labels, "preset:SemiDihedral(16)"),
+        (FiniteGroup, "quotient", _reversed_target_labels, "preset:ModularMaximalCyclic(16)"),
     ])
-    def test_forged_certificate_fails(self, monkeypatch, cert_of, method, bug, spec):
+    def test_forged_certificate_fails(self, monkeypatch, cert_of, owner, method, bug, spec):
         # a fresh group: the bug must not leave cached structure on a shared one
         G = parse_group_spec(spec)
-        monkeypatch.setattr(FiniteGroup, method, bug(getattr(FiniteGroup, method)))
+        monkeypatch.setattr(owner, method, bug(getattr(owner, method)))
         forged = build_forcing_sequence(G)
         live = verify_certificate(G, forged)
         monkeypatch.undo()

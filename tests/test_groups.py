@@ -113,6 +113,32 @@ def test_element_orders_divide_group_order(group_of, spec):
         assert Permutation(tuple(images)).order() == int(orders[i])
 
 
+def _orders_by_multiplication(G):
+    """Reference: the least k with x^k = 1, multiplying by x once per step."""
+    x = np.arange(G.order)
+    power, orders = x.copy(), np.zeros(G.order, dtype=np.int64)
+    k = 1
+    while not orders.all():
+        orders[(power == 0) & (orders == 0)] = k
+        power = G.mul_table[power, x]
+        k += 1
+    return orders
+
+
+def test_orders_match_repeated_multiplication(group_of):
+    specs = [spec for _, spec in p_group_specs(256)] + [e.spec for e in catalog_entries()]
+    specs += ["preset:Cyclic(6)", "product:perm:3:(0 1 2),(0 1)|preset:Cyclic(3)",
+              "product:preset:Heisenberg(5)|preset:ElemAbelian(3,2)", "preset:Cyclic(1024)"]
+    S3xC3 = group_of("product:perm:3:(0 1 2),(0 1)|preset:Cyclic(3)")
+    cases = [(spec, group_of(spec)) for spec in specs]
+    cases.append(("S3 x C3 / Z", S3xC3.quotient(S3xC3.center()).target))
+    assert cases[-1][1].order == 6
+    for name, G in cases:
+        orders = G.orders()
+        assert np.array_equal(orders, _orders_by_multiplication(G)), name
+        assert orders.dtype == np.int32 and not orders.flags.writeable, name
+
+
 def test_elements_sorted_and_identity_first(group_of):
     G = group_of("preset:Dihedral(8)")
     points = G.points.tolist()
@@ -309,15 +335,15 @@ def test_nested_quotient_labels_align(group_of):
 
 def test_intermediate_index_p_subgroups_elementary_abelian(group_of):
     E9 = group_of("preset:ElemAbelian(3,2)")
-    subs = E9.intermediate_index_p_subgroups(E9.whole_subgroup(),
-                                             E9.trivial_subgroup(), 3)
+    subs = list(E9.intermediate_index_p_subgroups(E9.whole_subgroup(),
+                                                  E9.trivial_subgroup(), 3))
     assert len(subs) == 4
     assert all(len(s.members) == 3 for s in subs)
     assert len({s.members for s in subs}) == 4
 
     V4 = group_of("preset:ElemAbelian(2,2)")
-    subs = V4.intermediate_index_p_subgroups(V4.whole_subgroup(),
-                                             V4.trivial_subgroup(), 2)
+    subs = list(V4.intermediate_index_p_subgroups(V4.whole_subgroup(),
+                                                  V4.trivial_subgroup(), 2))
     assert [len(s.members) for s in subs] == [2, 2, 2]
 
 
@@ -427,6 +453,25 @@ def _index_p_reference(G, A, B, p):
     return sorted(S for S in level if len(S) * p == A.order)
 
 
+def test_index_p_candidates_are_built_on_demand(group_of, monkeypatch):
+    G = group_of("preset:ElemAbelian(2,4)")
+    whole, trivial = G.whole_subgroup(), G.trivial_subgroup()
+    built = []
+    original = Subgroup.__post_init__
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(Subgroup, "__post_init__", counted)
+    candidates = G.intermediate_index_p_subgroups(whole, trivial, 2)
+    first = next(candidates)
+    assert len(built) == 1
+    rest = list(candidates)
+    assert len(built) == 15
+    assert [S.members for S in [first] + rest] == _index_p_reference(G, whole, trivial, 2)
+
+
 def test_index_p_candidates_match_closure_reference(group_of):
     """Every series layer of rank at most 4 of the p-groups of order at most
     128, and the layers from each candidate down to the same bottom."""
@@ -438,7 +483,7 @@ def test_index_p_candidates_match_closure_reference(group_of):
         for A, B in zip(series[1:-1], series[2:]):
             if A.order > B.order * p ** 4:
                 continue
-            candidates = G.intermediate_index_p_subgroups(A, B, p)
+            candidates = list(G.intermediate_index_p_subgroups(A, B, p))
             assert [S.members for S in candidates] == _index_p_reference(G, A, B, p), spec
             for S in candidates:
                 if S.order > B.order:
