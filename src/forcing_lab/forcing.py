@@ -301,6 +301,22 @@ def _commutator_mask(G: FiniteGroup, members: np.ndarray) -> np.ndarray:
     return mask
 
 
+def _nested_commutator_masks(G: FiniteGroup, chain: list[np.ndarray]) -> dict[bytes, np.ndarray]:
+    """_commutator_mask of every entry of a nested chain N_0 > N_1 > ...,
+    keyed by the entry's bytes, from |N_0| n products: each x adds [x, G]
+    once, at the deepest entry holding it, and an entry's mask is the union
+    of those at and below it."""
+    depth = np.full(G.order, -1, dtype=np.int32)
+    for k, members in enumerate(chain):
+        depth[members] = k
+    masks = {}
+    below = np.zeros(G.order, dtype=bool)
+    for k in reversed(range(len(chain))):
+        below = below | _commutator_mask(G, np.flatnonzero(depth == k).astype(np.int32))
+        masks[chain[k].tobytes()] = below
+    return masks
+
+
 def _brute_series(G: FiniteGroup,
                   commutators: Callable[[np.ndarray], np.ndarray]) -> list[tuple[int, ...]]:
     """The lower exponent-p series G_j = G_{j-1}^p [G_{j-1}, G], from all p-th
@@ -419,7 +435,8 @@ def verify_certificate(G: FiniteGroup, cert: ForcingCertificate) -> Verification
     checks.append(CheckResult("chain-descending", descending,
                               "entries must strictly decrease"))
 
-    commutator_masks: dict[bytes, np.ndarray] = {}
+    # a nested chain's masks come from one pass over its first entry
+    commutator_masks = _nested_commutator_masks(G, arrays) if descending else {}
 
     def commutators(members: np.ndarray) -> np.ndarray:
         key = members.tobytes()

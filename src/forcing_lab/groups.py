@@ -10,6 +10,8 @@ time; no element is ever a Python tuple. Derived groups come from table
 arithmetic: a direct product composes its factors' tables, a quotient or
 subgroup relabels the parent's. A group built from a table alone acts on
 itself by right multiplication, so its points are the transposed table.
+Building a group makes no full-table temporary: every kernel that reads or
+writes a whole table does so in row slabs of at most _SLAB_ITEMS items.
 
 One kernel closes subgroups from generators, never by squaring member sets:
 ``FiniteGroup._closure`` (Dimino's algorithm) serves ``subgroup_closure`` and
@@ -45,6 +47,20 @@ DEFAULT_ORDER_CAP = 2048
 MAX_ORDER_CAP = 8192
 
 _IDX = np.int32
+# int32 stored big-endian, so that rows compare as byte strings (_row_keys)
+_BIG = np.dtype(">i4")
+
+# items per row slab of the table kernels that build groups: a slab's int32
+# block and its intp indices stay far below a quarter of an order-1024 table,
+# and a table of order up to 181 is one slab
+_SLAB_ITEMS = 1 << 15
+
+
+def _slabs(rows: int, width: int) -> Iterator[slice]:
+    """Consecutive slices of rows, each at most _SLAB_ITEMS // width rows
+    (one row at least)."""
+    step = max(1, _SLAB_ITEMS // max(width, 1))
+    return (slice(start, start + step) for start in range(0, rows, step))
 
 
 # the first 13 primes; as Miller-Rabin bases they decide every n below
@@ -250,7 +266,8 @@ class QuotientMap:
             reps[project] = np.arange(source.order, dtype=_IDX)
             gens = dict.fromkeys(int(project[g]) for g in source.generators)
             gens.pop(0, None)
-            self._target = FiniteGroup(project[source.mul_table[np.ix_(reps, reps)]], list(gens))
+            self._target = FiniteGroup(_induced_table(source.mul_table, reps, project),
+                                       list(gens))
         return self._target
 
     def fiber(self, t: int) -> tuple[int, ...]:
@@ -279,8 +296,11 @@ class FiniteGroup:
         points.setflags(write=False)
         self.points = points
         self.degree = points.shape[1]
-        # the identity 0 is each row's least entry, and appears in it once
-        inv = mul.argmin(axis=1).astype(_IDX)
+        # the identity 0 is each row's least entry, and appears in it once;
+        # argmin copies a read-only array whole, so it reads a slab at a time
+        inv = np.empty(n, dtype=_IDX)
+        for rows in _slabs(n, n):
+            inv[rows] = mul[rows].argmin(axis=1)
         inv.setflags(write=False)
         self._inv = inv
         self.generators = tuple(int(g) for g in generators)
@@ -504,7 +524,9 @@ class FiniteGroup:
         if not self.is_normal(N):
             raise NotNormal(f"subgroup of order {N.order} is not normal")
         nmem = N.member_array()
-        rep = self._mul[:, nmem].min(axis=1)
+        rep = np.empty(self.order, dtype=_IDX)
+        for rows in _slabs(self.order, N.order):
+            rep[rows] = self._mul[rows][:, nmem].min(axis=1)
         return QuotientMap(self, N, np.searchsorted(_distinct(rep, self.order), rep))
 
     def conjugacy_classes(self) -> tuple[ConjugacyClass, ...]:
@@ -605,20 +627,36 @@ class FiniteGroup:
         return itertools.chain([first], others())
 
 
+def _induced_table(mul: np.ndarray, elements: np.ndarray, label: np.ndarray) -> np.ndarray:
+    """The int32 table label[x y] for x, y in elements, filled in row slabs."""
+    k = len(elements)
+    table = np.empty((k, k), dtype=_IDX)
+    for rows in _slabs(k, k):
+        np.take(label, mul[np.ix_(elements[rows], elements)], out=table[rows], mode="clip")
+    return table
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """A view of each row of a C-contiguous big-endian int32 array as one
+    byte string; their memcmp order is the rows' lexicographic order."""
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).reshape(len(rows))
+
+
 def _dimino(gen_rows: list[np.ndarray], degree: int, cap: int
-            ) -> tuple[np.ndarray, dict[bytes, int], list[tuple[int, int, int, int, bool]]]:
+            ) -> tuple[np.ndarray, list[tuple[int, int, int, int, bool]]]:
     """Dimino's algorithm on int32 image rows. The first generator's powers
     come by doubling, x^b[P] on the block P of powers found so far, cut at
     the first identity row; each further generator adds right cosets H r of
     the group H found before it, one gather r[H] each, for r the products of
     found representatives with every generator so far.
 
-    Returns the rows in discovery order (the identity first), a dict from
-    each row's bytes to its discovery index, and one (start, size, parent,
-    generator, doubled) per block: rows [start, start + size) are the rows
-    [parent, parent + size) times the generator, or, when doubled, times
-    x^start for the first generator x. Raises OrderCapExceeded before a
-    block would take the order past cap."""
+    Returns the rows in discovery order (the identity first), stored
+    big-endian, and one (start, size, parent, generator, doubled) per block:
+    rows [start, start + size) are the rows [parent, parent + size) times
+    the generator, or, when doubled, times x^start for the first generator
+    x. The dict from each row's bytes to its discovery index, which the
+    membership tests read, is dropped before the rows are joined. Raises
+    OrderCapExceeded before a block would take the order past cap."""
     key = np.dtype((np.void, 4 * degree))
     ident = np.arange(degree, dtype=_IDX)
     found = {ident.tobytes(): 0}
@@ -651,6 +689,8 @@ def _dimino(gen_rows: list[np.ndarray], degree: int, cap: int
                 if len(hit):
                     break
                 power = power[power]
+            # blocks holds the last block; drop the loop's own hold on it
+            del block, b
         else:
             # s is not in H, so the group has at least 2|H| elements
             if 2 * n > cap:
@@ -672,18 +712,21 @@ def _dimino(gen_rows: list[np.ndarray], degree: int, cap: int
                     blocks.append(block)
                     n += h
         used.append(gi)
-    return np.concatenate(blocks), found, fills
+    del found
+    return np.concatenate(blocks, dtype=_BIG), fills
 
 
 def from_generators(gens: Sequence[Permutation], degree: int,
                     cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Enumerate the group generated by gens and build its product table.
 
-    The rows come from ``_dimino`` and are sorted with np.lexsort. A
-    generator's column, the index of x s for every x, is one gather of all
-    rows looked up in the dict. The table is filled a block at a time, as
-    mul[:, H r s] = col_s[mul[:, H r]]. Raises OrderCapExceeded once the
-    order would pass cap.
+    The big-endian rows from ``_dimino`` are sorted in place as byte
+    strings, which is lexicographic order; their discovery order is one
+    argsort of the same keys. A generator's column, the index of x s for
+    every x, is looked up in the sorted rows by binary search, a slab of
+    rows at a time. The rows then become the points, byte-swapped in place.
+    The table is filled a block at a time, as mul[:, H r s] = col_s[mul[:, H r]],
+    in row slabs. Raises OrderCapExceeded once the order would pass cap.
     """
     if cap < 1:
         raise PreconditionViolated("cap must be at least 1")
@@ -698,23 +741,28 @@ def from_generators(gens: Sequence[Permutation], degree: int,
         if g.images not in gen_images:
             gen_images.append(g.images)
     gen_rows = [np.array(images, dtype=_IDX) for images in gen_images]
-    rows, found, fills = _dimino(gen_rows, degree, cap)
+    rows, fills = _dimino(gen_rows, degree, cap)
     n = len(rows)
-    order = np.lexsort(rows.T[::-1])
+    keys = _row_keys(rows)
+    order = keys.argsort()
     if order[0] != 0:
         raise PreconditionViolated("identity is not the least element; ordering is corrupt")
-    rank = np.empty(n, dtype=_IDX)
-    rank[order] = np.arange(n, dtype=_IDX)
-    points = rows[order]
-    del rows
+    keys.sort()
 
     def index_of(block: np.ndarray) -> np.ndarray:
-        keys = block.view(np.dtype((np.void, 4 * degree))).ravel().tolist()
-        return rank[np.fromiter(map(found.__getitem__, keys), dtype=np.int64, count=len(keys))]
+        """The sorted index of each row of an int32 block of group elements."""
+        return np.searchsorted(keys, _row_keys(block.astype(_BIG)))
 
-    cols = {gi: index_of(gen_rows[gi][points]) for gi in {fill[3] for fill in fills}}
-    generators = [int(rank[found[row.tobytes()]]) for row in gen_rows]
-    del found
+    cols = {}
+    for gi in {fill[3] for fill in fills}:
+        cols[gi] = np.empty(n, dtype=_IDX)
+        for slab in _slabs(n, degree):
+            cols[gi][slab] = index_of(gen_rows[gi][rows[slab]])
+    generators = index_of(np.array(gen_images, dtype=_IDX).reshape(-1, degree)).tolist()
+    del keys
+    if not rows.dtype.isnative:
+        rows.byteswap(inplace=True)
+    points = rows.view(_IDX)
     # rows by sorted index, columns in discovery order, so each block is a slice
     mul = np.empty((n, n), dtype=_IDX)
     mul[:, 0] = np.arange(n, dtype=_IDX)
@@ -723,39 +771,48 @@ def from_generators(gens: Sequence[Permutation], degree: int,
         if doubled:
             power = cols[gi] if power is None else power[power]
         col = power if doubled else cols[gi]
-        # np.take copies a block's indices as intp, so a large block goes in
-        # slabs of rows; 'clip' is safe, as the indices are in range, and
-        # spares the output buffer that 'raise' makes
-        step = (1 << 18) // max(size, 1)
-        for i in range(0, n, step):
-            np.take(col, mul[i:i + step, parent:parent + size],
-                    out=mul[i:i + step, start:start + size], mode="clip")
+        # 'clip' is safe, as the indices are in range, and spares the output
+        # buffer that 'raise' makes
+        for slab in _slabs(n, size):
+            np.take(col, mul[slab, parent:parent + size],
+                    out=mul[slab, start:start + size], mode="clip")
     # relabel the columns in slabs of rows, so no second n x n array is made
-    for i in range(0, n, 256):
-        mul[i:i + 256] = np.take(mul[i:i + 256], order, axis=1)
+    for slab in _slabs(n, n):
+        mul[slab] = np.take(mul[slab], order, axis=1)
     return FiniteGroup(mul, generators, points)
 
 
 def direct_product(groups: Sequence[FiniteGroup], cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Direct product acting on the disjoint union of the factors' points.
 
-    The table is composed from the factors' tables: an element is the
-    mixed-radix index of its factor elements, first factor most significant.
-    Every group's points sort like its indices, so the product's points do too.
+    An element is the mixed-radix index of its factor elements, first factor
+    most significant, so factor i contributes weight_i mul_i[x_i, y_i] to
+    the product of x and y. The table and the points are filled a row slab
+    at a time, straight from the factors' tables and points. Every group's
+    points sort like its indices, so the product's points do too.
     """
     if not groups:
         raise PreconditionViolated("empty product")
-    if prod(g.order for g in groups) > cap:
+    n = prod(g.order for g in groups)
+    if n > cap:
         raise OrderCapExceeded(cap)
-    mul = np.zeros((1, 1), dtype=_IDX)
-    points = np.zeros((1, 0), dtype=_IDX)
-    gens: list[int] = []
-    for g in groups:
-        m, n = len(mul), g.order
-        mul = (mul[:, None, :, None] * n + g.mul_table[None, :, None, :]).reshape(m * n, m * n)
-        points = np.hstack([np.repeat(points, n, axis=0),
-                            np.tile(g.points + points.shape[1], (m, 1))])
-        gens = [x * n for x in gens] + list(g.generators)
+    weights = [prod(g.order for g in groups[i + 1:]) for i in range(len(groups))]
+    index = np.arange(n, dtype=_IDX)
+    digits = [index // w % g.order for g, w in zip(groups, weights)]
+    offsets = np.cumsum([0] + [g.degree for g in groups]).tolist()
+    mul = np.empty((n, n), dtype=_IDX)
+    points = np.empty((n, offsets[-1]), dtype=_IDX)
+    for slab in _slabs(n, n):
+        rows = np.zeros((1, 1), dtype=_IDX)
+        # last factor first: y_i leads the digits of y already laid out
+        for g, w, d in zip(groups[::-1], weights[::-1], digits[::-1]):
+            term = g.mul_table[d[slab]] * w
+            rows = (term[:, :, None] + rows[:, None, :]).reshape(len(term), -1)
+        mul[slab] = rows
+    for g, d, off in zip(groups, digits, offsets):
+        for slab in _slabs(n, g.degree):
+            np.add(g.points[d[slab]], off, out=points[slab, off:off + g.degree])
+    gens = [x * w for g, w in zip(groups, weights) for x in g.generators]
     return FiniteGroup(mul, list(dict.fromkeys(gens)), points)
 
 
@@ -771,5 +828,8 @@ def subgroup_as_group(H: Subgroup, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     parent = H.parent
     _, gens = parent._closure(H.members)
     m = H.member_array()
-    table = np.searchsorted(m, parent.mul_table[np.ix_(m, m)])
-    return FiniteGroup(table, np.searchsorted(m, gens).tolist() or [0], parent.points[m])
+    # position[x] is x's index among the members
+    position = np.zeros(parent.order, dtype=_IDX)
+    position[m] = np.arange(len(m), dtype=_IDX)
+    table = _induced_table(parent.mul_table, m, position)
+    return FiniteGroup(table, position[gens].tolist() or [0], parent.points[m])

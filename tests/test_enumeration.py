@@ -1,5 +1,5 @@
-"""from_generators against a breadth-first reference, preset cap checks, and
-the memory the parse layer may take."""
+"""from_generators against a breadth-first reference, its row order, preset
+cap checks, and the memory the parse layer may take."""
 
 import time
 import tracemalloc
@@ -18,9 +18,10 @@ from forcing_lab import (
     p_group_specs,
     parse_group_spec,
     spec_text,
+    subgroup_as_group,
 )
 from forcing_lab.cli import main
-from forcing_lab.groups import PRIME_TEST_LIMIT
+from forcing_lab.groups import _BIG, PRIME_TEST_LIMIT, _row_keys
 
 
 def reference_from_generators(gens, degree, cap=2048):
@@ -157,9 +158,34 @@ def _peak_bytes(fn):
 
 
 class TestParseMemory:
-    def test_parse_peak_is_a_few_tables(self):
-        G, peak = _peak_bytes(lambda: parse_group_spec("preset:Dihedral(1024)"))
-        assert peak <= 4 * (G.mul_table.nbytes + G.points.nbytes)
+    @pytest.mark.parametrize("spec", ["preset:Dihedral(1024)", "preset:Heisenberg(11)",
+                                      "preset:ElemAbelian(2,10)",
+                                      "product:preset:Dihedral(32)|preset:Dihedral(32)"])
+    def test_parse_peak_is_a_few_tables(self, spec):
+        G, peak = _peak_bytes(lambda: parse_group_spec(spec))
+        table = G.mul_table.nbytes
+        assert peak <= table + G.points.nbytes + table // 4
+
+    def test_read_only_table_is_not_copied(self, group_of):
+        table = np.array(group_of("preset:Dihedral(1024)").mul_table)
+        table.setflags(write=False)
+        _, peak = _peak_bytes(lambda: FiniteGroup(table, [1]))
+        assert peak <= table.nbytes // 4
+
+    def test_subgroup_as_group_peak(self, group_of):
+        G = group_of("preset:Dihedral(1024)")
+        H = G.subgroup_closure([G.generators[0]])
+        assert H.order == 512
+        K, peak = _peak_bytes(lambda: subgroup_as_group(H))
+        table = K.mul_table.nbytes
+        assert peak <= table + K.points.nbytes + table // 4
+
+    def test_large_degree_parses_quickly_and_small(self):
+        t0 = time.perf_counter()
+        G, peak = _peak_bytes(lambda: parse_group_spec("perm:100000:(0 1)"))
+        assert time.perf_counter() - t0 < 1.0
+        assert G.order == 2 and G.degree == 100000
+        assert peak < 16 * 2 ** 20
 
     @pytest.mark.parametrize("spec", ["preset:Cyclic(2049)", "preset:Dihedral(4098)",
                                       "preset:Heisenberg(53)", "preset:Abelian(2048,2048)",
@@ -173,6 +199,19 @@ class TestParseMemory:
                 parse_group_spec(spec)
         _, peak = _peak_bytes(parse)
         assert peak < 2 ** 20
+
+
+class TestRowOrder:
+    def test_big_endian_keys_sort_lexicographically(self):
+        # values past 255 differ in more than their lowest byte, so keys read
+        # in the wrong byte order would sort differently
+        rng = np.random.default_rng(7)
+        rows = rng.integers(256, 1 << 20, size=(3000, 5), dtype=np.int32)
+        rows[:, :2] = 256 + rows[:, :2] % 3  # ties in the leading points
+        rows = np.unique(rows, axis=0)
+        rows = rows[rng.permutation(len(rows))]
+        keys = _row_keys(rows.astype(_BIG))
+        assert np.array_equal(keys.argsort(), np.lexsort(rows.T[::-1]))
 
 
 class TestPresetOrderCheck:
