@@ -49,13 +49,13 @@ def _cyclic_order(k: int) -> int:
 
 
 def _cyclic(k: int, cap: int) -> FiniteGroup:
-    """Z/k by arithmetic, x^i x^j = x^(i+j mod k). The generator x is the
-    k-cycle a -> a + 1 mod k, so x^i sends a to a + i and the points are the
-    table itself, sorted as from_generators would sort them."""
+    """Z/k by arithmetic, x^i x^j = x^(i+j mod k). The group acts on itself
+    by right multiplication: x is the k-cycle a -> a + 1 mod k, and x^i sends
+    a to a + i, as from_generators would index it."""
     i = np.arange(k, dtype=np.int32)
     table = i[:, None] + i
     table %= k
-    return FiniteGroup(table, [1 % k], table)
+    return FiniteGroup(table, [1 % k])
 
 
 def _elem_abelian_order(p: int, r: int) -> int:

@@ -27,8 +27,6 @@ from .forcing import ForcingCertificate, build_forcing_sequence, verify_certific
 from .groups import FiniteGroup, is_prime, prime_power, subgroup_as_group
 from .groupspec import spec_text
 
-Rational = Fraction
-
 
 def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
@@ -47,7 +45,6 @@ class AnalyticConstants:
     beta: Fraction = Fraction(35)
     gamma: Fraction = Fraction(19)
     epsilon_delta: Fraction = Fraction(0)
-    d0_note: str | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "beta", Fraction(self.beta))

@@ -2,16 +2,19 @@
 
 Every group is fully enumerated: an element is an index into its numpy
 multiplication table, index 0 is the identity, and mul(a, b) applies a first,
-then b. Permutations are only an input format and enter only through
-from_generators: ``points`` holds each element's images, sorted (identity
-first, then lexicographic). It enumerates by Dimino's algorithm on blocks of
-int32 image rows, one gather per coset, and fills the table a coset at a
-time; no element is ever a Python tuple. Derived groups come from table
-arithmetic: a direct product composes its factors' tables, a quotient or
-subgroup relabels the parent's. A group built from a table alone acts on
-itself by right multiplication, so its points are the transposed table.
-Building a group makes no full-table temporary: every kernel that reads or
-writes a whole table does so in row slabs of at most _SLAB_ITEMS items.
+then b. A group holds its table, its inverses and one image row per
+generator. Permutations are only an input format and enter only through
+from_generators, which indexes the elements by their image rows, sorted
+(identity first, then lexicographic). It enumerates by Dimino's algorithm on
+blocks of int32 image rows, one gather per coset, fills the table a coset at
+a time and then drops the rows; no element is ever a Python tuple.
+``points``, every element's image row, is recomputed from the generators'
+rows when read. Derived groups come from table arithmetic: a direct product
+composes its factors' tables, a quotient or subgroup relabels the parent's.
+A group built from a table alone acts on itself by right multiplication, so
+its points are the transposed table. Building a group makes no full-table
+temporary: every kernel that reads or writes a whole table does so in row
+slabs of at most _SLAB_ITEMS items.
 
 One kernel closes subgroups from generators, never by squaring member sets:
 ``FiniteGroup._closure`` (Dimino's algorithm) serves ``subgroup_closure`` and
@@ -281,21 +284,24 @@ class QuotientMap:
 
 
 class FiniteGroup:
-    """A fully enumerated group: product table, generator indices and element images."""
+    """A fully enumerated group: product table, generator indices and generator images."""
 
     def __init__(self, mul_table: np.ndarray, generators: Sequence[int],
-                 points: np.ndarray | None = None, spec: str | None = None) -> None:
+                 generator_images: np.ndarray | None = None, spec: str | None = None) -> None:
         # C order: flat gathers then index a view of the table, never a copy
         mul = np.ascontiguousarray(mul_table, dtype=_IDX)
         n = len(mul)
-        points = mul.T if points is None else np.asarray(points, dtype=_IDX)
-        if mul.shape != (n, n) or len(points) != n:
-            raise PreconditionViolated("multiplication table or points shape mismatch")
+        self.generators = tuple(int(g) for g in generators)
+        images = None if generator_images is None else np.asarray(generator_images, dtype=_IDX)
+        if mul.shape != (n, n) or images is not None and (
+                images.ndim != 2 or len(images) != len(self.generators)):
+            raise PreconditionViolated("multiplication table or generator images shape mismatch")
         mul.setflags(write=False)
         self._mul = mul
-        points.setflags(write=False)
-        self.points = points
-        self.degree = points.shape[1]
+        if images is not None:
+            images.setflags(write=False)
+        self._images = images
+        self.degree = n if images is None else images.shape[1]
         # the identity 0 is each row's least entry, and appears in it once;
         # argmin copies a read-only array whole, so it reads a slab at a time
         inv = np.empty(n, dtype=_IDX)
@@ -303,7 +309,6 @@ class FiniteGroup:
             inv[rows] = mul[rows].argmin(axis=1)
         inv.setflags(write=False)
         self._inv = inv
-        self.generators = tuple(int(g) for g in generators)
         self.spec = spec
         self._orders: np.ndarray | None = None
         self._powers: dict[int, np.ndarray] = {}
@@ -321,6 +326,41 @@ class FiniteGroup:
     @property
     def inv_table(self) -> np.ndarray:
         return self._inv
+
+    @property
+    def generator_images(self) -> np.ndarray:
+        """One row per generator: its images of the points 0..degree-1."""
+        if self._images is None:
+            return self._mul[:, self.generators].T
+        return self._images
+
+    @property
+    def points(self) -> np.ndarray:
+        """Every element's images of the points, a read-only row per element,
+        computed on each read. A group given by its table alone acts on
+        itself by right multiplication, so its points are the transposed
+        table. Otherwise they spread from the identity one breadth-first
+        level at a time: x g sends a point to where g sends x's image of it."""
+        if self._images is None:
+            return self._mul.T
+        points = np.empty((self.order, self.degree), dtype=_IDX)
+        points[0] = np.arange(self.degree, dtype=_IDX)
+        reached = np.zeros(self.order, dtype=bool)
+        reached[0] = True
+        level = np.zeros(1, dtype=_IDX)
+        while len(level) and self.generators:
+            found = []
+            for g, image in zip(self.generators, self._images):
+                y = self._mul[level, g]
+                new = ~reached[y]
+                x, y = level[new], y[new]
+                reached[y] = True
+                for slab in _slabs(len(y), self.degree):
+                    points[y[slab]] = image[points[x[slab]]]
+                found.append(y)
+            level = np.concatenate(found)
+        points.setflags(write=False)
+        return points
 
     def mul(self, a: int, b: int) -> int:
         return int(self._mul[a, b])
@@ -345,11 +385,6 @@ class FiniteGroup:
             orders.setflags(write=False)
             self._orders = orders
         return self._orders
-
-    def element_order(self, x: int) -> int:
-        if not 0 <= x < self.order:
-            raise PreconditionViolated(f"element index {x} out of range")
-        return int(self.orders()[x])
 
     def power_map(self, e: int) -> np.ndarray:
         """x^e for every element x, by square-and-multiply over whole
@@ -479,11 +514,9 @@ class FiniteGroup:
                 return Subgroup._checked(self, tuple(members.tolist()))
             seed = np.concatenate([g, np.flatnonzero(new)])
 
-    def frattini(self, p: int | None = None) -> Subgroup:
+    def frattini(self) -> Subgroup:
         """G^p [G,G] for a p-group: the Frattini subgroup, which is the second
         term of the lower exponent-p series."""
-        if p is not None and p != self.prime():
-            raise NotAPGroup(f"order {self.order} is not a power of {p}")
         return self.lower_exponent_p_series()[1]
 
     def lower_exponent_p_series(self) -> list[Subgroup]:
@@ -724,9 +757,9 @@ def from_generators(gens: Sequence[Permutation], degree: int,
     strings, which is lexicographic order; their discovery order is one
     argsort of the same keys. A generator's column, the index of x s for
     every x, is looked up in the sorted rows by binary search, a slab of
-    rows at a time. The rows then become the points, byte-swapped in place.
-    The table is filled a block at a time, as mul[:, H r s] = col_s[mul[:, H r]],
-    in row slabs. Raises OrderCapExceeded once the order would pass cap.
+    rows at a time. The rows are then dropped: the group keeps only the
+    generators' images. The table is filled a block at a time, as
+    mul[:, H r s] = col_s[mul[:, H r]], in row slabs. Raises OrderCapExceeded once the order would pass cap.
     """
     if cap < 1:
         raise PreconditionViolated("cap must be at least 1")
@@ -740,8 +773,8 @@ def from_generators(gens: Sequence[Permutation], degree: int,
             raise InvalidPermutation(f"generator degree {g.degree} != {degree}")
         if g.images not in gen_images:
             gen_images.append(g.images)
-    gen_rows = [np.array(images, dtype=_IDX) for images in gen_images]
-    rows, fills = _dimino(gen_rows, degree, cap)
+    gen_rows = np.array(gen_images, dtype=_IDX).reshape(-1, degree)
+    rows, fills = _dimino(list(gen_rows), degree, cap)
     n = len(rows)
     keys = _row_keys(rows)
     order = keys.argsort()
@@ -758,11 +791,8 @@ def from_generators(gens: Sequence[Permutation], degree: int,
         cols[gi] = np.empty(n, dtype=_IDX)
         for slab in _slabs(n, degree):
             cols[gi][slab] = index_of(gen_rows[gi][rows[slab]])
-    generators = index_of(np.array(gen_images, dtype=_IDX).reshape(-1, degree)).tolist()
-    del keys
-    if not rows.dtype.isnative:
-        rows.byteswap(inplace=True)
-    points = rows.view(_IDX)
+    generators = index_of(gen_rows).tolist()
+    del keys, rows
     # rows by sorted index, columns in discovery order, so each block is a slice
     mul = np.empty((n, n), dtype=_IDX)
     mul[:, 0] = np.arange(n, dtype=_IDX)
@@ -779,7 +809,7 @@ def from_generators(gens: Sequence[Permutation], degree: int,
     # relabel the columns in slabs of rows, so no second n x n array is made
     for slab in _slabs(n, n):
         mul[slab] = np.take(mul[slab], order, axis=1)
-    return FiniteGroup(mul, generators, points)
+    return FiniteGroup(mul, generators, gen_rows)
 
 
 def direct_product(groups: Sequence[FiniteGroup], cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -787,9 +817,10 @@ def direct_product(groups: Sequence[FiniteGroup], cap: int = DEFAULT_ORDER_CAP) 
 
     An element is the mixed-radix index of its factor elements, first factor
     most significant, so factor i contributes weight_i mul_i[x_i, y_i] to
-    the product of x and y. The table and the points are filled a row slab
-    at a time, straight from the factors' tables and points. Every group's
-    points sort like its indices, so the product's points do too.
+    the product of x and y. The table is filled a row slab at a time,
+    straight from the factors' tables. A factor's generator moves that
+    factor's block of points as it moves the factor's own, and fixes the
+    rest.
     """
     if not groups:
         raise PreconditionViolated("empty product")
@@ -799,9 +830,7 @@ def direct_product(groups: Sequence[FiniteGroup], cap: int = DEFAULT_ORDER_CAP) 
     weights = [prod(g.order for g in groups[i + 1:]) for i in range(len(groups))]
     index = np.arange(n, dtype=_IDX)
     digits = [index // w % g.order for g, w in zip(groups, weights)]
-    offsets = np.cumsum([0] + [g.degree for g in groups]).tolist()
     mul = np.empty((n, n), dtype=_IDX)
-    points = np.empty((n, offsets[-1]), dtype=_IDX)
     for slab in _slabs(n, n):
         rows = np.zeros((1, 1), dtype=_IDX)
         # last factor first: y_i leads the digits of y already laid out
@@ -809,27 +838,34 @@ def direct_product(groups: Sequence[FiniteGroup], cap: int = DEFAULT_ORDER_CAP) 
             term = g.mul_table[d[slab]] * w
             rows = (term[:, :, None] + rows[:, None, :]).reshape(len(term), -1)
         mul[slab] = rows
-    for g, d, off in zip(groups, digits, offsets):
-        for slab in _slabs(n, g.degree):
-            np.add(g.points[d[slab]], off, out=points[slab, off:off + g.degree])
-    gens = [x * w for g, w in zip(groups, weights) for x in g.generators]
-    return FiniteGroup(mul, list(dict.fromkeys(gens)), points)
+    degree = sum(g.degree for g in groups)
+    images: dict[int, np.ndarray] = {}
+    offset = 0
+    for g, w in zip(groups, weights):
+        for x, image in zip(g.generators, g.generator_images):
+            row = images.setdefault(x * w, np.arange(degree, dtype=_IDX))
+            row[offset:offset + g.degree] = image + offset
+        offset += g.degree
+    return FiniteGroup(mul, list(images),
+                       np.array(list(images.values()), dtype=_IDX).reshape(-1, degree))
 
 
 def subgroup_as_group(H: Subgroup, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Stand-alone group with the same multiplication as the subgroup.
 
-    Its elements are H's members in order, with the parent's points. Generators
-    are chosen greedily (smallest member not yet generated) so the derived
-    spec stays short; for a p-group this yields a minimal set.
+    Its elements are H's members in order, acting on the parent's points.
+    Generators are chosen greedily (smallest member not yet generated) so the
+    derived spec stays short; for a p-group this yields a minimal set.
     """
     if H.order > cap:
         raise OrderCapExceeded(cap)
     parent = H.parent
-    _, gens = parent._closure(H.members)
+    gens = parent._closure(H.members)[1] or [0]
+    # the parent's points are dropped before the induced table is made
+    images = parent.points[gens]
     m = H.member_array()
     # position[x] is x's index among the members
     position = np.zeros(parent.order, dtype=_IDX)
     position[m] = np.arange(len(m), dtype=_IDX)
     table = _induced_table(parent.mul_table, m, position)
-    return FiniteGroup(table, position[gens].tolist() or [0], parent.points[m])
+    return FiniteGroup(table, position[gens].tolist(), images)

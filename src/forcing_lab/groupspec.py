@@ -110,7 +110,8 @@ def parse_group_spec(text: str, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
 
 
 def _perm_spec_of(G: FiniteGroup) -> str:
-    gens = [Permutation(tuple(G.points[i].tolist())) for i in G.generators if i != 0]
+    gens = [Permutation(tuple(images.tolist()))
+            for i, images in zip(G.generators, G.generator_images) if i != 0]
     if not gens:
         return f"perm:{G.degree}:()"
     return f"perm:{G.degree}:" + ",".join(g.cycle_string() for g in gens)

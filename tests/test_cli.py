@@ -3,11 +3,22 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from forcing_lab import certio
 from forcing_lab.cli import main
+from forcing_lab.exponents import (
+    AnalyticConstants,
+    TraceRecord,
+    base_delta_elementary_abelian,
+    delta_for_nilpotent,
+    format_rational,
+)
+from forcing_lab.groupspec import parse_group_spec
 from forcing_lab.groups import MAX_ORDER_CAP
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -278,6 +289,74 @@ class TestVerify:
                            "--no-header")
         assert code == 1
         assert "error" in err
+
+
+def _forge_drop_extension(report):
+    # Heisenberg(3) has one step: without it, delta is the base value
+    return replace(report, trace=report.trace[:1],
+                   delta=Fraction(report.trace[0].outputs["delta"]))
+
+
+def _forge_base_rank(report):
+    # the base formula reads the rank only to refuse rank one
+    base = report.trace[0]
+    inputs = {**base.inputs, "rank": "3"}
+    p, rank, ell = (int(inputs[k]) for k in ("p", "rank", "ell"))
+    consts = AnalyticConstants(*(Fraction(inputs[k]) for k in ("beta", "gamma", "epsilon_delta")))
+    outputs = {"delta": format_rational(base_delta_elementary_abelian(p, rank, ell, consts))}
+    assert outputs == base.outputs
+    return replace(report, trace=(TraceRecord("base", inputs, outputs),) + report.trace[1:])
+
+
+def _forge_compositum(report):
+    delta = format_rational(report.delta)
+    record = TraceRecord("compositum", {"delta1": delta, "degree1": "27", "delta2": delta,
+                                        "degree2": "27"}, {"delta": delta})
+    return replace(report, trace=report.trace + (record,))
+
+
+class TestVerifyTiesReportToCertificate:
+    """Forged delta reports on Heisenberg(3)'s certificate, each with a
+    recomputed digest: verify exits 1 and names the field that differs."""
+
+    @pytest.mark.parametrize("forge, named", [
+        (lambda report: delta_for_nilpotent(
+            parse_group_spec("product:preset:Heisenberg(3)|preset:Cyclic(9)"), 5),
+         "group_spec is 'product:preset:Heisenberg(3)|preset:Cyclic(9)', "
+         "expected 'preset:Heisenberg(3)'"),
+        (lambda report: replace(report, ell=7), "trace[0].inputs.ell is '5', expected '7'"),
+        (_forge_drop_extension, "trace[1].rule is None, expected 'extension'"),
+        (_forge_base_rank, "trace[0].inputs.rank is '3', expected '2'"),
+        (_forge_compositum, "compositum exceeds available factors"),
+    ], ids=["other-group", "ell", "dropped-extension", "base-rank", "compositum"])
+    def test_forged_report_fails(self, capsys, tmp_path, forge, named):
+        path = tmp_path / "heis.fcert.json"
+        assert main(["forcing-seq", "preset:Heisenberg(3)", "--ell", "5", "--out", str(path),
+                     "--no-header"]) == 0
+        doc = certio.read_document(path)
+        certio.write_document(replace(doc, delta_report=forge(doc.delta_report)), path)
+        capsys.readouterr()
+        code, out, _ = run(capsys, "verify", str(path), "--no-header")
+        assert code == 1
+        assert "FAIL delta-replay: " in out and named in out
+        assert "result: FAIL (1 of 24 conditions)" in out
+
+    @pytest.mark.parametrize("spec, ell, override, delta", [
+        ("preset:Heisenberg(3)", "5", None, "1/3911580"),
+        ("preset:Dihedral(16)", "3", "1/100", "1/17808400"),
+    ])
+    def test_valid_document_passes(self, capsys, tmp_path, spec, ell, override, delta):
+        path = tmp_path / "doc.fcert.json"
+        argv = ["forcing-seq", spec, "--ell", ell, "--out", str(path), "--no-header"]
+        if override:
+            (tmp_path / "base.json").write_text(json.dumps({"2": override}))
+            argv += ["--base-override", str(tmp_path / "base.json")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        code, out, _ = run(capsys, "verify", str(path), "--json")
+        assert code == 0
+        assert json.loads(out)["conditions"][-1] == {
+            "condition": "delta-replay", "detail": f"delta = {delta}", "passed": True}
 
 
 class TestPaperChecks:

@@ -66,14 +66,17 @@ def reference_from_generators(gens, degree, cap=2048):
     for t in discovery[1:]:
         parent, gi = parents[t]
         mul[:, index[t]] = gen_cols[gi][mul[:, index[parent]]]
-    return FiniteGroup(mul, [index[g] for g in gen_rows], rows)
+    generators = [index[g] for g in gen_rows]
+    return FiniteGroup(mul, generators, rows[generators])
 
 
 def assert_same_group(G, H, name=""):
     assert np.array_equal(G.mul_table, H.mul_table), name
     assert G.generators == H.generators, name
-    assert np.array_equal(G.points, H.points), name
-    assert G.points.shape == H.points.shape, name
+    # points is computed on each read
+    g_points, h_points = G.points, H.points
+    assert np.array_equal(g_points, h_points), name
+    assert g_points.shape == h_points.shape, name
     assert spec_text(G) == spec_text(H), name
 
 
@@ -149,22 +152,38 @@ class TestMatchesReference:
             from_generators([], 0)
 
 
-def _peak_bytes(fn):
+def _traced_bytes(fn):
+    """fn's result, the traced bytes it leaves allocated, and its traced peak."""
     tracemalloc.start()
     try:
-        return fn(), tracemalloc.get_traced_memory()[1]
+        return fn(), *tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
 
 
+def _peak_bytes(fn):
+    result, _, peak = _traced_bytes(fn)
+    return result, peak
+
+
+PARSE_MEMORY_SPECS = ["preset:Dihedral(1024)", "preset:Heisenberg(11)", "preset:ElemAbelian(2,10)",
+                      "product:preset:Dihedral(32)|preset:Dihedral(32)"]
+
+
 class TestParseMemory:
-    @pytest.mark.parametrize("spec", ["preset:Dihedral(1024)", "preset:Heisenberg(11)",
-                                      "preset:ElemAbelian(2,10)",
-                                      "product:preset:Dihedral(32)|preset:Dihedral(32)"])
+    @pytest.mark.parametrize("spec", PARSE_MEMORY_SPECS)
     def test_parse_peak_is_a_few_tables(self, spec):
         G, peak = _peak_bytes(lambda: parse_group_spec(spec))
         table = G.mul_table.nbytes
-        assert peak <= table + G.points.nbytes + table // 4
+        assert peak <= table + table // 4
+
+    @pytest.mark.parametrize("spec", PARSE_MEMORY_SPECS + ["preset:SemiDihedral(2048)"])
+    def test_a_parsed_group_keeps_little_beyond_its_table(self, spec):
+        """A group holds its table, inverses and generator images: no
+        n x degree array of points."""
+        G, retained, _ = _traced_bytes(lambda: parse_group_spec(spec))
+        table = G.mul_table.nbytes
+        assert retained <= table + table // 16
 
     def test_read_only_table_is_not_copied(self, group_of):
         table = np.array(group_of("preset:Dihedral(1024)").mul_table)

@@ -146,6 +146,26 @@ def test_elements_sorted_and_identity_first(group_of):
     assert points == sorted(points)
 
 
+LADDER_SPECS = ("preset:Abelian(16,16,2)", "preset:Dihedral(1024)", "preset:Heisenberg(11)",
+                "preset:ElemAbelian(2,11)", "preset:SemiDihedral(2048)",
+                "product:preset:Dihedral(64)|preset:Dihedral(32)")
+
+
+def test_points_are_the_action_the_table_describes(group_of):
+    """points, derived from the generators' images, is indexed like the
+    elements: the identity fixes every point, and x g acts as x then g."""
+    specs = [spec for _, spec in p_group_specs(256)] + [e.spec for e in catalog_entries()]
+    # the ladder groups are parsed afresh, one at a time, and not cached
+    cases = itertools.chain(((spec, group_of(spec)) for spec in specs),
+                            ((spec, parse_group_spec(spec)) for spec in LADDER_SPECS))
+    for spec, G in cases:
+        points = G.points
+        assert not points.flags.writeable, spec
+        assert np.array_equal(points[0], np.arange(G.degree)), spec
+        for g, image in zip(G.generators, G.generator_images):
+            assert np.array_equal(points[G.mul_table[:, g]], image[points]), spec
+
+
 def test_from_generators_cyclic():
     g = Permutation.from_cycles(6, [(0, 1, 2, 3, 4, 5)])
     G = from_generators([g], 6)
