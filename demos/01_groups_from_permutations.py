@@ -3,16 +3,17 @@
 Run as: python3 demos/01_groups_from_permutations.py
 """
 
-from forcing_lab import Permutation, from_generators, parse_group_spec
+from forcing_lab import from_generators, parse_group_spec
 
 print("=" * 64)
 print("1. Groups from explicit permutations")
 print("=" * 64)
 
-# A 4-cycle and a transposition generate the dihedral group of order 8
-# when the transposition is a reflection axis of the square.
-rot = Permutation.from_cycles(4, [(0, 1, 2, 3)])
-ref = Permutation.from_cycles(4, [(1, 3)])
+# A generator is its image row: the images of the points 0..3. The 4-cycle
+# (0 1 2 3) and the transposition (1 3) generate the dihedral group of
+# order 8, as the transposition is a reflection axis of the square.
+rot = (1, 2, 3, 0)
+ref = (0, 3, 2, 1)
 D4 = from_generators([rot, ref], 4)
 print(f"generated group order: {D4.order}")
 print(f"element orders: {sorted(int(o) for o in D4.orders())}")

@@ -22,7 +22,6 @@ from .groups import (
     DEFAULT_ORDER_CAP,
     PRIME_TEST_LIMIT,
     FiniteGroup,
-    Permutation,
     direct_product,
     from_generators,
     is_prime,
@@ -91,11 +90,9 @@ def _dihedral_order(m: int) -> int:
 def _dihedral(m: int, cap: int) -> FiniteGroup:
     k = m // 2
     if k == 2:
-        gens = [Permutation.from_cycles(4, [(0, 1)]), Permutation.from_cycles(4, [(2, 3)])]
-        return from_generators(gens, 4, cap)
-    rot = Permutation.from_cycles(k, [tuple(range(k))])
-    ref = Permutation(tuple((k - i) % k for i in range(k)))
-    return from_generators([rot, ref], k, cap)
+        return from_generators([[1, 0, 2, 3], [0, 1, 3, 2]], 4, cap)
+    i = np.arange(k)
+    return from_generators([(i + 1) % k, -i % k], k, cap)
 
 
 def _gen_quaternion_order(n: int) -> int:
@@ -126,8 +123,7 @@ def _gen_quaternion(n: int, cap: int) -> FiniteGroup:
         else:
             x_images.append(point(i - 1, 1))
             y_images.append(point(i + half, 0))
-    return from_generators(
-        [Permutation(tuple(x_images)), Permutation(tuple(y_images))], 2 * m, cap)
+    return from_generators([x_images, y_images], 2 * m, cap)
 
 
 def _two_generator_order(name: str) -> Callable[[int], int]:
@@ -141,9 +137,8 @@ def _two_generator_order(name: str) -> Callable[[int], int]:
 def _two_generator_metacyclic(order: int, multiplier_offset: int, cap: int) -> FiniteGroup:
     half = order // 2
     a = (half // 2 + multiplier_offset) % half
-    trans = Permutation(tuple((i + 1) % half for i in range(half)))
-    mult = Permutation(tuple((a * i) % half for i in range(half)))
-    return from_generators([trans, mult], half, cap)
+    i = np.arange(half)
+    return from_generators([(i + 1) % half, a * i % half], half, cap)
 
 
 def _semidihedral(order: int, cap: int) -> FiniteGroup:
@@ -169,8 +164,7 @@ def _heisenberg(p: int, cap: int) -> FiniteGroup:
 
     x_images = [enc(pt // p + pt % p, pt % p) for pt in range(deg)]
     y_images = [enc(pt // p, pt % p + 1) for pt in range(deg)]
-    return from_generators(
-        [Permutation(tuple(x_images)), Permutation(tuple(y_images))], deg, cap)
+    return from_generators([x_images, y_images], deg, cap)
 
 
 def _extraspecial_order(p: int, m: int) -> int:
@@ -209,8 +203,7 @@ def _extraspecial(p: int, m: int, cap: int) -> FiniteGroup:
             bumped = list(vs)
             bumped[axis] += 1
             y_images.append(encode(u, bumped))
-        gens.append(Permutation(tuple(x_images)))
-        gens.append(Permutation(tuple(y_images)))
+        gens += [x_images, y_images]
     return from_generators(gens, deg, cap)
 
 

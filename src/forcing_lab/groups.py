@@ -3,7 +3,8 @@
 Every group is fully enumerated: an element is an index into its numpy
 multiplication table, index 0 is the identity, and mul(a, b) applies a first,
 then b. A group holds its table, its inverses and one image row per
-generator. Permutations are only an input format and enter only through
+generator. Permutations are only an input format: a generator is an int32
+image row from the spec to the table, and enters only through
 from_generators, which indexes the elements by their image rows, sorted
 (identity first, then lexicographic). It enumerates by Dimino's algorithm on
 blocks of int32 image rows, one gather per coset, fills the table a coset at
@@ -114,82 +115,6 @@ def prime_power(n: int) -> tuple[int, int] | None:
     orders, at most MAX_ORDER_CAP, so trial division is cheap."""
     factors = factorize(n)
     return next(iter(factors.items())) if len(factors) == 1 else None
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection of the points 0..degree-1, stored as its image tuple."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        images = tuple(int(i) for i in self.images)
-        object.__setattr__(self, "images", images)
-        if sorted(images) != list(range(len(images))):
-            raise InvalidPermutation(f"images are not a bijection on 0..{len(images) - 1}: {images}")
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    @classmethod
-    def identity(cls, degree: int) -> Permutation:
-        return cls(tuple(range(degree)))
-
-    @classmethod
-    def from_cycles(cls, degree: int, cycles: Sequence[Sequence[int]]) -> Permutation:
-        """Build from disjoint cycles; points absent from every cycle stay fixed."""
-        images = list(range(degree))
-        seen: set[int] = set()
-        for cycle in cycles:
-            for a in cycle:
-                if not 0 <= a < degree:
-                    raise InvalidPermutation(f"point {a} outside 0..{degree - 1}")
-                if a in seen:
-                    raise InvalidPermutation(f"point {a} appears in two cycles")
-                seen.add(a)
-            for a, b in zip(cycle, tuple(cycle[1:]) + (cycle[0],)):
-                images[a] = b
-        return cls(tuple(images))
-
-    def then(self, other: Permutation) -> Permutation:
-        """The product self*other: apply self first, then other."""
-        if other.degree != self.degree:
-            raise InvalidPermutation("degree mismatch")
-        o = other.images
-        return Permutation(tuple(o[i] for i in self.images))
-
-    def inverse(self) -> Permutation:
-        inv = [0] * self.degree
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(tuple(inv))
-
-    def order(self) -> int:
-        return lcm(*(len(c) for c in self.cycles()))
-
-    def cycles(self) -> tuple[tuple[int, ...], ...]:
-        """Nontrivial cycles, each rotated to start at its least point, sorted by it."""
-        out = []
-        seen: set[int] = set()
-        for start in range(self.degree):
-            if start in seen or self.images[start] == start:
-                continue
-            cyc = [start]
-            seen.add(start)
-            nxt = self.images[start]
-            while nxt != start:
-                cyc.append(nxt)
-                seen.add(nxt)
-                nxt = self.images[nxt]
-            out.append(tuple(cyc))
-        return tuple(out)
-
-    def cycle_string(self) -> str:
-        cycs = self.cycles()
-        if not cycs:
-            return "()"
-        return "".join("(" + " ".join(str(p) for p in c) + ")" for c in cycs)
 
 
 @dataclass(frozen=True)
@@ -749,9 +674,27 @@ def _dimino(gen_rows: list[np.ndarray], degree: int, cap: int
     return np.concatenate(blocks, dtype=_BIG), fills
 
 
-def from_generators(gens: Sequence[Permutation], degree: int,
+def _image_row(g: Sequence[int], degree: int) -> np.ndarray:
+    """g as an int32 image row, checked by one mask: its images, any out of
+    range moved onto a spare slot, must hit every point of 0..degree-1."""
+    try:
+        row = np.asarray(g, dtype=np.int64)
+    except (OverflowError, TypeError, ValueError):
+        raise InvalidPermutation("generator images are not int64 integers") from None
+    if row.shape != (degree,):
+        raise InvalidPermutation(f"generator degree {row.size} != {degree}")
+    hit = np.zeros(degree + 1, dtype=bool)
+    # read unsigned, a negative image is past degree too
+    hit[np.minimum(row.view(np.uint64), degree)] = True
+    if np.count_nonzero(hit[:degree]) < degree:
+        raise InvalidPermutation(f"images are not a bijection on 0..{degree - 1}")
+    return row.astype(_IDX)
+
+
+def from_generators(gens: Sequence[Sequence[int]], degree: int,
                     cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """Enumerate the group generated by gens and build its product table.
+    """Enumerate the group generated by gens, the image rows of 0..degree-1,
+    and build its product table.
 
     The big-endian rows from ``_dimino`` are sorted in place as byte
     strings, which is lexicographic order; their discovery order is one
@@ -765,16 +708,12 @@ def from_generators(gens: Sequence[Permutation], degree: int,
         raise PreconditionViolated("cap must be at least 1")
     if degree < 1:
         raise InvalidPermutation("degree must be at least 1")
-    gen_images: list[tuple[int, ...]] = []
+    gen_rows: list[np.ndarray] = []
     for g in gens:
-        if not isinstance(g, Permutation):
-            g = Permutation(tuple(g))
-        if g.degree != degree:
-            raise InvalidPermutation(f"generator degree {g.degree} != {degree}")
-        if g.images not in gen_images:
-            gen_images.append(g.images)
-    gen_rows = np.array(gen_images, dtype=_IDX).reshape(-1, degree)
-    rows, fills = _dimino(list(gen_rows), degree, cap)
+        row = _image_row(g, degree)
+        if not any((row == r).all() for r in gen_rows):
+            gen_rows.append(row)
+    rows, fills = _dimino(gen_rows, degree, cap)
     n = len(rows)
     keys = _row_keys(rows)
     order = keys.argsort()
@@ -791,7 +730,8 @@ def from_generators(gens: Sequence[Permutation], degree: int,
         cols[gi] = np.empty(n, dtype=_IDX)
         for slab in _slabs(n, degree):
             cols[gi][slab] = index_of(gen_rows[gi][rows[slab]])
-    generators = index_of(gen_rows).tolist()
+    images = np.array(gen_rows, dtype=_IDX).reshape(-1, degree)
+    generators = index_of(images).tolist()
     del keys, rows
     # rows by sorted index, columns in discovery order, so each block is a slice
     mul = np.empty((n, n), dtype=_IDX)
@@ -809,7 +749,7 @@ def from_generators(gens: Sequence[Permutation], degree: int,
     # relabel the columns in slabs of rows, so no second n x n array is made
     for slab in _slabs(n, n):
         mul[slab] = np.take(mul[slab], order, axis=1)
-    return FiniteGroup(mul, generators, gen_rows)
+    return FiniteGroup(mul, generators, images)
 
 
 def direct_product(groups: Sequence[FiniteGroup], cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -850,15 +790,13 @@ def direct_product(groups: Sequence[FiniteGroup], cap: int = DEFAULT_ORDER_CAP) 
                        np.array(list(images.values()), dtype=_IDX).reshape(-1, degree))
 
 
-def subgroup_as_group(H: Subgroup, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def subgroup_as_group(H: Subgroup) -> FiniteGroup:
     """Stand-alone group with the same multiplication as the subgroup.
 
     Its elements are H's members in order, acting on the parent's points.
     Generators are chosen greedily (smallest member not yet generated) so the
     derived spec stays short; for a p-group this yields a minimal set.
     """
-    if H.order > cap:
-        raise OrderCapExceeded(cap)
     parent = H.parent
     gens = parent._closure(H.members)[1] or [0]
     # the parent's points are dropped before the induced table is made

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import re
 
+import numpy as np
+
 from . import catalog
-from .errors import GroupSpecError, InvalidPermutation
+from .errors import GroupSpecError
 from .groups import (
     DEFAULT_ORDER_CAP,
     FiniteGroup,
-    Permutation,
     direct_product,
     from_generators,
 )
@@ -30,23 +31,29 @@ _PRESET_RE = re.compile(r"^([A-Za-z][A-Za-z0-9]*)\((.*)\)$")
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
-def _parse_generator(text: str, degree: int) -> Permutation:
+def _parse_generator(text: str, degree: int) -> np.ndarray:
+    """The int32 image row of one generator in cycle notation; points in
+    no cycle stay fixed."""
     stripped = _CYCLE_RE.sub("", text)
     if stripped.strip():
         raise GroupSpecError(f"stray text {stripped.strip()!r} in generator {text!r}")
     cycles = []
     for body in _CYCLE_RE.findall(text):
-        points = body.split()
-        if not points:
-            continue
         try:
-            cycles.append(tuple(int(p) for p in points))
+            cycles.append([int(p) for p in body.split()])
         except ValueError:
             raise GroupSpecError(f"non-integer point in cycle ({body})") from None
-    try:
-        return Permutation.from_cycles(degree, cycles)
-    except InvalidPermutation as exc:
-        raise GroupSpecError(str(exc)) from None
+    row = np.arange(degree, dtype=np.int32)
+    seen: set[int] = set()
+    for cycle in cycles:
+        for a in cycle:
+            if not 0 <= a < degree:
+                raise GroupSpecError(f"point {a} outside 0..{degree - 1}")
+            if a in seen:
+                raise GroupSpecError(f"point {a} appears in two cycles")
+            seen.add(a)
+        row[cycle] = cycle[1:] + cycle[:1]
+    return row
 
 
 def _parse_perm(rest: str, cap: int) -> FiniteGroup:
@@ -109,12 +116,26 @@ def parse_group_spec(text: str, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     raise GroupSpecError(f"unknown spec kind {kind!r}")
 
 
+def _cycle_string(row: np.ndarray) -> str:
+    """The nontrivial cycles of an image row, each from its least point and
+    in order of it. Only the moved points are read."""
+    moved = np.flatnonzero(row != np.arange(len(row), dtype=row.dtype))
+    image = dict(zip(moved.tolist(), row[moved].tolist()))
+    out = []
+    for point in moved.tolist():
+        cycle = []
+        while point in image:
+            cycle.append(str(point))
+            point = image.pop(point)
+        if cycle:
+            out.append("(" + " ".join(cycle) + ")")
+    return "".join(out)
+
+
 def _perm_spec_of(G: FiniteGroup) -> str:
-    gens = [Permutation(tuple(images.tolist()))
-            for i, images in zip(G.generators, G.generator_images) if i != 0]
-    if not gens:
-        return f"perm:{G.degree}:()"
-    return f"perm:{G.degree}:" + ",".join(g.cycle_string() for g in gens)
+    cycles = [_cycle_string(images)
+              for i, images in zip(G.generators, G.generator_images) if i != 0]
+    return f"perm:{G.degree}:" + (",".join(cycles) or "()")
 
 
 def spec_text(G: FiniteGroup) -> str:

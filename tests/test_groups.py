@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -6,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from forcing_lab import (
     FiniteGroup,
+    GroupSpecError,
     InvalidPermutation,
     NotAPGroup,
     NotNormal,
     OrderCapExceeded,
-    Permutation,
     PreconditionViolated,
     Subgroup,
     TWISTED_C4_SPEC,
@@ -24,6 +25,7 @@ from forcing_lab import (
     sylow_decomposition,
 )
 from forcing_lab.groups import PRIME_TEST_LIMIT, is_prime, prime_power
+from forcing_lab.groupspec import _cycle_string, _parse_generator
 
 AXIOM_SPECS = [
     "preset:Cyclic(6)",
@@ -38,44 +40,67 @@ AXIOM_SPECS = [
 
 
 class TestPermutation:
+    """A permutation is an int32 image row: parsed from cycles, formatted
+    back to cycles, and checked and multiplied by from_generators."""
+
     def test_identity(self):
-        e = Permutation.identity(4)
-        assert e.images == (0, 1, 2, 3)
-        assert e.cycle_string() == "()"
-        assert e.order() == 1
+        e = _parse_generator("()", 4)
+        assert e.dtype == np.int32 and e.tolist() == [0, 1, 2, 3]
+        assert _cycle_string(e) == ""
+        assert from_generators([e], 4).order == 1
 
     def test_from_cycles_and_back(self):
-        p = Permutation.from_cycles(4, [(0, 1, 2)])
-        assert p.images == (1, 2, 0, 3)
-        assert p.cycle_string() == "(0 1 2)"
-        assert p.order() == 3
+        p = _parse_generator("(0 1 2)", 4)
+        assert p.tolist() == [1, 2, 0, 3]
+        assert _cycle_string(p) == "(0 1 2)"
+        assert from_generators([p], 4).order == 3
 
     def test_composition_is_left_then_right(self):
-        a = Permutation.from_cycles(3, [(0, 1)])
-        b = Permutation.from_cycles(3, [(1, 2)])
+        a = _parse_generator("(0 1)", 3)
+        b = _parse_generator("(1 2)", 3)
+        G = from_generators([a, b], 3)
+        ia, ib = G.generators
         # a then b: 0 -> 1 -> 2
-        assert a.then(b).images[0] == 2
+        assert G.points[G.mul(ia, ib)][0] == 2
 
     def test_inverse(self):
-        p = Permutation.from_cycles(5, [(0, 1, 2, 3, 4)])
-        assert p.then(p.inverse()) == Permutation.identity(5)
+        p = _parse_generator("(0 1 2 3 4)", 5)
+        G = from_generators([p], 5)
+        g = G.generators[0]
+        assert G.mul(g, G.inv(g)) == 0
+        assert G.points[G.inv(g)].tolist() == np.argsort(p).tolist()
 
     def test_rejects_non_bijection(self):
         with pytest.raises(InvalidPermutation):
-            Permutation((0, 0, 1))
+            from_generators([(0, 0, 1)], 3)
 
     def test_rejects_out_of_range_cycle(self):
-        with pytest.raises(InvalidPermutation):
-            Permutation.from_cycles(3, [(0, 5)])
+        with pytest.raises(GroupSpecError, match="point 5 outside 0..2"):
+            _parse_generator("(0 5)", 3)
 
     def test_rejects_repeated_point(self):
-        with pytest.raises(InvalidPermutation):
-            Permutation.from_cycles(4, [(0, 1), (1, 2)])
+        with pytest.raises(GroupSpecError, match="point 1 appears in two cycles"):
+            _parse_generator("(0 1)(1 2)", 4)
 
     def test_cycle_string_canonical(self):
-        p = Permutation.from_cycles(6, [(4, 5), (1, 2, 0)])
+        p = _parse_generator("(4 5)(1 2 0)", 6)
         # least point first inside each cycle, cycles sorted by least point
-        assert p.cycle_string() == "(0 1 2)(4 5)"
+        assert _cycle_string(p) == "(0 1 2)(4 5)"
+
+
+def _perm_order(images):
+    """Reference order of a permutation given by its images: the lcm of its
+    cycle lengths."""
+    images = [int(i) for i in images]
+    lengths, seen = [], set()
+    for start in range(len(images)):
+        length, point = 0, start
+        while point not in seen:
+            seen.add(point)
+            point = images[point]
+            length += 1
+        lengths.append(length or 1)
+    return math.lcm(*lengths)
 
 
 def _check_axioms(G: FiniteGroup):
@@ -110,7 +135,7 @@ def test_element_orders_divide_group_order(group_of, spec):
     assert all(G.order % int(o) == 0 for o in orders)
     # table order matches the permutation realization
     for i, images in enumerate(G.points):
-        assert Permutation(tuple(images)).order() == int(orders[i])
+        assert _perm_order(images) == int(orders[i])
 
 
 def _orders_by_multiplication(G):
@@ -167,17 +192,15 @@ def test_points_are_the_action_the_table_describes(group_of):
 
 
 def test_from_generators_cyclic():
-    g = Permutation.from_cycles(6, [(0, 1, 2, 3, 4, 5)])
-    G = from_generators([g], 6)
+    G = from_generators([(1, 2, 3, 4, 5, 0)], 6)
     assert G.order == 6
     assert G.is_abelian()
     assert G.exponent() == 6
 
 
 def test_from_generators_respects_cap():
-    g = Permutation.from_cycles(7, [(0, 1, 2, 3, 4, 5, 6)])
     with pytest.raises(OrderCapExceeded):
-        from_generators([g], 7, cap=5)
+        from_generators([(1, 2, 3, 4, 5, 6, 0)], 7, cap=5)
 
 
 def test_direct_product_orders_multiply(group_of):
@@ -197,7 +220,7 @@ def _product_by_reenumeration(groups, cap=2048):
         for gi in g.generators:
             images = np.arange(degree)
             images[offset:offset + g.degree] = g.points[gi] + offset
-            gens.append(Permutation(tuple(images.tolist())))
+            gens.append(images)
         offset += g.degree
     return from_generators(gens, degree, cap)
 
@@ -583,8 +606,8 @@ def test_subgroup_as_group_equals_reenumeration(group_of):
     for name, H in _subgroup_cases(group_of):
         G = H.parent
         gens = _greedy_generators(H)
-        perms = [Permutation(tuple(G.points[g].tolist())) for g in gens]
-        ref = from_generators(perms or [Permutation.identity(G.degree)], G.degree)
+        points = G.points
+        ref = from_generators([points[g] for g in gens] or [points[0]], G.degree)
         K = subgroup_as_group(H)
         assert np.array_equal(K.mul_table, ref.mul_table), name
         assert K.generators == ref.generators, name
@@ -592,12 +615,11 @@ def test_subgroup_as_group_equals_reenumeration(group_of):
         assert spec_text(K) == spec_text(ref), name
 
 
-def test_subgroup_as_group_respects_cap(group_of):
-    G = group_of("preset:Heisenberg(3)")
-    H = G.center()
-    assert subgroup_as_group(H, cap=H.order).order == H.order
-    with pytest.raises(OrderCapExceeded):
-        subgroup_as_group(H, cap=H.order - 1)
+def test_subgroup_as_group_is_under_its_parents_cap():
+    """A subgroup is no larger than its parent, so a parent built past the
+    default cap gives a group of its own order."""
+    G = parse_group_spec("preset:Cyclic(2049)", cap=2049)
+    assert subgroup_as_group(G.whole_subgroup()).order == 2049
 
 
 def test_quotient_target_acts_by_right_multiplication(group_of):
@@ -621,8 +643,7 @@ def _small_generators(draw):
     count = draw(st.integers(min_value=1, max_value=2))
     gens = []
     for _ in range(count):
-        images = draw(st.permutations(list(range(degree))))
-        gens.append(Permutation(tuple(images)))
+        gens.append(tuple(draw(st.permutations(list(range(degree))))))
     return degree, gens
 
 
@@ -642,7 +663,7 @@ def test_generated_groups_satisfy_axioms(data):
     for a, b, c in rng.integers(0, n, size=(60, 3)):
         assert mul[mul[a, b], c] == mul[a, mul[b, c]]
     for i, images in enumerate(G.points):
-        assert Permutation(tuple(images)).order() == int(G.orders()[i])
+        assert _perm_order(images) == int(G.orders()[i])
 
 
 def test_inverses_are_where_each_row_holds_the_identity(group_of):

@@ -25,14 +25,17 @@ class TestPermSpecs:
     def test_identity_spec(self):
         G = parse_group_spec("perm:3:()")
         assert G.order == 1
+        assert spec_text(G) == "perm:3:()"
 
     def test_round_trip(self):
         for text in ["perm:6:(0 1 2 3 4 5)", "perm:3:(0 1 2),(0 1)",
-                     "perm:8:(0 1 2 3),(1 3)(4 5 6 7)"]:
+                     "perm:8:(0 1 2 3),(1 3)(4 5 6 7)", "perm:6:(4 5)(1 2 0)"]:
             G = parse_group_spec(text)
             again = parse_group_spec(spec_text(G))
             assert again.order == G.order
             assert spec_text(again) == spec_text(G)
+        # least point first inside each cycle, cycles in order of it
+        assert spec_text(parse_group_spec("perm:6:(4 5)(1 2 0)")) == "perm:6:(0 1 2)(4 5)"
 
     def test_whitespace_tolerated(self):
         G = parse_group_spec("  perm:3:(0 1 2) , (0 1)  ")
