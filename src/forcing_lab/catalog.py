@@ -1,6 +1,7 @@
 """Built-in group constructions and the standing corpus used by sweeps.
 
-Presets build concrete permutation realizations. Degrees are kept small:
+Presets build concrete permutation realizations, each generator's image row
+computed by numpy arithmetic on the points. Degrees are kept small:
 cyclic and dihedral groups act naturally, the two-generator 2-group families
 act on Z/2^(k-1) by translation and multiplication, quaternion groups act on
 themselves, and the Heisenberg-type groups act affinely on F_p vectors.
@@ -108,21 +109,9 @@ def _gen_quaternion(n: int, cap: int) -> FiniteGroup:
     y^-1 x y = x^-1.
     """
     m = 2 ** (n + 1)
-    half = 2 ** n
-
-    def point(i: int, j: int) -> int:
-        return (i % m) + m * j
-
-    x_images = []
-    y_images = []
-    for pt in range(2 * m):
-        i, j = pt % m, pt // m
-        if j == 0:
-            x_images.append(point(i + 1, 0))
-            y_images.append(point(i, 1))
-        else:
-            x_images.append(point(i - 1, 1))
-            y_images.append(point(i + half, 0))
+    i = np.arange(m)
+    x_images = np.concatenate([(i + 1) % m, (i - 1) % m + m])
+    y_images = np.concatenate([i + m, (i + m // 2) % m])
     return from_generators([x_images, y_images], 2 * m, cap)
 
 
@@ -156,15 +145,12 @@ def _heisenberg_order(p: int) -> int:
 
 
 def _heisenberg(p: int, cap: int) -> FiniteGroup:
-    """Unitriangular 3x3 matrices over F_p, acting affinely on F_p^2."""
-    deg = p * p
-
-    def enc(u: int, v: int) -> int:
-        return (u % p) * p + (v % p)
-
-    x_images = [enc(pt // p + pt % p, pt % p) for pt in range(deg)]
-    y_images = [enc(pt // p, pt % p + 1) for pt in range(deg)]
-    return from_generators([x_images, y_images], deg, cap)
+    """Unitriangular 3x3 matrices over F_p, acting affinely on F_p^2: the
+    point u p + v is (u, v)."""
+    u, v = np.divmod(np.arange(p * p), p)
+    x_images = (u + v) % p * p + v
+    y_images = u * p + (v + 1) % p
+    return from_generators([x_images, y_images], p * p, cap)
 
 
 def _extraspecial_order(p: int, m: int) -> int:
@@ -177,34 +163,18 @@ def _extraspecial_order(p: int, m: int) -> int:
 
 def _extraspecial(p: int, m: int, cap: int) -> FiniteGroup:
     """Exponent-p extraspecial group of order p**(2m+1), odd p, acting
-    affinely on F_p^(m+1)."""
-    deg = p ** (m + 1)
-
-    def decode(pt: int) -> tuple[int, list[int]]:
-        digits = []
-        for _ in range(m):
-            digits.append(pt % p)
-            pt //= p
-        return pt, digits[::-1]
-
-    def encode(u: int, vs: Sequence[int]) -> int:
-        out = u % p
-        for v in vs:
-            out = out * p + (v % p)
-        return out
-
+    affinely on F_p^(m+1): the point with base-p digits u, v_0, ..., v_(m-1),
+    most significant first, is (u, v). Axis k gives x_k: u -> u + v_k and
+    y_k: v_k -> v_k + 1."""
+    top = p ** m
+    points = np.arange(p * top)
+    u = points // top
     gens = []
     for axis in range(m):
-        x_images = []
-        y_images = []
-        for pt in range(deg):
-            u, vs = decode(pt)
-            x_images.append(encode(u + vs[axis], vs))
-            bumped = list(vs)
-            bumped[axis] += 1
-            y_images.append(encode(u, bumped))
-        gens += [x_images, y_images]
-    return from_generators(gens, deg, cap)
+        w = p ** (m - 1 - axis)
+        v = points // w % p
+        gens += [points + ((u + v) % p - u) * top, points + ((v + 1) % p - v) * w]
+    return from_generators(gens, p * top, cap)
 
 
 PRESETS: dict[str, tuple[Callable[..., int], Callable[..., FiniteGroup], int, int, str]] = {

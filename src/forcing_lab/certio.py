@@ -15,13 +15,17 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .errors import DigestMismatch, Malformed, SchemaVersionUnknown
+from .errors import DigestMismatch, InputTooLarge, Malformed, SchemaVersionUnknown
 from .exponents import ClosedFormCheck, DeltaReport, TraceRecord, format_rational, parse_rational
 from .forcing import ForcingCertificate, ForcingStep, ForcingWitness
 
 SCHEMA_VERSION = "1"
 DIGEST_ALG = "sha256"
 FILE_EXTENSION = ".fcert.json"
+# the most bytes read from an input file: the largest certificate written at
+# the largest cap, forcing-seq preset:Dihedral(8192) --ell 3 with a base
+# override, is 68 KB
+MAX_INPUT_BYTES = 16 << 20
 
 
 @dataclass(frozen=True)
@@ -252,6 +256,16 @@ def write_document(doc: CertificateDocument, path: str | Path) -> Path:
     return path
 
 
+def read_input(path: str | Path) -> bytes:
+    """A file's bytes, of which at most MAX_INPUT_BYTES + 1 are read: a
+    longer file, or an endless one such as /dev/zero, raises InputTooLarge
+    before anything decodes it."""
+    with open(path, "rb") as f:
+        data = f.read(MAX_INPUT_BYTES + 1)
+    if len(data) > MAX_INPUT_BYTES:
+        raise InputTooLarge(f"{path} is longer than {MAX_INPUT_BYTES} bytes")
+    return data
+
+
 def read_document(path: str | Path) -> CertificateDocument:
-    data = Path(path).read_bytes()
-    return parse(data.rstrip(b"\n"))
+    return parse(read_input(path).rstrip(b"\n"))

@@ -20,7 +20,6 @@ import re
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
-from pathlib import Path
 from typing import Any
 
 from . import certio
@@ -139,7 +138,7 @@ def _overrides_from(args: argparse.Namespace) -> dict[int, Fraction]:
     if path is None:
         return {}
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(certio.read_input(path))
     except RecursionError:
         raise ForcingLabError("base override file is nested too deeply") from None
     except ValueError as exc:

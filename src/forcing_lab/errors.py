@@ -98,3 +98,7 @@ class DigestMismatch(ForcingLabError):
 
 class Malformed(ForcingLabError):
     """Certificate document is not valid JSON or misses required structure."""
+
+
+class InputTooLarge(ForcingLabError):
+    """An input file is longer than the tool reads."""

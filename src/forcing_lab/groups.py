@@ -2,20 +2,18 @@
 
 Every group is fully enumerated: an element is an index into its numpy
 multiplication table, index 0 is the identity, and mul(a, b) applies a first,
-then b. A group holds its table, its inverses and one image row per
-generator. Permutations are only an input format: a generator is an int32
-image row from the spec to the table, and enters only through
-from_generators, which indexes the elements by their image rows, sorted
-(identity first, then lexicographic). It enumerates by Dimino's algorithm on
-blocks of int32 image rows, one gather per coset, fills the table a coset at
-a time and then drops the rows; no element is ever a Python tuple.
-``points``, every element's image row, is recomputed from the generators'
-rows when read. Derived groups come from table arithmetic: a direct product
-composes its factors' tables, a quotient or subgroup relabels the parent's.
-A group built from a table alone acts on itself by right multiplication, so
-its points are the transposed table. Building a group makes no full-table
-temporary: every kernel that reads or writes a whole table does so in row
-slabs of at most _SLAB_ITEMS items.
+then b. A group holds its table, its inverses and its generator indices,
+and nothing of any permutation. Permutations are only an input format: a
+generator is an int32 image row from the spec to the table, and enters only
+through from_generators, which indexes the elements by their image rows,
+sorted (identity first, then lexicographic). It enumerates by Dimino's
+algorithm on blocks of int32 image rows, one gather per coset, fills the
+table a coset at a time and then drops every row, the generators' too; no
+element is ever a Python tuple. Derived groups come from table arithmetic: a
+direct product composes its factors' tables, a quotient or subgroup
+relabels the parent's. Building a group makes no full-table temporary:
+every kernel that reads or writes a whole table does so in row slabs of at
+most _SLAB_ITEMS items.
 
 One kernel closes subgroups from generators, never by squaring member sets:
 ``FiniteGroup._closure`` (Dimino's algorithm) serves ``subgroup_closure`` and
@@ -187,7 +185,8 @@ class QuotientMap:
     def target(self) -> "FiniteGroup":
         """The quotient group: any member of a coset stands for it in the
         product, and its generators are the distinct non-identity images of
-        the source's."""
+        the source's, or the identity alone when there are none, as the
+        parse of its spec text would give them."""
         if self._target is None:
             source, project = self.source, self.project
             reps = np.empty(source.order // self.kernel.order, dtype=_IDX)
@@ -195,7 +194,7 @@ class QuotientMap:
             gens = dict.fromkeys(int(project[g]) for g in source.generators)
             gens.pop(0, None)
             self._target = FiniteGroup(_induced_table(source.mul_table, reps, project),
-                                       list(gens))
+                                       list(gens) or [0])
         return self._target
 
     def fiber(self, t: int) -> tuple[int, ...]:
@@ -209,24 +208,19 @@ class QuotientMap:
 
 
 class FiniteGroup:
-    """A fully enumerated group: product table, generator indices and generator images."""
+    """A fully enumerated group: its product table, inverses and generator
+    indices, and the canonical spec it was parsed from, if any."""
 
     def __init__(self, mul_table: np.ndarray, generators: Sequence[int],
-                 generator_images: np.ndarray | None = None, spec: str | None = None) -> None:
+                 spec: str | None = None) -> None:
         # C order: flat gathers then index a view of the table, never a copy
         mul = np.ascontiguousarray(mul_table, dtype=_IDX)
         n = len(mul)
-        self.generators = tuple(int(g) for g in generators)
-        images = None if generator_images is None else np.asarray(generator_images, dtype=_IDX)
-        if mul.shape != (n, n) or images is not None and (
-                images.ndim != 2 or len(images) != len(self.generators)):
-            raise PreconditionViolated("multiplication table or generator images shape mismatch")
+        if mul.shape != (n, n):
+            raise PreconditionViolated("multiplication table is not square")
         mul.setflags(write=False)
         self._mul = mul
-        if images is not None:
-            images.setflags(write=False)
-        self._images = images
-        self.degree = n if images is None else images.shape[1]
+        self.generators = tuple(int(g) for g in generators)
         # the identity 0 is each row's least entry, and appears in it once;
         # argmin copies a read-only array whole, so it reads a slab at a time
         inv = np.empty(n, dtype=_IDX)
@@ -251,41 +245,6 @@ class FiniteGroup:
     @property
     def inv_table(self) -> np.ndarray:
         return self._inv
-
-    @property
-    def generator_images(self) -> np.ndarray:
-        """One row per generator: its images of the points 0..degree-1."""
-        if self._images is None:
-            return self._mul[:, self.generators].T
-        return self._images
-
-    @property
-    def points(self) -> np.ndarray:
-        """Every element's images of the points, a read-only row per element,
-        computed on each read. A group given by its table alone acts on
-        itself by right multiplication, so its points are the transposed
-        table. Otherwise they spread from the identity one breadth-first
-        level at a time: x g sends a point to where g sends x's image of it."""
-        if self._images is None:
-            return self._mul.T
-        points = np.empty((self.order, self.degree), dtype=_IDX)
-        points[0] = np.arange(self.degree, dtype=_IDX)
-        reached = np.zeros(self.order, dtype=bool)
-        reached[0] = True
-        level = np.zeros(1, dtype=_IDX)
-        while len(level) and self.generators:
-            found = []
-            for g, image in zip(self.generators, self._images):
-                y = self._mul[level, g]
-                new = ~reached[y]
-                x, y = level[new], y[new]
-                reached[y] = True
-                for slab in _slabs(len(y), self.degree):
-                    points[y[slab]] = image[points[x[slab]]]
-                found.append(y)
-            level = np.concatenate(found)
-        points.setflags(write=False)
-        return points
 
     def mul(self, a: int, b: int) -> int:
         return int(self._mul[a, b])
@@ -700,9 +659,10 @@ def from_generators(gens: Sequence[Sequence[int]], degree: int,
     strings, which is lexicographic order; their discovery order is one
     argsort of the same keys. A generator's column, the index of x s for
     every x, is looked up in the sorted rows by binary search, a slab of
-    rows at a time. The rows are then dropped: the group keeps only the
-    generators' images. The table is filled a block at a time, as
-    mul[:, H r s] = col_s[mul[:, H r]], in row slabs. Raises OrderCapExceeded once the order would pass cap.
+    rows at a time. The rows are then dropped, the generators' own with
+    them once they are indexed. The table is filled a block at a time, as
+    mul[:, H r s] = col_s[mul[:, H r]], in row slabs. Raises
+    OrderCapExceeded once the order would pass cap.
     """
     if cap < 1:
         raise PreconditionViolated("cap must be at least 1")
@@ -730,9 +690,8 @@ def from_generators(gens: Sequence[Sequence[int]], degree: int,
         cols[gi] = np.empty(n, dtype=_IDX)
         for slab in _slabs(n, degree):
             cols[gi][slab] = index_of(gen_rows[gi][rows[slab]])
-    images = np.array(gen_rows, dtype=_IDX).reshape(-1, degree)
-    generators = index_of(images).tolist()
-    del keys, rows
+    generators = index_of(np.array(gen_rows, dtype=_IDX).reshape(-1, degree)).tolist()
+    del keys, rows, gen_rows
     # rows by sorted index, columns in discovery order, so each block is a slice
     mul = np.empty((n, n), dtype=_IDX)
     mul[:, 0] = np.arange(n, dtype=_IDX)
@@ -749,18 +708,17 @@ def from_generators(gens: Sequence[Sequence[int]], degree: int,
     # relabel the columns in slabs of rows, so no second n x n array is made
     for slab in _slabs(n, n):
         mul[slab] = np.take(mul[slab], order, axis=1)
-    return FiniteGroup(mul, generators, images)
+    return FiniteGroup(mul, generators)
 
 
 def direct_product(groups: Sequence[FiniteGroup], cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """Direct product acting on the disjoint union of the factors' points.
+    """Direct product of the factors' tables.
 
     An element is the mixed-radix index of its factor elements, first factor
     most significant, so factor i contributes weight_i mul_i[x_i, y_i] to
     the product of x and y. The table is filled a row slab at a time,
-    straight from the factors' tables. A factor's generator moves that
-    factor's block of points as it moves the factor's own, and fixes the
-    rest.
+    straight from the factors' tables. Factor i's generator x is the
+    element x weight_i, the factors' generators in order, each once.
     """
     if not groups:
         raise PreconditionViolated("empty product")
@@ -778,32 +736,23 @@ def direct_product(groups: Sequence[FiniteGroup], cap: int = DEFAULT_ORDER_CAP) 
             term = g.mul_table[d[slab]] * w
             rows = (term[:, :, None] + rows[:, None, :]).reshape(len(term), -1)
         mul[slab] = rows
-    degree = sum(g.degree for g in groups)
-    images: dict[int, np.ndarray] = {}
-    offset = 0
-    for g, w in zip(groups, weights):
-        for x, image in zip(g.generators, g.generator_images):
-            row = images.setdefault(x * w, np.arange(degree, dtype=_IDX))
-            row[offset:offset + g.degree] = image + offset
-        offset += g.degree
-    return FiniteGroup(mul, list(images),
-                       np.array(list(images.values()), dtype=_IDX).reshape(-1, degree))
+    return FiniteGroup(mul, dict.fromkeys(x * w for g, w in zip(groups, weights)
+                                          for x in g.generators))
 
 
 def subgroup_as_group(H: Subgroup) -> FiniteGroup:
     """Stand-alone group with the same multiplication as the subgroup.
 
-    Its elements are H's members in order, acting on the parent's points.
-    Generators are chosen greedily (smallest member not yet generated) so the
-    derived spec stays short; for a p-group this yields a minimal set.
+    Its elements are H's members in order; nothing of the parent is read
+    but its table. Generators are chosen greedily (smallest member not yet
+    generated) so the derived spec stays short; for a p-group this yields a
+    minimal set.
     """
     parent = H.parent
     gens = parent._closure(H.members)[1] or [0]
-    # the parent's points are dropped before the induced table is made
-    images = parent.points[gens]
     m = H.member_array()
     # position[x] is x's index among the members
     position = np.zeros(parent.order, dtype=_IDX)
     position[m] = np.arange(len(m), dtype=_IDX)
     table = _induced_table(parent.mul_table, m, position)
-    return FiniteGroup(table, position[gens].tolist(), images)
+    return FiniteGroup(table, position[gens].tolist())

@@ -8,13 +8,14 @@ Three forms:
 
 Cycle notation is whitespace-separated points in parentheses, "()" for the
 identity. parse_group_spec builds the group and stamps it with the canonical
-form of its spec; spec_text recovers a spec for any group, deriving an
-explicit perm form when none was recorded.
+form of its spec; spec_text writes a group built without one as its
+right-regular representation, which parses back to the same group.
 """
 
 from __future__ import annotations
 
 import re
+from typing import Iterable
 
 import numpy as np
 
@@ -70,7 +71,9 @@ def _parse_perm(rest: str, cap: int) -> FiniteGroup:
     if not any(t.strip() for t in gen_texts):
         raise GroupSpecError("perm spec needs at least one generator (use () for identity)")
     gens = [_parse_generator(t, degree) for t in gen_texts]
-    return from_generators(gens, degree, cap)
+    group = from_generators(gens, degree, cap)
+    group.spec = _perm_spec(degree, gens)
+    return group
 
 
 def _parse_preset(rest: str, cap: int) -> FiniteGroup:
@@ -95,9 +98,7 @@ def parse_group_spec(text: str, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     if not sep:
         raise GroupSpecError("spec needs a perm:, preset:, or product: prefix")
     if kind == "perm":
-        group = _parse_perm(rest, cap)
-        group.spec = _perm_spec_of(group)
-        return group
+        return _parse_perm(rest, cap)
     if kind == "preset":
         return _parse_preset(rest, cap)
     if kind == "product":
@@ -132,12 +133,18 @@ def _cycle_string(row: np.ndarray) -> str:
     return "".join(out)
 
 
-def _perm_spec_of(G: FiniteGroup) -> str:
-    cycles = [_cycle_string(images)
-              for i, images in zip(G.generators, G.generator_images) if i != 0]
-    return f"perm:{G.degree}:" + (",".join(cycles) or "()")
+def _perm_spec(degree: int, rows: Iterable[np.ndarray]) -> str:
+    """The canonical perm spec of the distinct non-identity rows, first seen
+    first, or () when there are none."""
+    cycles = dict.fromkeys(_cycle_string(row) for row in rows)
+    cycles.pop("", None)
+    return f"perm:{degree}:" + (",".join(cycles) or "()")
 
 
 def spec_text(G: FiniteGroup) -> str:
-    """The group's recorded canonical spec, or a derived explicit perm spec."""
-    return G.spec if G.spec is not None else _perm_spec_of(G)
+    """The group's recorded canonical spec or, for a group built without
+    one, its right-regular representation: x's table column sends y to yx,
+    and begins with x, so the columns sort as their elements do."""
+    if G.spec is not None:
+        return G.spec
+    return _perm_spec(G.order, (G.mul_table[:, g] for g in G.generators))

@@ -1,9 +1,18 @@
+import numpy as np
 import pytest
 
-from forcing_lab import build_forcing_sequence, parse_group_spec
+from forcing_lab import (
+    build_forcing_sequence,
+    catalog,
+    direct_product,
+    from_generators,
+    parse_group_spec,
+)
+from forcing_lab.groupspec import _parse_generator
 
 _groups = {}
 _certs = {}
+_rows = {}
 
 
 @pytest.fixture(scope="session")
@@ -29,3 +38,65 @@ def cert_of(group_of):
         return _certs[spec]
 
     return build
+
+
+def _regular_rows(G):
+    """G acting on itself by right multiplication: each generator's table
+    column, which sends y to y g."""
+    return G.order, [G.mul_table[:, g] for g in G.generators]
+
+
+def _union_rows(parts):
+    """The parts' rows on the disjoint union of their points, each part's
+    rows moving its own block and fixing the rest."""
+    degree = sum(d for d, _ in parts)
+    rows, offset = [], 0
+    for d, part_rows in parts:
+        for r in part_rows:
+            row = np.arange(degree)
+            row[offset:offset + d] = np.asarray(r) + offset
+            rows.append(row)
+        offset += d
+    return degree, rows
+
+
+def generator_rows(spec):
+    """(degree, rows): image rows from which from_generators builds the
+    group of spec, with the same table and generator indices. A perm spec's
+    rows are its parsed generators; a product's are its parts' rows on the
+    disjoint union of their points; a preset's are the rows it hands to
+    from_generators, or its cyclic factors' rows when it is a direct product
+    of them. A cyclic preset acts on itself by right multiplication."""
+    kind, _, rest = spec.partition(":")
+    if kind == "perm":
+        degree, _, gens = rest.partition(":")
+        return int(degree), [_parse_generator(text, int(degree)) for text in gens.split(",")]
+    if kind == "product":
+        return _union_rows([generator_rows(part) for part in rest.split("|")])
+    recorded = []
+
+    def recording_from_generators(gens, degree, cap):
+        recorded.append((degree, list(gens)))
+        return from_generators(gens, degree, cap)
+
+    def recording_direct_product(groups, cap):
+        recorded.append(_union_rows([_regular_rows(g) for g in groups]))
+        return direct_product(groups, cap)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(catalog, "from_generators", recording_from_generators)
+        mp.setattr(catalog, "direct_product", recording_direct_product)
+        G = parse_group_spec(spec)
+    return recorded[-1] if recorded else _regular_rows(G)
+
+
+@pytest.fixture(scope="session")
+def rows_of():
+    """Session-cached spec -> generator_rows(spec)."""
+
+    def rows(spec):
+        if spec not in _rows:
+            _rows[spec] = generator_rows(spec)
+        return _rows[spec]
+
+    return rows

@@ -241,6 +241,19 @@ class TestDelta:
         assert code == 1 and out == ""
         assert err.startswith("error: ForcingLabError: base override")
 
+    def test_base_override_file_past_the_input_limit(self, capsys, tmp_path, monkeypatch):
+        override = tmp_path / "base.json"
+        override.write_text('{"2": "1/100"}')
+        monkeypatch.setattr(certio, "MAX_INPUT_BYTES", 13)
+        code, out, err = run(capsys, "delta", "preset:ElemAbelian(2,2)", "--ell", "3",
+                             "--base-override", str(override), "--no-header")
+        assert code == 1 and out == ""
+        assert err == f"error: InputTooLarge: {override} is longer than 13 bytes\n"
+        monkeypatch.setattr(certio, "MAX_INPUT_BYTES", 14)
+        code, out, _ = run(capsys, "delta", "preset:ElemAbelian(2,2)", "--ell", "3",
+                           "--base-override", str(override), "--no-header")
+        assert code == 0 and "delta = 1/100" in out
+
     def test_deterministic_json(self, capsys):
         _, out1, _ = run(capsys, "delta", "preset:Heisenberg(3)", "--ell", "5", "--json")
         _, out2, _ = run(capsys, "delta", "preset:Heisenberg(3)", "--ell", "5", "--json")
@@ -289,6 +302,26 @@ class TestVerify:
                            "--no-header")
         assert code == 1
         assert "error" in err
+
+    def test_file_longer_than_the_input_limit_is_refused_unread(self, capsys, tmp_path,
+                                                                  monkeypatch):
+        path = tmp_path / "d4.fcert.json"
+        run(capsys, "forcing-seq", "preset:Dihedral(8)", "--out", str(path), "--no-header")
+        size = path.stat().st_size
+        monkeypatch.setattr(certio, "MAX_INPUT_BYTES", size)
+        code, out, _ = run(capsys, "verify", str(path), "--no-header")
+        assert code == 0 and "result: PASS" in out
+        monkeypatch.setattr(certio, "MAX_INPUT_BYTES", size - 1)
+        code, out, err = run(capsys, "verify", str(path), "--no-header")
+        assert code == 1 and out == ""
+        assert err == f"error: InputTooLarge: {path} is longer than {size - 1} bytes\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+    def test_endless_file_is_refused(self, capsys, monkeypatch):
+        monkeypatch.setattr(certio, "MAX_INPUT_BYTES", 8)
+        code, out, err = run(capsys, "verify", "/dev/zero", "--no-header")
+        assert code == 1 and out == ""
+        assert err.startswith("error: InputTooLarge: /dev/zero ")
 
 
 def _forge_drop_extension(report):
