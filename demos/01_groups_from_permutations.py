@@ -3,6 +3,8 @@
 Run as: python3 demos/01_groups_from_permutations.py
 """
 
+import numpy as np
+
 from forcing_lab import from_generators, parse_group_spec
 
 print("=" * 64)
@@ -58,7 +60,7 @@ G = parse_group_spec("preset:Heisenberg(3)")
 series = G.lower_exponent_p_series()
 q = G.quotient(series[1])
 print(f"Heisenberg(3) / Frattini has order {q.target.order}")
-print(f"fiber of coset 0 (the kernel): {q.fiber(0)}")
+print(f"fiber of coset 0 (the kernel): {tuple(np.flatnonzero(q.project == 0).tolist())}")
 print(f"quotient is elementary abelian: "
       f"{sorted(set(int(o) for o in q.target.orders()))} element orders")
 
@@ -67,7 +69,11 @@ print("=" * 64)
 print("5. Conjugacy classes")
 print("=" * 64)
 
+# A class is a label: each element is labelled with its class's least
+# member, so the representatives are the elements labelled with themselves.
 G = parse_group_spec("preset:Dihedral(8)")
-for cls in G.conjugacy_classes():
-    print(f"rep {cls.representative}: size {len(cls.members)}, "
-          f"element order {cls.order}")
+label = G.conjugacy_classes()
+sizes = np.bincount(label, minlength=G.order)
+for rep in np.flatnonzero(label == np.arange(G.order)).tolist():
+    print(f"rep {rep}: size {sizes[rep]}, "
+          f"element order {G.orders()[rep]}")

@@ -221,6 +221,8 @@ def _parse_document(data: bytes) -> CertificateDocument:
         raise Malformed(f"not UTF-8 at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise Malformed(f"invalid JSON at byte {exc.pos}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal past the int-to-str digit limit
+        raise Malformed(f"invalid JSON: {exc}") from exc
     _expect(body, dict, "document")
     version = _expect(body.get("schema_version"), str, "schema_version")
     if version != SCHEMA_VERSION:

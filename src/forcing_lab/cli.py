@@ -22,6 +22,8 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Any
 
+import numpy as np
+
 from . import certio
 from .catalog import catalog_entries, two_group_specs
 from .classify import (
@@ -160,10 +162,10 @@ def _profile_obj(G: FiniteGroup) -> dict[str, Any]:
 
 
 def _class_size_histogram(G: FiniteGroup) -> list[tuple[int, int]]:
-    sizes: dict[int, int] = {}
-    for cls in G.conjugacy_classes():
-        sizes[len(cls.members)] = sizes.get(len(cls.members), 0) + 1
-    return sorted(sizes.items())
+    """(class size, number of classes of that size), by size."""
+    label = G.conjugacy_classes()
+    sizes = np.bincount(label, minlength=G.order)[label == np.arange(G.order)]
+    return [(size, count) for size, count in enumerate(np.bincount(sizes).tolist()) if count]
 
 
 def cmd_catalog(args: argparse.Namespace) -> int:

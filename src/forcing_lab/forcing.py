@@ -12,9 +12,10 @@ and not generalized quaternion.
 build_forcing_sequence constructs certificates from G's own table and its
 cached structures, and builds no quotient group: a step's witness is the
 class, in G/N_i, of the least x outside N_i with x^p in N_{i+1}, read as the
-image of x's class in G under the coset labels of N_i. It takes refinement
-candidates one at a time and screens each for a quaternion quotient by
-counting the elements of G that square into it.
+coset labels of N_i over the elements that G's class labels put with x. It
+takes refinement candidates one at a time and screens each for a quaternion
+quotient by counting the elements of G that square into it. is_forcing
+searches a quotient's classes by their labels, never by member lists.
 verify_certificate re-checks every claimed condition from scratch, and the
 forcing property over every class member by brute force. It works from G's
 own table, inverses and element orders alone, never from the builder's
@@ -45,7 +46,7 @@ from .errors import (
     PreconditionViolated,
     QuaternionGroup,
 )
-from .groups import ConjugacyClass, FiniteGroup, QuotientMap, Subgroup, is_prime, prime_power
+from .groups import FiniteGroup, QuotientMap, Subgroup, is_prime, prime_power
 from .groupspec import spec_text
 
 BUILDER_VERSION = "1"
@@ -109,20 +110,24 @@ class VerificationReport:
 def is_forcing(quotient: QuotientMap) -> ForcingWitness | None:
     """Search the target's conjugacy classes for a forcing witness.
 
-    Classes are scanned in (order, representative) order so the returned
-    witness has minimal class order, ties broken by least representative.
-    The identity class never qualifies: its fiber is the kernel, whose
-    non-identity elements have the wrong order. The witness records the
-    check over every class member's fiber.
+    Classes are scanned by their representatives in (order, representative)
+    order, so the returned witness has minimal class order, ties broken by
+    least representative. The identity class never qualifies: its fiber is
+    the kernel, whose non-identity elements have the wrong order. A class's
+    fibers are the source elements whose image is labelled with its
+    representative; each fiber is a coset of the kernel.
     """
+    target = quotient.target
+    label, orders = target.conjugacy_classes(), target.orders()
     src_orders = quotient.source.orders()
-    classes = [c for c in quotient.target.conjugacy_classes() if c.representative != 0]
-    classes.sort(key=lambda c: (c.order, c.representative))
-    for cls in classes:
-        fibers = [quotient.fiber(member) for member in cls.members]
-        if all(int(src_orders[x]) == cls.order for fib in fibers for x in fib):
-            return ForcingWitness(class_rep=cls.representative, class_order=cls.order,
-                                  checked_fiber_sizes=tuple(len(fib) for fib in fibers))
+    src_label = label[quotient.project]
+    reps = np.flatnonzero(label == np.arange(target.order))[1:].tolist()
+    for rep in sorted(reps, key=lambda r: (int(orders[r]), r)):
+        order = int(orders[rep])
+        if (src_orders[src_label == rep] == order).all():
+            size = int(np.count_nonzero(label == rep))
+            return ForcingWitness(class_rep=rep, class_order=order,
+                                  checked_fiber_sizes=(quotient.kernel.order,) * size)
     return None
 
 
@@ -135,9 +140,10 @@ def central_step_witness(G: FiniteGroup, upper: Subgroup,
     of order p. The least x is the least member of its coset, so its class
     has the least representative among the qualifying ones. Conjugation
     commutes with projection, so that class is the image of x's class in G,
-    and x upper has order p, as x lies outside upper and x^p inside. None
-    when there is no such x: for a p-group, G/lower is then cyclic or
-    quaternion.
+    and x upper has order p, as x lies outside upper and x^p inside. x's
+    class is where G's class labels equal x's, and its image is the sorted
+    coset labels of its members, the least first. None when there is no
+    such x: for a p-group, G/lower is then cyclic or quaternion.
     """
     p = upper.order // lower.order
     if upper.order % lower.order or not is_prime(p):
@@ -151,20 +157,16 @@ def central_step_witness(G: FiniteGroup, upper: Subgroup,
     found = np.flatnonzero(in_lower[G.power_map(p)] & ~in_upper)
     if not len(found):
         return None
-    x = int(found[0])
-    cls = next(c for c in G.conjugacy_classes() if x in c.members)
-    image = _image_class(G.quotient(upper).project, cls, p)
-    return ForcingWitness(class_rep=image.representative, class_order=image.order,
-                          checked_fiber_sizes=(p,) * len(image.members))
+    label = G.conjugacy_classes()
+    images = _image_class(G.quotient(upper).project, np.flatnonzero(label == label[found[0]]))
+    return ForcingWitness(class_rep=int(images[0]), class_order=p,
+                          checked_fiber_sizes=(p,) * len(images))
 
 
-def _image_class(project: np.ndarray, cls: ConjugacyClass, order: int) -> ConjugacyClass:
-    """The class of the quotient that is the image of cls under project, whose
-    elements have the given order: its distinct images, the least as its
-    representative."""
-    images = np.flatnonzero(np.bincount(project[list(cls.members)]))
-    return ConjugacyClass(representative=int(images[0]), members=tuple(images.tolist()),
-                          order=order)
+def _image_class(project: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """The class of the quotient that is the image of a class of the source:
+    its members' distinct images, sorted, so the least comes first."""
+    return np.flatnonzero(np.bincount(project[members]))
 
 
 def _quaternion_quotient(G: FiniteGroup, S: Subgroup) -> bool:

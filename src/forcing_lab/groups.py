@@ -22,8 +22,10 @@ the closure check of ``Subgroup``. What the kernels produce becomes a
 orders, power maps x -> x^e, conjugacy classes and the lower exponent-p
 series are derived once per group and cached on it. Element orders come in
 prime-power steps: the q-part of x's order is read from x^(|G|/q^k) by at
-most k steps of the q-th power map, for q^k exactly dividing |G|. A
-``QuotientMap`` labels cosets at once and builds its target group only the
+most k steps of the q-th power map, for q^k exactly dividing |G|. A class
+is a label, as a coset is: one int32 array gives each element the least
+member of its class, and a ``QuotientMap`` gives each element the index of
+its coset, labelled at once; the quotient's target group is built only the
 first time it is read.
 """
 
@@ -155,15 +157,6 @@ class Subgroup:
         return np.fromiter(self.members, dtype=_IDX, count=len(self.members))
 
 
-@dataclass(frozen=True)
-class ConjugacyClass:
-    """One conjugacy class; order is the common element order of its members."""
-
-    representative: int
-    members: tuple[int, ...]
-    order: int
-
-
 class QuotientMap:
     """A surjection source -> source/kernel with explicit coset bookkeeping.
 
@@ -179,7 +172,6 @@ class QuotientMap:
         project.setflags(write=False)
         self.project = project
         self._target: FiniteGroup | None = None
-        self._fibers: tuple[tuple[int, ...], ...] | None = None
 
     @property
     def target(self) -> "FiniteGroup":
@@ -196,15 +188,6 @@ class QuotientMap:
             self._target = FiniteGroup(_induced_table(source.mul_table, reps, project),
                                        list(gens) or [0])
         return self._target
-
-    def fiber(self, t: int) -> tuple[int, ...]:
-        """All source indices mapping onto target index t."""
-        if self._fibers is None:
-            buckets: list[list[int]] = [[] for _ in range(self.target.order)]
-            for x, t_x in enumerate(self.project):
-                buckets[int(t_x)].append(x)
-            self._fibers = tuple(tuple(b) for b in buckets)
-        return self._fibers[t]
 
 
 class FiniteGroup:
@@ -231,7 +214,7 @@ class FiniteGroup:
         self.spec = spec
         self._orders: np.ndarray | None = None
         self._powers: dict[int, np.ndarray] = {}
-        self._classes: tuple[ConjugacyClass, ...] | None = None
+        self._classes: np.ndarray | None = None
         self._series: tuple[tuple[int, ...], ...] | None = None
 
     @property
@@ -446,8 +429,11 @@ class FiniteGroup:
             rep[rows] = self._mul[rows][:, nmem].min(axis=1)
         return QuotientMap(self, N, np.searchsorted(_distinct(rep, self.order), rep))
 
-    def conjugacy_classes(self) -> tuple[ConjugacyClass, ...]:
-        """Classes sorted by least member; the identity class comes first.
+    def conjugacy_classes(self) -> np.ndarray:
+        """label[x], the least member of x's class, for every element x;
+        derived once, read-only. The representatives are the x with
+        label[x] == x, x's class is where label equals label[x], and its
+        members share the order of its representative.
 
         Labels fall to the least member of each class: each takes the minimum
         over its generator conjugates, then jumps (label[label]), until stable."""
@@ -464,13 +450,8 @@ class FiniteGroup:
             orders = self.orders()
             if not np.array_equal(orders, orders[label]):
                 raise PreconditionViolated("conjugates of unequal order; table is corrupt")
-            by_class = np.argsort(label, kind="stable")
-            ends = np.append(np.flatnonzero(np.diff(label[by_class])) + 1, self.order).tolist()
-            by_class = by_class.tolist()
-            self._classes = tuple(
-                ConjugacyClass(representative=by_class[start], members=tuple(by_class[start:end]),
-                               order=int(orders[by_class[start]]))
-                for start, end in zip([0] + ends, ends))
+            label.setflags(write=False)
+            self._classes = label
         return self._classes
 
     def intermediate_index_p_subgroups(self, A: Subgroup, B: Subgroup,
@@ -690,7 +671,9 @@ def from_generators(gens: Sequence[Sequence[int]], degree: int,
         cols[gi] = np.empty(n, dtype=_IDX)
         for slab in _slabs(n, degree):
             cols[gi][slab] = index_of(gen_rows[gi][rows[slab]])
-    generators = index_of(np.array(gen_rows, dtype=_IDX).reshape(-1, degree)).tolist()
+    # no generators give the trivial group generated by its identity, as
+    # the parse of its spec text gives it
+    generators = index_of(np.array(gen_rows, dtype=_IDX).reshape(-1, degree)).tolist() or [0]
     del keys, rows, gen_rows
     # rows by sorted index, columns in discovery order, so each block is a slice
     mul = np.empty((n, n), dtype=_IDX)

@@ -7,7 +7,8 @@ Three forms:
     product:<part>|<part>[|<part>...]        direct product of perm/preset parts
 
 Cycle notation is whitespace-separated points in parentheses, "()" for the
-identity. parse_group_spec builds the group and stamps it with the canonical
+identity. A perm group is built on the points its cycles move, so its
+degree lives only in its spec text. parse_group_spec builds the group and stamps it with the canonical
 form of its spec; spec_text writes a group built without one as its
 right-regular representation, which parses back to the same group.
 """
@@ -15,7 +16,7 @@ right-regular representation, which parses back to the same group.
 from __future__ import annotations
 
 import re
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -32,9 +33,9 @@ _PRESET_RE = re.compile(r"^([A-Za-z][A-Za-z0-9]*)\((.*)\)$")
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
-def _parse_generator(text: str, degree: int) -> np.ndarray:
-    """The int32 image row of one generator in cycle notation; points in
-    no cycle stay fixed."""
+def _parse_cycles(text: str, degree: int) -> list[list[int]]:
+    """The cycles of one generator in cycle notation, each point checked to
+    lie in 0..degree-1 and in one cycle only."""
     stripped = _CYCLE_RE.sub("", text)
     if stripped.strip():
         raise GroupSpecError(f"stray text {stripped.strip()!r} in generator {text!r}")
@@ -44,20 +45,22 @@ def _parse_generator(text: str, degree: int) -> np.ndarray:
             cycles.append([int(p) for p in body.split()])
         except ValueError:
             raise GroupSpecError(f"non-integer point in cycle ({body})") from None
-    row = np.arange(degree, dtype=np.int32)
     seen: set[int] = set()
-    for cycle in cycles:
-        for a in cycle:
-            if not 0 <= a < degree:
-                raise GroupSpecError(f"point {a} outside 0..{degree - 1}")
-            if a in seen:
-                raise GroupSpecError(f"point {a} appears in two cycles")
-            seen.add(a)
-        row[cycle] = cycle[1:] + cycle[:1]
-    return row
+    for a in (a for cycle in cycles for a in cycle):
+        if not 0 <= a < degree:
+            raise GroupSpecError(f"point {a} outside 0..{degree - 1}")
+        if a in seen:
+            raise GroupSpecError(f"point {a} appears in two cycles")
+        seen.add(a)
+    return cycles
 
 
 def _parse_perm(rest: str, cap: int) -> FiniteGroup:
+    """The group of a perm spec, built on its support: the points that some
+    cycle moves, relabelled 0, 1, ... in order. Every element fixes the
+    other points, and the relabelling keeps the order of the points, so the
+    image rows sort as over all the points. The degree is kept only in the
+    spec text."""
     head, sep, gens_text = rest.partition(":")
     if not sep:
         raise GroupSpecError("perm spec needs perm:<degree>:<generators>")
@@ -70,9 +73,16 @@ def _parse_perm(rest: str, cap: int) -> FiniteGroup:
     gen_texts = gens_text.split(",")
     if not any(t.strip() for t in gen_texts):
         raise GroupSpecError("perm spec needs at least one generator (use () for identity)")
-    gens = [_parse_generator(t, degree) for t in gen_texts]
-    group = from_generators(gens, degree, cap)
-    group.spec = _perm_spec(degree, gens)
+    gens = [[c for c in _parse_cycles(t, degree) if len(c) > 1] for t in gen_texts]
+    points = sorted({a for cycles in gens for cycle in cycles for a in cycle})
+    position = {a: i for i, a in enumerate(points)}
+    rows = np.tile(np.arange(max(len(points), 1), dtype=np.int32), (len(gens), 1))
+    for row, cycles in zip(rows, gens):
+        for cycle in cycles:
+            moved = [position[a] for a in cycle]
+            row[moved] = moved[1:] + moved[:1]
+    group = from_generators(rows, rows.shape[1], cap)
+    group.spec = _perm_spec(degree, rows, points)
     return group
 
 
@@ -117,26 +127,29 @@ def parse_group_spec(text: str, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     raise GroupSpecError(f"unknown spec kind {kind!r}")
 
 
-def _cycle_string(row: np.ndarray) -> str:
+def _cycle_string(row: np.ndarray, points: Sequence[int] | None = None) -> str:
     """The nontrivial cycles of an image row, each from its least point and
-    in order of it. Only the moved points are read."""
-    moved = np.flatnonzero(row != np.arange(len(row), dtype=row.dtype))
-    image = dict(zip(moved.tolist(), row[moved].tolist()))
+    in order of it, point i written as points[i] (as i without points).
+    Only the moved points are read."""
+    moved = np.flatnonzero(row != np.arange(len(row), dtype=row.dtype)).tolist()
+    image = dict(zip(moved, row[moved].tolist()))
     out = []
-    for point in moved.tolist():
+    for point in moved:
         cycle = []
         while point in image:
-            cycle.append(str(point))
+            cycle.append(str(point if points is None else points[point]))
             point = image.pop(point)
         if cycle:
             out.append("(" + " ".join(cycle) + ")")
     return "".join(out)
 
 
-def _perm_spec(degree: int, rows: Iterable[np.ndarray]) -> str:
+def _perm_spec(degree: int, rows: Iterable[np.ndarray],
+               points: Sequence[int] | None = None) -> str:
     """The canonical perm spec of the distinct non-identity rows, first seen
-    first, or () when there are none."""
-    cycles = dict.fromkeys(_cycle_string(row) for row in rows)
+    first, or () when there are none; points names the rows' points as in
+    _cycle_string."""
+    cycles = dict.fromkeys(_cycle_string(row, points) for row in rows)
     cycles.pop("", None)
     return f"perm:{degree}:" + (",".join(cycles) or "()")
 

@@ -8,7 +8,7 @@ from forcing_lab import (
     from_generators,
     parse_group_spec,
 )
-from forcing_lab.groupspec import _parse_generator
+from forcing_lab.groupspec import _parse_cycles
 
 _groups = {}
 _certs = {}
@@ -40,6 +40,21 @@ def cert_of(group_of):
     return build
 
 
+def cycle_row(text, degree):
+    """The image row on all of 0..degree-1 of one generator in cycle
+    notation, from the cycles the spec parser reads and checks."""
+    row = np.arange(degree, dtype=np.int32)
+    for cycle in _parse_cycles(text, degree):
+        row[cycle] = cycle[1:] + cycle[:1]
+    return row
+
+
+@pytest.fixture(scope="session")
+def row_of():
+    """cycle_row: one generator's full image row from its cycle text."""
+    return cycle_row
+
+
 def _regular_rows(G):
     """G acting on itself by right multiplication: each generator's table
     column, which sends y to y g."""
@@ -66,11 +81,13 @@ def generator_rows(spec):
     rows are its parsed generators; a product's are its parts' rows on the
     disjoint union of their points; a preset's are the rows it hands to
     from_generators, or its cyclic factors' rows when it is a direct product
-    of them. A cyclic preset acts on itself by right multiplication."""
+    of them. A cyclic preset acts on itself by right multiplication. A perm
+    spec's rows cover all its points, though the parser builds the group on
+    the points its cycles move."""
     kind, _, rest = spec.partition(":")
     if kind == "perm":
         degree, _, gens = rest.partition(":")
-        return int(degree), [_parse_generator(text, int(degree)) for text in gens.split(",")]
+        return int(degree), [cycle_row(text, int(degree)) for text in gens.split(",")]
     if kind == "product":
         return _union_rows([generator_rows(part) for part in rest.split("|")])
     recorded = []

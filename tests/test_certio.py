@@ -190,5 +190,9 @@ class TestParseErrors:
             except (Malformed, DigestMismatch):
                 pass
 
+    def test_integer_past_the_digit_limit_is_malformed(self):
+        with pytest.raises(Malformed, match="invalid JSON: Exceeds the limit"):
+            parse(b'{"a": ' + b"9" * 5000 + b"}")
+
     def test_version_constant_matches(self):
         assert SCHEMA_VERSION == "1"

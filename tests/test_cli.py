@@ -95,6 +95,15 @@ class TestAnalyze:
         assert obj["profile"]["p"] == 3
         assert obj["series_orders"] == [27, 3, 1]
 
+    def test_class_sizes(self, capsys):
+        code, out, _ = run(capsys, "analyze", "preset:Dihedral(8)", "--no-header")
+        assert code == 0
+        assert "class sizes: 1 (x2), 2 (x3)\n" in out
+        code, out, _ = run(capsys, "analyze",
+                           "product:preset:Heisenberg(3)|preset:Cyclic(2)", "--json")
+        assert code == 0
+        assert '"class_sizes":[[1,6],[3,16]]' in out
+
 
 class TestForcingSeq:
     def test_writes_verifiable_document(self, capsys, tmp_path):
@@ -297,6 +306,13 @@ class TestVerify:
         assert code == 1
         assert out == "" and "error: Malformed: JSON nested too deeply" in err
 
+    def test_integer_past_the_digit_limit(self, capsys, tmp_path):
+        path = tmp_path / "long.fcert.json"
+        path.write_bytes(b'{"a": ' + b"9" * 5000 + b"}")
+        code, out, err = run(capsys, "verify", str(path), "--no-header")
+        assert code == 1
+        assert out == "" and "error: Malformed: invalid JSON: Exceeds the limit" in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(tmp_path / "nope.fcert.json"),
                            "--no-header")
@@ -474,6 +490,23 @@ class TestHeaderAndCap:
                            str(MAX_ORDER_CAP), "--no-header")
         assert code == 0
         assert "order: 27" in out
+
+
+def test_huge_perm_degree_is_spec_text_only(tmp_path):
+    """A perm group is built on the points its cycles move, so a degree of
+    10^11 allocates nothing of that size: analyze runs under a 1 GiB
+    address-space limit."""
+    resource = pytest.importorskip("resource")
+    limit = 1 << 30
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "forcing_lab", "analyze", "perm:99999999999:(0 1)", "--no-header"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("spec: perm:99999999999:(0 1)\norder: 2\n")
 
 
 def test_commands_leave_numpy_ma_unimported(tmp_path):

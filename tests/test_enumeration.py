@@ -61,7 +61,8 @@ def reference_from_generators(gens, degree, cap=2048):
     for t in discovery[1:]:
         parent, gi = parents[t]
         mul[:, index[t]] = gen_cols[gi][mul[:, index[parent]]]
-    return FiniteGroup(mul, [index[g] for g in gen_rows])
+    # no generators: the trivial group, generated by its identity
+    return FiniteGroup(mul, [index[g] for g in gen_rows] or [0])
 
 
 def assert_same_group(G, H, name=""):
@@ -248,6 +249,12 @@ class TestParseMemory:
         assert time.perf_counter() - t0 < 1.0
         assert G.order == 2 and spec_text(G) == "perm:100000:(0 1)"
         assert peak <= 6 * 2 ** 20
+
+    def test_degree_is_spec_text_only(self):
+        """Rows cover only the points some cycle moves."""
+        G, peak = _peak_bytes(lambda: parse_group_spec("perm:1000000:(0 1)"))
+        assert G.order == 2 and spec_text(G) == "perm:1000000:(0 1)"
+        assert peak < 2 ** 20
 
     @pytest.mark.parametrize("spec", ["preset:Cyclic(2049)", "preset:Dihedral(4098)",
                                       "preset:Heisenberg(53)", "preset:Abelian(2048,2048)",

@@ -400,9 +400,9 @@ class TestVerifier:
 
 
 def _largest_member_representative(original):
-    def image_class(project, cls, order):
-        image = original(project, cls, order)
-        return replace(image, representative=max(image.members))
+    def image_class(project, members):
+        # the largest image first, so it becomes the representative
+        return original(project, members)[::-1]
     return image_class
 
 
@@ -488,21 +488,22 @@ def _quotient_reference(G, cert):
                                       step=i))
             checks.append(CheckResult("step-forcing", False, "witness unusable", step=i))
             continue
-        cls = next(c for c in q_up.target.conjugacy_classes()
-                   if witness.class_rep in c.members)
+        label = q_up.target.conjugacy_classes()
+        rep = int(label[witness.class_rep])
+        order = int(q_up.target.orders()[rep])
         phi = np.empty(q_low.target.order, dtype=np.int32)
         phi[q_low.project] = q_up.project
         low_orders = q_low.target.orders()
-        fibers = [np.flatnonzero(phi == member) for member in cls.members]
+        fibers = [np.flatnonzero(phi == member) for member in np.flatnonzero(label == rep)]
         sizes = [len(f) for f in fibers]
-        class_ok = (cls.representative == witness.class_rep
-                    and cls.order == witness.class_order
+        class_ok = (rep == witness.class_rep
+                    and order == witness.class_order
                     and tuple(witness.checked_fiber_sizes) == tuple(sizes))
         checks.append(CheckResult(
             "step-witness-class", class_ok,
-            f"class of {witness.class_rep}: rep {cls.representative}, "
-            f"order {cls.order}, sizes {sizes}", step=i))
-        forcing = all(int(low_orders[x]) == cls.order for f in fibers for x in f)
+            f"class of {witness.class_rep}: rep {rep}, "
+            f"order {order}, sizes {sizes}", step=i))
+        forcing = all(int(low_orders[x]) == order for f in fibers for x in f)
         checks.append(CheckResult(
             "step-forcing", forcing,
             "every fiber element over every class member must keep the class order",

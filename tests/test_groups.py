@@ -25,7 +25,7 @@ from forcing_lab import (
     sylow_decomposition,
 )
 from forcing_lab.groups import PRIME_TEST_LIMIT, is_prime, prime_power
-from forcing_lab.groupspec import _cycle_string, _parse_generator
+from forcing_lab.groupspec import _cycle_string
 
 AXIOM_SPECS = [
     "preset:Cyclic(6)",
@@ -40,24 +40,25 @@ AXIOM_SPECS = [
 
 
 class TestPermutation:
-    """A permutation is an int32 image row: parsed from cycles, formatted
-    back to cycles, and checked and multiplied by from_generators."""
+    """A permutation is an int32 image row: built from the cycles the spec
+    parser checks, formatted back to cycles, and checked and multiplied by
+    from_generators."""
 
-    def test_identity(self):
-        e = _parse_generator("()", 4)
+    def test_identity(self, row_of):
+        e = row_of("()", 4)
         assert e.dtype == np.int32 and e.tolist() == [0, 1, 2, 3]
         assert _cycle_string(e) == ""
         assert from_generators([e], 4).order == 1
 
-    def test_from_cycles_and_back(self):
-        p = _parse_generator("(0 1 2)", 4)
+    def test_from_cycles_and_back(self, row_of):
+        p = row_of("(0 1 2)", 4)
         assert p.tolist() == [1, 2, 0, 3]
         assert _cycle_string(p) == "(0 1 2)"
         assert from_generators([p], 4).order == 3
 
-    def test_composition_is_left_then_right(self):
-        a = _parse_generator("(0 1)", 3)
-        b = _parse_generator("(1 2)", 3)
+    def test_composition_is_left_then_right(self, row_of):
+        a = row_of("(0 1)", 3)
+        b = row_of("(1 2)", 3)
         # a then b: 0 -> 1 -> 2
         ab = b[a]
         assert ab[0] == 2
@@ -65,8 +66,8 @@ class TestPermutation:
         ia, ib, iab = G.generators
         assert G.mul(ia, ib) == iab
 
-    def test_inverse(self):
-        p = _parse_generator("(0 1 2 3 4)", 5)
+    def test_inverse(self, row_of):
+        p = row_of("(0 1 2 3 4)", 5)
         G = from_generators([p, np.argsort(p)], 5)
         g, g_inv = G.generators
         assert G.mul(g, G.inv(g)) == 0
@@ -76,18 +77,20 @@ class TestPermutation:
         with pytest.raises(InvalidPermutation):
             from_generators([(0, 0, 1)], 3)
 
-    def test_rejects_out_of_range_cycle(self):
+    def test_rejects_out_of_range_cycle(self, row_of):
         with pytest.raises(GroupSpecError, match="point 5 outside 0..2"):
-            _parse_generator("(0 5)", 3)
+            row_of("(0 5)", 3)
 
-    def test_rejects_repeated_point(self):
+    def test_rejects_repeated_point(self, row_of):
         with pytest.raises(GroupSpecError, match="point 1 appears in two cycles"):
-            _parse_generator("(0 1)(1 2)", 4)
+            row_of("(0 1)(1 2)", 4)
 
-    def test_cycle_string_canonical(self):
-        p = _parse_generator("(4 5)(1 2 0)", 6)
+    def test_cycle_string_canonical(self, row_of):
+        p = row_of("(4 5)(1 2 0)", 6)
         # least point first inside each cycle, cycles sorted by least point
         assert _cycle_string(p) == "(0 1 2)(4 5)"
+        # point i written as points[i]
+        assert _cycle_string(p, [3, 5, 8, 13, 21, 34]) == "(3 5 8)(21 34)"
 
 
 def _perm_order(images):
@@ -362,7 +365,7 @@ def test_quotient_labels_are_min_coset_members(group_of):
     q = D4.quotient(D4.center())
     for g in range(D4.order):
         coset = {D4.mul(g, k) for k in D4.center().members}
-        label = q.fiber(int(q.project[g]))
+        label = np.flatnonzero(q.project == q.project[g]).tolist()
         assert set(label) == coset
 
 
@@ -559,30 +562,39 @@ def test_index_p_candidates_match_closure_reference(group_of):
     assert layers > 50
 
 
+def _classes(G):
+    """(representative, members, order) of each class, read from the labels
+    conjugacy_classes returns, by representative."""
+    label = G.conjugacy_classes()
+    return [(rep, tuple(np.flatnonzero(label == rep).tolist()), int(G.orders()[rep]))
+            for rep in np.flatnonzero(label == np.arange(G.order)).tolist()]
+
+
 def test_conjugacy_classes_match_orbit_search(group_of):
     for name, G in _kernel_cases(group_of):
-        classes = [(c.representative, c.members, c.order) for c in G.conjugacy_classes()]
-        assert classes == _orbit_classes(G), name
+        label = G.conjugacy_classes()
+        assert label.dtype == np.int32 and not label.flags.writeable
+        assert _classes(G) == _orbit_classes(G), name
 
 
 def test_conjugacy_classes_partition(group_of):
     for spec in AXIOM_SPECS:
         G = group_of(spec)
-        classes = G.conjugacy_classes()
-        seen = sorted(m for cls in classes for m in cls.members)
+        classes = _classes(G)
+        seen = sorted(m for _, members, _ in classes for m in members)
         assert seen == list(range(G.order))
-        for cls in classes:
-            assert cls.representative == min(cls.members)
-            assert all(int(G.orders()[m]) == cls.order for m in cls.members)
+        for rep, members, order in classes:
+            assert rep == min(members)
+            assert all(int(G.orders()[m]) == order for m in members)
         # classes are sorted by least member; identity first
-        reps = [cls.representative for cls in classes]
+        reps = [rep for rep, _, _ in classes]
         assert reps == sorted(reps)
-        assert classes[0].members == (0,)
+        assert classes[0][1] == (0,)
 
 
 def test_conjugacy_class_sizes_dihedral(group_of):
     D4 = group_of("preset:Dihedral(8)")
-    sizes = sorted(len(c.members) for c in D4.conjugacy_classes())
+    sizes = sorted(len(members) for _, members, _ in _classes(D4))
     assert sizes == [1, 1, 2, 2, 2]
 
 

@@ -43,6 +43,9 @@ class TestPermSpecs:
             assert spec_text(again) == spec_text(G)
         # least point first inside each cycle, cycles in order of it
         assert spec_text(parse_group_spec("perm:6:(4 5)(1 2 0)")) == "perm:6:(0 1 2)(4 5)"
+        # points no cycle moves are dropped, and the others keep their labels
+        assert (spec_text(parse_group_spec("perm:50:(40 10)(3 7 5)(9),(49 0)"))
+                == "perm:50:(3 7 5)(10 40),(0 49)")
 
     def test_canonical_text_keeps_distinct_moving_generators_first_seen(self):
         G = parse_group_spec("perm:4:(),(2 3),(0 1),(3 2),()")
@@ -159,6 +162,8 @@ def _groups_built_without_a_spec():
         [parse_group_spec("preset:Dihedral(8)"), parse_group_spec("preset:Heisenberg(3)")])
     yield "raw rows", from_generators([(1, 0, 2, 3, 4), (0, 1, 3, 4, 2), (1, 0, 2, 3, 4)], 5)
     yield "raw identity", from_generators([(0, 1, 2)], 3)
+    yield "no generators, degree 1", from_generators([], 1)
+    yield "no generators, degree 4", from_generators([], 4)
 
 
 def test_spec_text_of_a_group_without_a_spec_reparses_to_it():
