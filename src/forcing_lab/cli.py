@@ -56,7 +56,7 @@ from .exponents import (
     format_rational,
     replay_trace,
 )
-from .forcing import ForcingCertificate, build_forcing_sequence, verify_certificate
+from .forcing import ForcingCertificate, build_forcing_sequence
 from .groups import (
     DEFAULT_ORDER_CAP,
     MAX_ORDER_CAP,
@@ -66,6 +66,7 @@ from .groups import (
     subgroup_as_group,
 )
 from .groupspec import parse_group_spec, spec_text
+from .verify import verify_certificate
 
 ENV_CAP = "FORCING_LAB_CAP"
 

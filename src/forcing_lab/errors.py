@@ -67,6 +67,10 @@ class UnverifiedCertificate(ForcingLabError):
     """Certificate fails the structural consistency the exponent calculus needs."""
 
 
+class InvalidConstants(ForcingLabError, ValueError):
+    """Constants with beta or gamma <= 0, beta <= gamma + 1/2, or epsilon_delta outside [0, 1)."""
+
+
 class DegenerateDegree(ForcingLabError):
     """Field degree below 2 has no saving exponent."""
 

@@ -18,14 +18,16 @@ from .classify import PGroupProfile, p_group_profile, sylow_decomposition
 from .errors import (
     DegenerateDegree,
     EvenPrimeBase,
+    InvalidConstants,
     PreconditionViolated,
     RankOne,
     SylowHypothesisViolated,
     UnverifiedCertificate,
 )
-from .forcing import ForcingCertificate, build_forcing_sequence, verify_certificate
+from .forcing import ForcingCertificate, build_forcing_sequence
 from .groups import FiniteGroup, is_prime, prime_power, subgroup_as_group
 from .groupspec import spec_text
+from .verify import verify_certificate
 
 
 def format_rational(q: Fraction) -> str:
@@ -51,11 +53,11 @@ class AnalyticConstants:
         object.__setattr__(self, "gamma", Fraction(self.gamma))
         object.__setattr__(self, "epsilon_delta", Fraction(self.epsilon_delta))
         if self.beta <= 0 or self.gamma <= 0:
-            raise ValueError("beta and gamma must be positive")
+            raise InvalidConstants("beta and gamma must be positive")
         if self.beta <= self.gamma + Fraction(1, 2):
-            raise ValueError("constants invariant rejected: beta must exceed gamma + 1/2")
+            raise InvalidConstants("constants invariant rejected: beta must exceed gamma + 1/2")
         if not 0 <= self.epsilon_delta < 1:
-            raise ValueError("epsilon_delta must lie in [0, 1)")
+            raise InvalidConstants("epsilon_delta must lie in [0, 1)")
 
 
 DEFAULT_CONSTANTS = AnalyticConstants()

@@ -217,7 +217,8 @@ class TestDelta:
         code, _, err = run(capsys, "delta", "preset:Heisenberg(3)", "--ell", "5",
                            "--beta", "19", "--no-header")
         assert code == 1
-        assert "constants invariant rejected" in err
+        assert err == ("error: InvalidConstants: constants invariant rejected: "
+                       "beta must exceed gamma + 1/2\n")
 
     @pytest.mark.parametrize("flag", ["--beta", "--gamma", "--eps-delta"])
     @pytest.mark.parametrize("value", ["1/0", "one"])
@@ -357,6 +358,13 @@ def _forge_base_rank(report):
     return replace(report, trace=(TraceRecord("base", inputs, outputs),) + report.trace[1:])
 
 
+def _forge_base_beta(report):
+    # well-formed, but its constants break beta > gamma + 1/2
+    base = report.trace[0]
+    record = TraceRecord("base", {**base.inputs, "beta": "19"}, base.outputs)
+    return replace(report, trace=(record,) + report.trace[1:])
+
+
 def _forge_compositum(report):
     delta = format_rational(report.delta)
     record = TraceRecord("compositum", {"delta1": delta, "degree1": "27", "delta2": delta,
@@ -377,18 +385,36 @@ class TestVerifyTiesReportToCertificate:
         (_forge_drop_extension, "trace[1].rule is None, expected 'extension'"),
         (_forge_base_rank, "trace[0].inputs.rank is '3', expected '2'"),
         (_forge_compositum, "compositum exceeds available factors"),
-    ], ids=["other-group", "ell", "dropped-extension", "base-rank", "compositum"])
+        (_forge_base_beta, "constants invariant rejected: beta must exceed gamma + 1/2"),
+    ], ids=["other-group", "ell", "dropped-extension", "base-rank", "compositum", "base-beta"])
     def test_forged_report_fails(self, capsys, tmp_path, forge, named):
+        path = self._forged(capsys, tmp_path, forge)
+        code, out, _ = run(capsys, "verify", str(path), "--no-header")
+        assert code == 1
+        assert "FAIL delta-replay: " in out and named in out
+        assert "result: FAIL (1 of 24 conditions)" in out
+
+    def test_forged_constants_give_a_json_report(self, capsys, tmp_path):
+        path = self._forged(capsys, tmp_path, _forge_base_beta)
+        code, out, err = run(capsys, "verify", str(path), "--json")
+        assert code == 1 and err == ""
+        report = json.loads(out)
+        assert report["delta_replay"] is False and report["all_passed"] is False
+        assert report["conditions"][-1] == {
+            "condition": "delta-replay", "passed": False,
+            "detail": "constants invariant rejected: beta must exceed gamma + 1/2"}
+
+    @staticmethod
+    def _forged(capsys, tmp_path, forge):
+        """Heisenberg(3)'s l = 5 document with its report forged and the
+        digest recomputed."""
         path = tmp_path / "heis.fcert.json"
         assert main(["forcing-seq", "preset:Heisenberg(3)", "--ell", "5", "--out", str(path),
                      "--no-header"]) == 0
         doc = certio.read_document(path)
         certio.write_document(replace(doc, delta_report=forge(doc.delta_report)), path)
         capsys.readouterr()
-        code, out, _ = run(capsys, "verify", str(path), "--no-header")
-        assert code == 1
-        assert "FAIL delta-replay: " in out and named in out
-        assert "result: FAIL (1 of 24 conditions)" in out
+        return path
 
     @pytest.mark.parametrize("spec, ell, override, delta", [
         ("preset:Heisenberg(3)", "5", None, "1/3911580"),

@@ -9,6 +9,8 @@ from forcing_lab import (
     DegenerateDegree,
     DeltaReport,
     EvenPrimeBase,
+    ForcingLabError,
+    InvalidConstants,
     PreconditionViolated,
     RankOne,
     SylowHypothesisViolated,
@@ -55,6 +57,12 @@ class TestConstants:
             AnalyticConstants(beta=F(19), gamma=F(19))
         with pytest.raises(ValueError):
             AnalyticConstants(beta=F(39, 2), gamma=F(19))  # exactly gamma + 1/2
+
+    @pytest.mark.parametrize("kwargs", [{"beta": 19}, {"gamma": 0}, {"epsilon_delta": 1}])
+    def test_rejection_is_a_named_library_error(self, kwargs):
+        with pytest.raises(InvalidConstants) as info:
+            AnalyticConstants(**kwargs)
+        assert isinstance(info.value, ForcingLabError)
 
     def test_just_above_invariant_accepted(self):
         c = AnalyticConstants(beta=F(79, 4), gamma=F(19))

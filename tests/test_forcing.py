@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import inspect
 import tracemalloc
 from dataclasses import replace
 
@@ -31,7 +32,8 @@ from forcing_lab import (
     verify_certificate,
 )
 from forcing_lab import forcing
-from forcing_lab.forcing import _BLOCK_ITEMS, _coset_orders, _quaternion_quotient, _row_blocks
+from forcing_lab.forcing import _quaternion_quotient
+from forcing_lab.verify import _BLOCK_ITEMS, _coset_orders, _power_map, _row_blocks
 
 BUILDABLE = [
     "preset:Dihedral(8)",
@@ -322,20 +324,20 @@ class TestVerifier:
 
     @pytest.mark.parametrize("spec", ["preset:Dihedral(16)", "preset:Heisenberg(3)",
                                       "preset:Abelian(4,4)", TWISTED_C4_SPEC])
-    def test_verifier_derives_series_and_frattini_itself(self, group_of, cert_of,
-                                                         monkeypatch, spec):
-        G = group_of(spec)
+    def test_verifier_derives_series_and_frattini_itself(self, cert_of, monkeypatch, spec):
+        # a freshly parsed group, so no structure the builder derived is cached
+        G = parse_group_spec(spec)
         cert = cert_of(spec)
 
-        def builder_only(self, *args):
+        def builder_only(*args, **kwargs):
             raise AssertionError("the verifier used the builder's group code")
 
-        for name in ("lower_exponent_p_series", "frattini", "quotient",
-                     "conjugacy_classes", "_closure", "_commutators", "power_map", "prime",
-                     "commutator_subgroup", "subgroup_closure", "is_normal", "center",
-                     "intermediate_index_p_subgroups"):
-            monkeypatch.setattr(FiniteGroup, name, builder_only)
-        monkeypatch.setattr(Subgroup, "__post_init__", builder_only)
+        # every method, orders and power_map among them, so that a new
+        # builder kernel is covered without being listed here
+        for owner in (FiniteGroup, Subgroup, QuotientMap):
+            for name, value in list(vars(owner).items()):
+                if inspect.isfunction(value):
+                    monkeypatch.setattr(owner, name, builder_only)
         report = verify_certificate(G, cert)
         assert report.all_passed
         assert {"chain-frattini", "chain-refines-series"} <= {c.condition for c in report.checks}
@@ -633,9 +635,17 @@ def _normal_subgroups(G):
 
 class TestCosetOrders:
     def _check(self, G, members):
+        """Compare with unit steps; return the q of each q-th power map used."""
         inside = np.zeros(G.order, dtype=bool)
         inside[list(members)] = True
-        assert _coset_orders(G, inside).tolist() == _unit_step_coset_orders(G, members)
+        asked = []
+
+        def power_map(q):
+            asked.append(q)
+            return _power_map(G, q)
+
+        assert _coset_orders(G, inside, power_map).tolist() == _unit_step_coset_orders(G, members)
+        return asked
 
     @pytest.mark.parametrize("spec", CERTIFIED_64)
     def test_chain_entries_match_unit_steps(self, group_of, cert_of, spec):
@@ -648,11 +658,9 @@ class TestCosetOrders:
     def test_index_not_a_prime_power(self, group_of, spec):
         G = group_of(spec)
         normal = _normal_subgroups(G)
-        indices = {G.order // H.order for H in normal}
-        # both the q-th power steps and the unit steps run
-        assert {2, 3, 6} <= indices
-        for H in normal:
-            self._check(G, H.members)
+        used = {G.order // H.order: self._check(G, H.members) for H in normal}
+        # q-th power steps for a prime index, unit steps for index 6
+        assert used[2] == [2] and used[3] == [3] and used[6] == []
 
 
 class TestVerifierMemory:
@@ -668,7 +676,6 @@ class TestVerifierMemory:
     @pytest.mark.parametrize("spec", ["preset:Dihedral(1024)", "preset:ElemAbelian(2,10)"])
     def test_peak_within_a_quarter_table(self, group_of, cert_of, spec):
         G, cert = group_of(spec), cert_of(spec)
-        G.orders()
         gc.collect()
         tracemalloc.start()
         try:
