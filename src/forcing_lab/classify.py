@@ -23,11 +23,6 @@ class PGroupProfile:
     quaternion_index: int | None
 
 
-@dataclass
-class SylowDecomposition:
-    factors: dict[int, Subgroup]
-
-
 def is_p_group(G: FiniteGroup) -> int | None:
     """The prime p with |G| = p**n (n >= 1), or None; trivial group gives None."""
     pp = prime_power(G.order)
@@ -77,8 +72,8 @@ def count_order_p_subgroups(G: FiniteGroup, p: int) -> int:
     return int((G.orders() == p).sum()) // (p - 1)
 
 
-def sylow_decomposition(G: FiniteGroup) -> SylowDecomposition:
-    """Sylow subgroups of a nilpotent group, one per prime divisor.
+def sylow_decomposition(G: FiniteGroup) -> dict[int, Subgroup]:
+    """Sylow subgroups of a nilpotent group by prime, one per prime divisor.
 
     In a nilpotent group the p-elements form the (normal) Sylow p-subgroup;
     anything else raises NotNilpotent.
@@ -97,7 +92,7 @@ def sylow_decomposition(G: FiniteGroup) -> SylowDecomposition:
         if not G.is_normal(sub):
             raise NotNilpotent(f"Sylow {p}-subgroup is not normal")
         factors[p] = sub
-    return SylowDecomposition(factors)
+    return factors
 
 
 def is_nilpotent(G: FiniteGroup) -> bool:

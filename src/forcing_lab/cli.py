@@ -201,7 +201,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if is_p_group(G) is not None:
         prof = p_group_profile(G)
         series = G.lower_exponent_p_series()
-        orders = [len(term.members) for term in series]
+        orders = [term.order for term in series]
         if args.as_json:
             _print_json({"spec": spec_text(G), "order": G.order,
                          "profile": _profile_obj(G), "series_orders": orders,
@@ -219,9 +219,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"quaternion: {quat}")
         print("series orders: " + " > ".join(str(o) for o in orders))
     else:
-        decomposition = sylow_decomposition(G)
         factors = []
-        for p, sub in sorted(decomposition.factors.items()):
+        for p, sub in sorted(sylow_decomposition(G).items()):
             Gp = subgroup_as_group(sub)
             factors.append((p, _profile_obj(Gp)))
         if args.as_json:
@@ -411,7 +410,7 @@ def _run_grid_checks(consts: AnalyticConstants, cap: int) -> list[dict[str, Any]
     for n in range(1, 5):
         G = parse_group_spec(f"preset:GenQuaternion({n})", cap=cap)
         prof = p_group_profile(G)
-        center = len(G.center().members)
+        center = G.center().order
         if not (G.order == 2 ** (n + 2) and prof.p_class == n + 1
                 and center == 2 and prof.quaternion_index == n):
             prof_bad.append(f"n={n}")

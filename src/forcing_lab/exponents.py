@@ -262,9 +262,8 @@ def delta_for_nilpotent(G: FiniteGroup, ell: int,
     if pp is not None:
         factors: list[tuple[int, FiniteGroup]] = [(pp[0], G)]
     else:
-        decomposition = sylow_decomposition(G)
         factors = [(p, subgroup_as_group(sub))
-                   for p, sub in sorted(decomposition.factors.items())]
+                   for p, sub in sorted(sylow_decomposition(G).items())]
     profiles = []
     for p, Gp in factors:
         profile = p_group_profile(Gp)

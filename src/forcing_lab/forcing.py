@@ -107,11 +107,11 @@ def central_step_witness(G: FiniteGroup, upper: Subgroup,
     p = upper.order // lower.order
     if upper.order % lower.order or not is_prime(p):
         raise PreconditionViolated(f"index {upper.order}/{lower.order} is not prime")
-    in_upper, in_lower = (np.bincount(S.member_array(), minlength=G.order) > 0
+    in_upper, in_lower = (np.bincount(S.members, minlength=G.order) > 0
                           for S in (upper, lower))
     # generators suffice, as lower is normal
     gens = np.array(G.generators, dtype=np.int32)
-    if not in_lower[G._commutators(upper.member_array(), gens)].all():
+    if not in_lower[G._commutators(upper.members, gens)].all():
         raise PreconditionViolated("layer is not central: [upper, G] is not inside lower")
     found = np.flatnonzero(in_lower[G.power_map(p)] & ~in_upper)
     if not len(found):
@@ -133,7 +133,7 @@ def _quaternion_quotient(G: FiniteGroup, S: Subgroup) -> bool:
     subgroup of a non-cyclic 2-group G. G/S is then never cyclic (Burnside's
     basis theorem), so it is quaternion exactly when it has one involution:
     when exactly 2|S| elements of G square into S."""
-    inside = np.bincount(S.member_array(), minlength=G.order) > 0
+    inside = np.bincount(S.members, minlength=G.order) > 0
     return int(inside[G.mul_table.diagonal()].sum()) == 2 * S.order
 
 
@@ -184,6 +184,6 @@ def build_forcing_sequence(G: FiniteGroup) -> ForcingCertificate:
         ))
     return ForcingCertificate(
         group_spec=spec_text(G),
-        chain=tuple(sub.members for sub in chain),
+        chain=tuple(tuple(sub.members.tolist()) for sub in chain),
         steps=tuple(steps),
     )

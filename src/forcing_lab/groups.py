@@ -9,16 +9,18 @@ through from_generators, which indexes the elements by their image rows,
 sorted (identity first, then lexicographic). It enumerates by Dimino's
 algorithm on blocks of int32 image rows, one gather per coset, fills the
 table a coset at a time and then drops every row, the generators' too; no
-element is ever a Python tuple. Derived groups come from table arithmetic: a
-direct product composes its factors' tables, a quotient or subgroup
-relabels the parent's. Building a group makes no full-table temporary:
-every kernel that reads or writes a whole table does so in row slabs of at
-most _SLAB_ITEMS items.
+element is ever a Python tuple, and neither is a subgroup: its members are
+one sorted, read-only int32 array, which every kernel takes and returns as
+it is. Derived groups come from table arithmetic: a direct product composes
+its factors' tables, a quotient or subgroup relabels the parent's. Building
+a group makes no full-table temporary: every kernel that reads or writes a
+whole table does so in row slabs of at most _SLAB_ITEMS items.
 
 One kernel closes subgroups from generators, never by squaring member sets:
 ``FiniteGroup._closure`` (Dimino's algorithm) serves ``subgroup_closure`` and
 the closure check of ``Subgroup``. What the kernels produce becomes a
-``Subgroup`` unchecked; a member set a caller supplies is checked. Element
+``Subgroup`` unchecked, through ``Subgroup._checked``; members a caller
+supplies, any sequence or array, are sorted and checked closed. Element
 orders, power maps x -> x^e, conjugacy classes and the lower exponent-p
 series are derived once per group and cached on it. Element orders come in
 prime-power steps: the q-part of x's order is read from x^(|G|/q^k) by at
@@ -34,7 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import lcm, prod
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -117,33 +119,44 @@ def prime_power(n: int) -> tuple[int, int] | None:
     return next(iter(factors.items())) if len(factors) == 1 else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subgroup:
-    """A subset of parent element indices, verified closed at construction:
-    their closure contains them all, and stays inside them only if they are
-    closed."""
+    """A subgroup of parent as its member indices: a sorted, C-contiguous,
+    read-only int32 array, the identity 0 first. Members given as any
+    sequence or array of indices are deduplicated, sorted and verified
+    closed: their closure contains them all, and stays inside them only if
+    they are closed. Subgroups compare by identity; compare their members."""
 
     parent: "FiniteGroup"
-    members: tuple[int, ...]
+    members: np.ndarray
 
     def __post_init__(self) -> None:
-        members = tuple(sorted({int(m) for m in self.members}))
-        object.__setattr__(self, "members", members)
-        if not members or members[0] != 0:
+        try:
+            given = np.asarray(self.members, dtype=np.int64)
+        except (OverflowError, TypeError, ValueError):
+            given = None
+        if given is None or given.ndim != 1:
+            raise PreconditionViolated("members are not a sequence of int64 indices")
+        if not given.size or given.min() != 0:
             raise PreconditionViolated("subgroup must contain the identity (index 0)")
-        if members[-1] >= self.parent.order:
-            raise PreconditionViolated(f"member index {members[-1]} out of range")
+        if given.max() >= self.parent.order:
+            raise PreconditionViolated(f"member index {given.max()} out of range")
         allowed = np.zeros(self.parent.order, dtype=bool)
-        allowed[list(members)] = True
+        allowed[given] = True
+        members = np.flatnonzero(allowed).astype(_IDX)
+        members.setflags(write=False)
+        object.__setattr__(self, "members", members)
         if self.parent._closure(members, allowed) is None:
             raise PreconditionViolated("member set is not closed under multiplication")
         if self.parent.order % len(members):
             raise PreconditionViolated("subgroup order does not divide group order")
 
     @classmethod
-    def _checked(cls, parent: "FiniteGroup", members: tuple[int, ...]) -> Subgroup:
+    def _checked(cls, parent: "FiniteGroup", members: np.ndarray) -> Subgroup:
         """A subgroup whose sorted members are known to be closed in this
         parent: the closure kernel's own output, or members checked before."""
+        members = np.ascontiguousarray(members, dtype=_IDX)
+        members.setflags(write=False)
         sub = object.__new__(cls)
         object.__setattr__(sub, "parent", parent)
         object.__setattr__(sub, "members", members)
@@ -152,9 +165,6 @@ class Subgroup:
     @property
     def order(self) -> int:
         return len(self.members)
-
-    def member_array(self) -> np.ndarray:
-        return np.fromiter(self.members, dtype=_IDX, count=len(self.members))
 
 
 class QuotientMap:
@@ -215,7 +225,7 @@ class FiniteGroup:
         self._orders: np.ndarray | None = None
         self._powers: dict[int, np.ndarray] = {}
         self._classes: np.ndarray | None = None
-        self._series: tuple[tuple[int, ...], ...] | None = None
+        self._series: tuple[np.ndarray, ...] | None = None
 
     @property
     def order(self) -> int:
@@ -288,12 +298,12 @@ class FiniteGroup:
         return bool(np.array_equal(table, table.T))
 
     def whole_subgroup(self) -> Subgroup:
-        return Subgroup._checked(self, tuple(range(self.order)))
+        return Subgroup._checked(self, np.arange(self.order, dtype=_IDX))
 
     def trivial_subgroup(self) -> Subgroup:
         return Subgroup(self, (0,))
 
-    def _closure(self, seed: Iterable[int], allowed: np.ndarray | None = None
+    def _closure(self, seed: np.ndarray, allowed: np.ndarray | None = None
                  ) -> tuple[np.ndarray, list[int]] | None:
         """Dimino's closure: the sorted members of <seed>, and the seeds taken
         as generators (each seed not yet reached, so a sorted seed gives its
@@ -331,23 +341,21 @@ class FiniteGroup:
             members = np.flatnonzero(reached)
         return members, gens
 
-    def subgroup_closure(self, seed: Iterable[int]) -> Subgroup:
+    def subgroup_closure(self, seed: Sequence[int] | np.ndarray) -> Subgroup:
         """Smallest subgroup containing the seed indices."""
-        seed = np.fromiter((int(s) for s in seed), dtype=np.int64)
+        seed = np.asarray(seed, dtype=np.int64)
         if len(seed) and (seed.min() < 0 or seed.max() >= self.order):
             raise PreconditionViolated("seed index out of range")
-        members, _ = self._closure(seed)
-        return Subgroup._checked(self, tuple(members.tolist()))
+        return Subgroup._checked(self, self._closure(seed)[0])
 
     def is_normal(self, H: Subgroup) -> bool:
         """Whether gHg^-1 = H for all g; generator conjugation suffices."""
         if H.parent is not self:
             raise PreconditionViolated("subgroup belongs to a different group")
-        members = H.member_array()
         for g in self.generators:
-            conj = self._mul[self._mul[self._inv[g], members], g]
+            conj = self._mul[self._mul[self._inv[g], H.members], g]
             conj.sort()
-            if not np.array_equal(conj, members):
+            if not np.array_equal(conj, H.members):
                 return False
         return True
 
@@ -355,7 +363,7 @@ class FiniteGroup:
         mask = np.ones(self.order, dtype=bool)
         for g in self.generators:
             mask &= self._mul[:, g] == self._mul[g, :]
-        return Subgroup._checked(self, tuple(np.flatnonzero(mask).tolist()))
+        return Subgroup._checked(self, np.flatnonzero(mask))
 
     def _commutators(self, a: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """The table of [x, y] = x^-1 y^-1 x y, rows x in a, columns y in ys."""
@@ -367,9 +375,11 @@ class FiniteGroup:
         """Subgroup generated by all [a, b] = a^-1 b^-1 a b: the closure of the
         [a, y] for generators y of B, closed under conjugation by the y. This
         is exact, since [a, yz] = [a, z] [a, y]^z."""
+        if A.parent is not self or B.parent is not self:
+            raise PreconditionViolated("subgroup belongs to a different group")
         gens = self.generators if B.order == self.order else self._closure(B.members)[1]
         ys = np.array(gens, dtype=_IDX)
-        seed = _distinct(self._commutators(A.member_array(), ys), self.order)
+        seed = _distinct(self._commutators(A.members, ys), self.order)
         while True:
             members, gens = self._closure(seed)
             g = np.array(gens, dtype=_IDX)
@@ -378,7 +388,7 @@ class FiniteGroup:
             new[self._commutators(g, ys)] = True
             new[members] = False
             if not new.any():
-                return Subgroup._checked(self, tuple(members.tolist()))
+                return Subgroup._checked(self, members)
             seed = np.concatenate([g, np.flatnonzero(new)])
 
     def frattini(self) -> Subgroup:
@@ -399,13 +409,13 @@ class FiniteGroup:
                 current = series[-1]
                 comm = self.commutator_subgroup(current, whole)
                 nxt = self.subgroup_closure(_distinct(
-                    np.concatenate([pth[current.member_array()], comm.member_array()]),
+                    np.concatenate([pth[current.members], comm.members]),
                     self.order))
                 if nxt.order >= current.order:
                     raise NotAPGroup("series failed to descend")
                 series.append(nxt)
             self._series = tuple(sub.members for sub in series)
-        # the cache holds member tuples: a cached Subgroup would point back at
+        # the cache holds member arrays: a cached Subgroup would point back at
         # this group, and the cycle would keep a dropped group's table alive
         # until the cycle collector runs
         return [Subgroup._checked(self, members) for members in self._series]
@@ -419,14 +429,11 @@ class FiniteGroup:
 
     def quotient(self, N: Subgroup) -> QuotientMap:
         """Quotient by a normal subgroup, cosets labeled by least member index."""
-        if N.parent is not self:
-            raise PreconditionViolated("subgroup belongs to a different group")
         if not self.is_normal(N):
             raise NotNormal(f"subgroup of order {N.order} is not normal")
-        nmem = N.member_array()
         rep = np.empty(self.order, dtype=_IDX)
         for rows in _slabs(self.order, N.order):
-            rep[rows] = self._mul[rows][:, nmem].min(axis=1)
+            rep[rows] = self._mul[rows][:, N.members].min(axis=1)
         return QuotientMap(self, N, np.searchsorted(_distinct(rep, self.order), rep))
 
     def conjugacy_classes(self) -> np.ndarray:
@@ -459,12 +466,13 @@ class FiniteGroup:
         """All S with B <= S < A and [A:S] = p, for A/B central elementary abelian in G/B.
 
         There are (p^r - 1)/(p - 1) of them, r = log_p [A:B], yielded in
-        canonical order (sorted member tuples). The preconditions are checked
-        and the first candidate is built at the call; the others are built,
-        checked and sorted only once a second one is asked for.
+        canonical order (sorted members compared lexicographically). The
+        preconditions are checked and the first candidate is built at the
+        call; the others are built, checked and sorted only once a second
+        one is asked for.
 
         The first is B with the first r - 1 greedy generators of A past B.
-        Two sorted member tuples of equal length first differ where one holds
+        Two sorted member arrays of equal length first differ where one holds
         the least element that the other lacks, and that one is smaller. So
         the least hyperplane H over B takes each element it may, walking A in
         index order. An element in the span W of those taken so far is in H
@@ -476,8 +484,7 @@ class FiniteGroup:
             raise PreconditionViolated("subgroup belongs to a different group")
         if not is_prime(p):
             raise PreconditionViolated(f"{p} is not prime")
-        a = A.member_array()
-        b = B.member_array()
+        a, b = A.members, B.members
         in_b = np.zeros(self.order, dtype=bool)
         in_b[b] = True
         if int(in_b[a].sum()) != B.order:
@@ -517,11 +524,12 @@ class FiniteGroup:
             for phi in itertools.product(range(p), repeat=len(basis)):
                 # phi = (0, ..., 0, 1) gives the first candidate
                 if next((c for c in phi if c), None) == 1 and any(phi[:-1]):
-                    out.append(Subgroup(self, tuple(members[coords @ phi % p == 0].tolist())))
-            out.sort(key=lambda s: s.members)
+                    out.append(Subgroup(self, members[coords @ phi % p == 0]))
+            # big-endian bytes compare as the members do (_row_keys)
+            out.sort(key=lambda s: s.members.astype(_BIG).tobytes())
             yield from out
 
-        first = Subgroup(self, tuple(span(basis[:-1])[0].tolist()))
+        first = Subgroup(self, span(basis[:-1])[0])
         return itertools.chain([first], others())
 
 
@@ -733,7 +741,7 @@ def subgroup_as_group(H: Subgroup) -> FiniteGroup:
     """
     parent = H.parent
     gens = parent._closure(H.members)[1] or [0]
-    m = H.member_array()
+    m = H.members
     # position[x] is x's index among the members
     position = np.zeros(parent.order, dtype=_IDX)
     position[m] = np.arange(len(m), dtype=_IDX)

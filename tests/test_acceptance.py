@@ -317,7 +317,7 @@ def test_criterion_09_series_quotient_compatibility(announce):
             own = q.target.lower_exponent_p_series()
             for j, term in enumerate(own):
                 image = tuple(sorted({int(q.project[x]) for x in series[j].members}))
-                if image != term.members:
+                if image != tuple(term.members.tolist()):
                     problems.append(f"{name}: image of term {j} disagrees")
                     break
     elapsed = time.perf_counter() - t0

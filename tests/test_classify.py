@@ -123,17 +123,17 @@ class TestPredicates:
 class TestSylow:
     def test_c12_decomposes(self, group_of):
         G = group_of("product:preset:Cyclic(4)|preset:Cyclic(3)")
-        dec = sylow_decomposition(G)
-        assert sorted(dec.factors) == [2, 3]
-        assert len(dec.factors[2].members) == 4
-        assert len(dec.factors[3].members) == 3
+        factors = sylow_decomposition(G)
+        assert sorted(factors) == [2, 3]
+        assert len(factors[2].members) == 4
+        assert len(factors[3].members) == 3
 
     def test_q8_x_c3_factors(self, group_of):
         G = group_of("product:preset:GenQuaternion(1)|preset:Cyclic(3)")
-        dec = sylow_decomposition(G)
-        two = subgroup_as_group(dec.factors[2])
+        factors = sylow_decomposition(G)
+        two = subgroup_as_group(factors[2])
         assert is_generalized_quaternion(two) == 1
-        three = subgroup_as_group(dec.factors[3])
+        three = subgroup_as_group(factors[3])
         assert is_cyclic(three)
 
     def test_s3_is_not_nilpotent(self, group_of):

@@ -197,7 +197,7 @@ class TestBuilder:
 
         def quotient(self, N):
             assert N.order > 1, "quotient by the trivial subgroup"
-            formed.append(N.members)
+            formed.append(tuple(N.members.tolist()))
             return original(self, N)
 
         monkeypatch.setattr(FiniteGroup, "quotient", quotient)
@@ -246,9 +246,10 @@ class TestQuaternionDetour:
                 todo, seen = [series[j]], set()
                 while todo:
                     current = todo.pop()
-                    if current.order == series[j + 1].order or current.members in seen:
+                    key = tuple(current.members.tolist())
+                    if current.order == series[j + 1].order or key in seen:
                         continue
-                    seen.add(current.members)
+                    seen.add(key)
                     for S in G.intermediate_index_p_subgroups(current, series[j + 1], 2):
                         expected = is_generalized_quaternion(G.quotient(S).target) is not None
                         assert _quaternion_quotient(G, S) == expected, (spec, S.members)
@@ -268,7 +269,7 @@ def _forged_c6_certificate(group_of):
     orders = C6.orders()
     g3 = next(m for m in range(C6.order) if int(orders[m]) == 3)
     kernel3 = C6.subgroup_closure([g3])
-    chain = (tuple(range(6)), tuple(kernel3.members), (0,))
+    chain = (tuple(range(6)), tuple(kernel3.members.tolist()), (0,))
     # quotient C6 -> C6/C3 = C2 relabels; pick the class of index 1 downstairs
     step = ForcingStep(index_in_chain=1, kernel_order=3, quotient_order=6,
                        quotient_is_quaternion=False,
@@ -309,7 +310,7 @@ class TestVerifier:
             if len(H.members) == 2 and not D4.is_normal(H):
                 reflection = H
                 break
-        chain = (tuple(range(8)), tuple(reflection.members), (0,))
+        chain = (tuple(range(8)), tuple(reflection.members.tolist()), (0,))
         step = ForcingStep(index_in_chain=1, kernel_order=2, quotient_order=8,
                            quotient_is_quaternion=False,
                            witness=ForcingWitness(1, 2, (2,)))
@@ -349,7 +350,8 @@ class TestVerifier:
                       if H.order == 2 and int(G.quotient(H).target.orders().max()) == 8)
         step = ForcingStep(index_in_chain=1, kernel_order=2, quotient_order=16,
                            quotient_is_quaternion=False, witness=ForcingWitness(1, 2, (2,)))
-        cert = ForcingCertificate(group_spec=G.spec, chain=(tuple(range(16)), kernel.members,
+        cert = ForcingCertificate(group_spec=G.spec, chain=(tuple(range(16)),
+                                                            tuple(kernel.members.tolist()),
                                                             (0,)), steps=(step,))
         report = verify_certificate(G, cert)
         assert "quotient-non-quaternion[1]" not in {c.label() for c in report.failures()}
@@ -538,8 +540,9 @@ def _forgeries(G, cert):
         except PreconditionViolated:
             candidates = []
         for other in candidates:
-            if other.members != cert.chain[k]:
-                yield f"swap {k}", replace(cert, chain=cert.chain[:k] + (other.members,)
+            swapped = tuple(other.members.tolist())
+            if swapped != cert.chain[k]:
+                yield f"swap {k}", replace(cert, chain=cert.chain[:k] + (swapped,)
                                            + cert.chain[k + 1:])
         entry = list(cert.chain[k])
         outside = [m for m in cert.chain[k - 1] if m not in cert.chain[k]]
@@ -628,7 +631,7 @@ def _unit_step_coset_orders(G, members):
 
 def _normal_subgroups(G):
     """Every normal subgroup of a small group, from all two-element seeds."""
-    found = {H.members: H for a in range(G.order) for b in range(a, G.order)
+    found = {tuple(H.members.tolist()): H for a in range(G.order) for b in range(a, G.order)
              for H in [G.subgroup_closure([a, b])]}
     return [H for H in found.values() if G.is_normal(H)]
 

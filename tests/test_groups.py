@@ -312,7 +312,7 @@ def test_subgroup_closure_idempotent(group_of):
     G = group_of("preset:Dihedral(8)")
     H = G.subgroup_closure([1])
     H2 = G.subgroup_closure(list(H.members))
-    assert H.members == H2.members
+    assert np.array_equal(H.members, H2.members)
     assert G.order % len(H.members) == 0
 
 
@@ -338,6 +338,52 @@ def test_subgroup_validation_rejects_non_closed(group_of):
     for kept in itertools.combinations(H.members[1:], 2):
         with pytest.raises(PreconditionViolated):
             Subgroup(D8, (0, *kept, outside))
+    # any sequence or array of indices gives the members of the sorted tuple
+    members = tuple(H.members.tolist())
+    for given in ([members[2], 0, members[-1], members[2], *members], np.array(members[::-1])):
+        assert tuple(Subgroup(D8, given).members.tolist()) == members
+    with pytest.raises(PreconditionViolated, match="identity"):
+        Subgroup(D8, (-1, *members))
+    for given in [(*members, 2 ** 70), (0, "x"), 0, [members]]:
+        with pytest.raises(PreconditionViolated):
+            Subgroup(D8, given)
+
+
+def _assert_sorted_int32_members(H, name):
+    members = H.members
+    assert isinstance(members, np.ndarray) and members.dtype == np.int32, name
+    assert members.ndim == 1 and members.flags.c_contiguous, name
+    assert not members.flags.writeable, name
+    assert members[0] == 0 and (np.diff(members) > 0).all(), name
+
+
+def test_kernel_subgroups_are_sorted_read_only_int32_arrays(group_of):
+    for _, spec in p_group_specs(64):
+        G = group_of(spec)
+        p = G.prime()
+        whole, series = G.whole_subgroup(), G.lower_exponent_p_series()
+        subgroups = [whole, G.trivial_subgroup(), G.subgroup_closure([G.order - 1, 1, 1]),
+                     G.center(), G.commutator_subgroup(whole, whole),
+                     G.commutator_subgroup(series[1], whole), G.frattini(), *series]
+        for A, B in zip(series, series[1:]):
+            subgroups += G.intermediate_index_p_subgroups(A, B, p)
+        for H in subgroups:
+            _assert_sorted_int32_members(H, spec)
+    for spec in [spec for _, spec in p_group_specs(64)] + [
+            "product:preset:Heisenberg(3)|preset:Cyclic(2)",
+            "product:preset:GenQuaternion(1)|preset:Cyclic(3)"]:
+        for H in sylow_decomposition(group_of(spec)).values():
+            _assert_sorted_int32_members(H, spec)
+
+
+def test_commutator_subgroup_rejects_a_foreign_subgroup(group_of):
+    D8, D16 = group_of("preset:Dihedral(8)"), group_of("preset:Dihedral(16)")
+    # Q8 has D8's order, so its member indices are all in range for D8
+    Q8 = group_of("preset:GenQuaternion(1)")
+    for foreign in (D16.frattini(), Q8.whole_subgroup(), Q8.center()):
+        for A, B in [(foreign, D8.whole_subgroup()), (D8.whole_subgroup(), foreign)]:
+            with pytest.raises(PreconditionViolated, match="different group"):
+                D8.commutator_subgroup(A, B)
 
 
 def test_center_is_normal(group_of):
@@ -408,7 +454,7 @@ def test_intermediate_index_p_subgroups_elementary_abelian(group_of):
                                                   E9.trivial_subgroup(), 3))
     assert len(subs) == 4
     assert all(len(s.members) == 3 for s in subs)
-    assert len({s.members for s in subs}) == 4
+    assert len({tuple(s.members.tolist()) for s in subs}) == 4
 
     V4 = group_of("preset:ElemAbelian(2,2)")
     subs = list(V4.intermediate_index_p_subgroups(V4.whole_subgroup(),
@@ -493,30 +539,30 @@ def test_closure_kernels_match_fixpoint_references(group_of):
         subgroups = []
         for seed in seeds:
             H = G.subgroup_closure(seed)
-            assert H.members == _fixpoint_closure(G, seed), (name, seed)
+            assert tuple(H.members.tolist()) == _fixpoint_closure(G, seed), (name, seed)
             subgroups.append(H)
-        assert G.center().members == tuple(
+        assert tuple(G.center().members.tolist()) == tuple(
             x for x in range(G.order) if np.array_equal(G.mul_table[x], G.mul_table[:, x])), name
         proper = [H for H in subgroups if H.order < G.order]
         for A, B in zip(proper, proper[1:] + proper[:1]):
-            expected = _fixpoint_closure(G, _all_commutators(G, A.member_array(), B.member_array()))
-            assert G.commutator_subgroup(A, B).members == expected, name
+            expected = _fixpoint_closure(G, _all_commutators(G, A.members, B.members))
+            assert tuple(G.commutator_subgroup(A, B).members.tolist()) == expected, name
         whole = G.whole_subgroup()
         for A in proper[:2] + [whole]:
-            expected = _fixpoint_closure(G, _all_commutators(G, A.member_array(), np.arange(G.order)))
-            assert G.commutator_subgroup(A, whole).members == expected, name
+            expected = _fixpoint_closure(G, _all_commutators(G, A.members, np.arange(G.order)))
+            assert tuple(G.commutator_subgroup(A, whole).members.tolist()) == expected, name
         pp = prime_power(G.order)
         if pp is not None:
             series = G.lower_exponent_p_series()
-            assert [H.members for H in series] == _reference_series(G, pp[0]), name
-            assert G.frattini() == series[1], name
+            assert [tuple(H.members.tolist()) for H in series] == _reference_series(G, pp[0]), name
+            assert np.array_equal(G.frattini().members, series[1].members), name
 
 
 def _index_p_reference(G, A, B, p):
     """Sorted distinct closures of B with r - 1 coset representatives of B in
     A that have order |A|/p, grown one representative at a time."""
-    reps = np.unique(G.mul_table[:, B.member_array()].min(axis=1)[A.member_array()]).tolist()
-    level = {B.members}
+    reps = np.unique(G.mul_table[:, B.members].min(axis=1)[A.members]).tolist()
+    level = {tuple(B.members.tolist())}
     while max(map(len, level)) * p < A.order:
         level = {_fixpoint_closure(G, S + (x,)) for S in level for x in reps if x not in S}
     return sorted(S for S in level if len(S) * p == A.order)
@@ -538,7 +584,7 @@ def test_index_p_candidates_are_built_on_demand(group_of, monkeypatch):
     assert len(built) == 1
     rest = list(candidates)
     assert len(built) == 15
-    assert [S.members for S in [first] + rest] == _index_p_reference(G, whole, trivial, 2)
+    assert [tuple(S.members.tolist()) for S in [first] + rest] == _index_p_reference(G, whole, trivial, 2)
 
 
 def test_index_p_candidates_match_closure_reference(group_of):
@@ -553,11 +599,11 @@ def test_index_p_candidates_match_closure_reference(group_of):
             if A.order > B.order * p ** 4:
                 continue
             candidates = list(G.intermediate_index_p_subgroups(A, B, p))
-            assert [S.members for S in candidates] == _index_p_reference(G, A, B, p), spec
+            assert [tuple(S.members.tolist()) for S in candidates] == _index_p_reference(G, A, B, p), spec
             for S in candidates:
                 if S.order > B.order:
                     nested = G.intermediate_index_p_subgroups(S, B, p)
-                    assert [T.members for T in nested] == _index_p_reference(G, S, B, p), spec
+                    assert [tuple(T.members.tolist()) for T in nested] == _index_p_reference(G, S, B, p), spec
             layers += 1
     assert layers > 50
 
@@ -624,7 +670,7 @@ def _greedy_generators(H):
 def _subgroup_cases(group_of):
     for spec in ["product:preset:Heisenberg(5)|preset:ElemAbelian(3,2)",
                  "product:preset:GenQuaternion(1)|preset:Cyclic(3)"]:
-        for p, sub in sylow_decomposition(group_of(spec)).factors.items():
+        for p, sub in sylow_decomposition(group_of(spec)).items():
             yield f"{spec} Sylow {p}", sub
     for spec in ["preset:Dihedral(16)", "preset:Heisenberg(3)", "preset:Abelian(4,2)",
                  "preset:SemiDihedral(16)", TWISTED_C4_SPEC]:

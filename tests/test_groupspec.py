@@ -149,7 +149,7 @@ def _groups_built_without_a_spec():
     for entry in catalog_entries():
         G = parse_group_spec(entry.spec)
         if prime_power(G.order) is None:
-            for p, sub in sylow_decomposition(G).factors.items():
+            for p, sub in sylow_decomposition(G).items():
                 yield f"{entry.spec} Sylow {p}", subgroup_as_group(sub)
     for spec in ["preset:Dihedral(16)", "preset:Heisenberg(3)", "preset:Abelian(4,2)",
                  "preset:SemiDihedral(16)", "perm:8:(0 1 2 3),(1 3)(4 5 6 7)"]:
@@ -182,7 +182,7 @@ def test_spec_text_of_a_group_without_a_spec_reparses_to_it():
 
 def test_spec_text_of_a_sylow_factor_is_pinned():
     G = parse_group_spec("product:preset:Heisenberg(3)|preset:Cyclic(4)")
-    K = subgroup_as_group(sylow_decomposition(G).factors[3])
+    K = subgroup_as_group(sylow_decomposition(G)[3])
     assert spec_text(K) == (
         "perm:27:(0 1 2)(3 14 22)(4 12 23)(5 13 21)(6 24 15)(7 25 16)(8 26 17)(9 10 11)"
         "(18 19 20),(0 3 6)(1 4 7)(2 5 8)(9 12 15)(10 13 16)(11 14 17)(18 21 24)"
