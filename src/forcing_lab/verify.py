@@ -4,18 +4,32 @@ verify_certificate re-checks every condition a certificate claims from
 scratch, and the forcing property over every class member by brute force.
 Of G it reads only mul_table, order and inv_table, whose inverses it checks,
 and of groups.py it runs only prime_power and is_prime (tests/test_verify.py
-holds it to that). Element orders, closure, normality, the exponent-p series
-and the Frattini subgroup come from all products, commutators and p-th
-powers in the table; cosets, their orders and their classes from membership
-masks. Every gather of n x |N| products or more is one flat take from the
-table per row block of at most _BLOCK_ITEMS int32 products. A coset xN of
-index q^m has as order the least q^j with x^(q^j) in N, found in at most m
-steps of the q-th power map, which is built once per call.
+holds it to that).
+
+The chain N_0 > N_1 > ... > N_{L-1} is proven bottom up when |G| = p^m, each
+entry holds the next, from entry 1 on each has p times the elements of the
+next, and the last is {1}. With t_k the least member of N_k outside N_{k+1},
+N_k is a subgroup once N_{k+1} is one, t_k^p lies in N_{k+1}, t_k normalises
+N_{k+1} (checked on its generators t_{k+1}, ..., t_{L-2}), and N_{k+1} t_k^j
+lies in N_k for j < p: those p cosets are distinct, so they fill it. The t_k
+and the least elements s that take N_1's running union M <- U_j M s^j to
+all of G within log_p [G:N_1] steps make a set S of log_p |G| elements that
+provably generates G. Normality and central layers are then checked on
+commutators with S (x^s = x [x, s], and [x, gh] = [x, h] [x, g]^h), the
+exponent-p series is closed under conjugation by S, a coset label comes
+from the entry below in p lookups, and element and coset orders from one
+table of p-power maps. _derive is the one place that reads the chain this
+way. What it does not prove falls back, condition by condition, to all of
+G: closure by squaring, commutators with every element and labels as the
+least product over a whole coset, so every verdict and detail is the same
+either way. Every gather of n x |N| products or more is one flat take from
+the table per row block of at most _BLOCK_ITEMS int32 products.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -25,7 +39,7 @@ from .errors import MalformedCertificate, NotAPGroup, PreconditionViolated
 from .groups import is_prime, prime_power
 
 if TYPE_CHECKING:
-    from collections.abc import Callable, Iterator
+    from collections.abc import Callable, Container, Iterator
 
     from .forcing import ForcingCertificate
     from .groups import FiniteGroup
@@ -54,26 +68,48 @@ class VerificationReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
-def _structural_check(G: FiniteGroup, cert: ForcingCertificate) -> None:
-    if len(cert.chain) < 2:
+def _structural_check(G: FiniteGroup, cert: ForcingCertificate) -> np.ndarray:
+    """The chain's membership masks, one row per entry, once every entry is
+    a non-empty set of in-range int indices and the steps fit the chain."""
+    chain = cert.chain
+    if len(chain) < 2:
         raise MalformedCertificate("chain needs at least the whole group and the trivial subgroup")
     n = G.order
-    for k, entry in enumerate(cert.chain):
-        if not entry:
-            raise MalformedCertificate(f"chain entry {k} is empty")
-        if len(set(entry)) != len(entry):
-            raise MalformedCertificate(f"chain entry {k} has duplicate indices")
-        for idx in entry:
-            if not isinstance(idx, int) or not 0 <= idx < n:
-                raise MalformedCertificate(f"chain entry {k} has bad element index {idx!r}")
-    if len(cert.steps) != len(cert.chain) - 2:
+    sizes = [len(entry) for entry in chain]
+    indices = list(itertools.chain.from_iterable(chain))
+    inside = None
+    # one type pass and one range check over every index (bool is not an
+    # index); the loop below runs only to name the first fault
+    if all(sizes) and set(map(type, indices)) == {int}:
+        try:
+            values = np.array(indices, dtype=np.int64)
+        except OverflowError:
+            values = None
+        if values is not None and values.min() >= 0 and values.max() < n:
+            inside = np.zeros((len(chain), n), dtype=bool)
+            inside[np.repeat(np.arange(len(chain)), sizes), values] = True
+            if inside.sum() != len(indices):
+                inside = None
+    if inside is None:
+        for k, entry in enumerate(chain):
+            if not entry:
+                raise MalformedCertificate(f"chain entry {k} is empty")
+            if len(set(entry)) != len(entry):
+                raise MalformedCertificate(f"chain entry {k} has duplicate indices")
+            for idx in entry:
+                if type(idx) is not int or not 0 <= idx < n:
+                    raise MalformedCertificate(f"chain entry {k} has bad element index {idx!r}")
+    if len(cert.steps) != len(chain) - 2:
         raise MalformedCertificate(
-            f"{len(cert.steps)} steps do not match a chain of {len(cert.chain)} entries")
+            f"{len(cert.steps)} steps do not match a chain of {len(chain)} entries")
     for i, step in enumerate(cert.steps):
         if step.witness is None:
             raise MalformedCertificate(f"step {i} lacks a witness")
+        if type(step.witness.class_rep) is not int:
+            raise MalformedCertificate(f"step {i} witness representative is not an int")
         if not 0 <= step.witness.class_rep:
             raise MalformedCertificate(f"step {i} witness representative is negative")
+    return inside
 
 
 # int32 products gathered per row block by the verifier's table kernels: a
@@ -105,60 +141,130 @@ def _sorted_set(G: FiniteGroup, elements: np.ndarray) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int32)
 
 
-def _square_until_closed(G: FiniteGroup, seed: np.ndarray) -> np.ndarray:
-    """Sorted members of the subgroup generated by seed: square until closed."""
-    members = _sorted_set(G, np.append(seed, 0))
-    while True:
+def _square_until_closed(G: FiniteGroup, members: np.ndarray,
+                         known: Container[bytes] = frozenset()) -> np.ndarray:
+    """Sorted int32 members of the subgroup generated by members (sorted
+    int32, 0 among them): square until closed, or until the members are a
+    subgroup in known (by member bytes)."""
+    while members.tobytes() not in known:
         products = np.zeros(G.order, dtype=bool)
         for block in _row_blocks(members, len(members)):
             products[_gather(G, block[:, None], members)] = True
         if products.sum() == len(members):
-            return members
+            break
         members = np.flatnonzero(products).astype(np.int32)
+    return members
 
 
-def _commutator_mask(G: FiniteGroup, members: np.ndarray) -> np.ndarray:
-    """Membership mask of the [x, g] = (x^-1 g^-1)(x g) for every x in members
-    and g in G."""
-    mul, inv = G.mul_table, G.inv_table
-    mask = np.zeros(G.order, dtype=bool)
-    for block in _row_blocks(members, G.order):
-        mask[_gather(G, np.take(mul[inv[block]], inv, axis=1), mul[block])] = True
-    return mask
+def _commutators(G: FiniteGroup, S: np.ndarray, xs: np.ndarray) -> Iterator[np.ndarray]:
+    """[x, s] = x^-1 (s^-1 x s) for every x in xs and s in S, one row per s,
+    in row blocks of S."""
+    inv = G.inv_table
+    for block in _row_blocks(S, len(xs)):
+        conjugates = _gather(G, _gather(G, inv[block][:, None], xs), block[:, None])
+        yield _gather(G, inv[xs], conjugates)
 
 
-def _nested_commutator_masks(G: FiniteGroup, chain: list[np.ndarray]) -> dict[bytes, np.ndarray]:
-    """_commutator_mask of every entry of a nested chain N_0 > N_1 > ...,
-    keyed by the entry's bytes, from |N_0| n products: each x adds [x, G]
-    once, at the deepest entry holding it, and an entry's mask is the union
-    of those at and below it."""
-    depth = np.full(G.order, -1, dtype=np.int32)
-    for k, members in enumerate(chain):
-        depth[members] = k
-    masks = {}
-    below = np.zeros(G.order, dtype=bool)
-    for k in reversed(range(len(chain))):
-        below = below | _commutator_mask(G, np.flatnonzero(depth == k).astype(np.int32))
-        masks[chain[k].tobytes()] = below
-    return masks
+def _escapes(G: FiniteGroup, S: np.ndarray, codes: np.ndarray) -> tuple[int, int]:
+    """Which entries S's commutators leave, with codes[x] the entries that
+    hold x as bits: bit k of the first when some x in N_k has [x, s] outside
+    N_k, bit i + 2 of the second when some x in N_{i+1} has [x, s] outside
+    N_{i+2}."""
+    normal = central = 0
+    everything = np.arange(G.order, dtype=np.int32)
+    for image in _commutators(G, S, everything):
+        outside = np.invert(codes[image])
+        normal |= int(np.bitwise_or.reduce(codes & outside, axis=None))
+        central |= int(np.bitwise_or.reduce((codes << 1) & outside, axis=None))
+    return normal, central
 
 
-def _brute_series(G: FiniteGroup, commutators: Callable[[np.ndarray], np.ndarray],
-                  power_map: Callable[[int], np.ndarray]) -> list[tuple[int, ...]]:
-    """The lower exponent-p series G_j = G_{j-1}^p [G_{j-1}, G], from all p-th
-    powers of each term and the mask of all its commutators with G."""
+def _underived(G: FiniteGroup, length: int) -> tuple[list[bool], None, np.ndarray]:
+    """Nothing proven by induction, and all of G as S."""
+    return [False] * length, None, np.arange(G.order, dtype=np.int32)
+
+
+def _derive(G: FiniteGroup, inside: np.ndarray, sizes: list[int], nested: bool,
+            pp: tuple[int, int] | None, pth: np.ndarray | None
+            ) -> tuple[list[bool], np.ndarray | None, np.ndarray]:
+    """(proven, t_powers, S) for the chain of membership masks inside:
+    proven[k] when the bottom-up induction shows N_k a subgroup, row k of
+    t_powers the t_k^j for j < p, and S the chain's generating set of G, or
+    all of G when the induction does not reach entry 1 or S falls short."""
+    L = len(inside)
+    if (pp is None or not nested or sizes[-1] != 1 or not inside[-1, 0]
+            or any(sizes[k] != pp[0] * sizes[k + 1] for k in range(1, L - 1))):
+        return _underived(G, L)
+    p, m = pp
+    n, mul, inv = G.order, G.mul_table, G.inv_table
+    t_powers = np.zeros((L, p), dtype=np.int32)
+    proven = [False] * (L - 1) + [True]
+    S = []
+    if L > 2:
+        # x lies in N_k exactly when depth[x] >= k, so the n - |N_k| first
+        # elements by depth are those outside N_k, and the next is t_k
+        depth = inside.sum(axis=0) - 1
+        ks = np.arange(1, L - 1)
+        t = np.argsort(depth, kind="stable")[[n - sizes[k] for k in range(1, L - 1)]]
+        for j in range(1, p):
+            t_powers[1:-1, j] = mul[t_powers[1:-1, j - 1], t]
+        power_in = depth[pth[t]] > ks
+        # t_a^-1 t_b t_a in N_{a+1} for every b > a: N_{k+1} = <t_{k+1}, ...>
+        conjugates = mul[mul[inv[t][:, None], t], t[:, None]]
+        normalises = ((depth[conjugates] > ks[:, None]) | (ks <= ks[:, None])).all(axis=1)
+        # N_{k+1} t_k^j inside N_k
+        cosets_in = ~((depth[:, None, None] > ks[:, None])
+                      & (depth[mul[:, t_powers[1:-1, 1:]]] < ks[:, None])).any(axis=(0, 2))
+        local = (power_in & normalises & cosets_in).tolist()
+        for k in reversed(range(1, L - 1)):
+            proven[k] = proven[k + 1] and local[k - 1]
+        S = t.tolist()
+    if not proven[1]:
+        return proven, t_powers, _underived(G, L)[2]
+    reached = inside[1].copy()
+    for _ in range(m - (L - 2)):
+        s = int(np.argmin(reached))
+        s_powers = [s]
+        for _ in range(p - 2):
+            s_powers.append(int(mul[s_powers[-1], s]))
+        reached[mul[np.flatnonzero(reached)[:, None], s_powers]] = True
+        S.append(s)
+    if not reached.all():
+        return proven, t_powers, _underived(G, L)[2]
+    return proven, t_powers, np.array(S, dtype=np.int32)
+
+
+def _series(G: FiniteGroup, S: np.ndarray, pth: np.ndarray | None,
+            known: dict[bytes, bool]) -> list[np.ndarray]:
+    """The lower exponent-p series G_j = G_{j-1}^p [G_{j-1}, G], for S a
+    generating set of G: the closure of the p-th powers of G_{j-1} and its
+    commutators with S (pth: the p-th power map), closed again under
+    conjugation by S until it stops growing. known maps the member bytes of
+    subgroups already proven closed to whether they are proven normal."""
     pp = prime_power(G.order)
     if pp is None:
         raise NotAPGroup(f"order {G.order} is not a prime power")
-    pth = power_map(pp[0])
     series = [np.arange(G.order, dtype=np.int32)]
     while len(series[-1]) > 1:
         current = series[-1]
-        series.append(_square_until_closed(
-            G, np.append(pth[current], np.flatnonzero(commutators(current)))))
-        if len(series[-1]) >= len(current):
+        found = np.zeros(G.order, dtype=bool)
+        found[pth[current]] = True
+        for image in _commutators(G, S, current):
+            found[image] = True
+        while True:
+            term = _square_until_closed(G, np.flatnonzero(found).astype(np.int32), known)
+            if known.get(term.tobytes()):
+                break
+            found[term] = True
+            # x^s = x [x, s]
+            for image in _commutators(G, S, term):
+                found[image] = True
+            if found.sum() == len(term):
+                break
+        series.append(term)
+        if len(term) >= len(current):
             raise NotAPGroup("series failed to descend")
-    return [tuple(term.tolist()) for term in series]
+    return series
 
 
 def _power_map(G: FiniteGroup, e: int) -> np.ndarray:
@@ -200,17 +306,13 @@ def _coset_orders(G: FiniteGroup, inside: np.ndarray,
     return orders
 
 
-def _quaternion_index(orders: np.ndarray, weight: int = 1) -> int | None:
-    """The index n when a group is generalized quaternion of order 2**(n+2),
-    else None, from its element orders with each element listed ``weight``
-    times: for G/N, the coset order of every x in G, with weight |N|. A
-    non-cyclic 2-group of order at least 8 is one exactly when it has one
-    involution."""
-    order = len(orders) // weight
+def _quaternion_index(order: int, top: int, involutions: int) -> int | None:
+    """The index n when a group of the given order, whose largest element
+    order is top and which has the given number of involutions, is
+    generalized quaternion of order 2**(n+2), else None. A non-cyclic
+    2-group of order at least 8 is one exactly when it has one involution."""
     pp = prime_power(order)
-    if pp is None or pp[0] != 2 or pp[1] < 3:
-        return None
-    if int(orders.max()) == order or int((orders == 2).sum()) != weight:
+    if pp is None or pp[0] != 2 or pp[1] < 3 or top == order or involutions != 1:
         return None
     return pp[1] - 2
 
@@ -221,84 +323,92 @@ def verify_certificate(G: FiniteGroup, cert: ForcingCertificate) -> Verification
     Structural impossibilities (bad indices, shape mismatches) raise
     MalformedCertificate; every semantic condition becomes a named pass/fail
     entry in the report. Group-theoretic facts are recomputed from G's table
-    alone, independently of the builder: element orders from powers, closure
-    by squaring member sets, normality over all conjugators, the exponent-p
-    series and its Frattini term from all powers and commutators. Quotients
-    are never built: a coset xN is labelled by its least member, target
-    index i is the i-th smallest label, and the order of xN is the least k
-    with x^k in N. Forcing is checked over every element of every coset of
-    the witness class.
+    alone, independently of the builder: element orders from p-th powers,
+    closure bottom up or by squaring, normality, centrality and the
+    exponent-p series from commutators with a generating set the chain
+    yields (or with all of G), and the series' Frattini term. Quotients are
+    never built: a coset xN is labelled by its least member, target index i
+    is the i-th smallest label, and the order of xN is the least k with x^k
+    in N. Forcing is checked over every element of every coset of the
+    witness class.
     """
     mul, inv = G.mul_table, G.inv_table
+    n = G.order
     # the inverses are G's data, not the verifier's: one product each checks them
-    bad = np.flatnonzero(mul[np.arange(G.order), inv] != 0)
+    bad = np.flatnonzero(mul[np.arange(n), inv] != 0)
     if len(bad):
         raise PreconditionViolated(f"inv_table[{bad[0]}] is not the inverse of {bad[0]}")
-    _structural_check(G, cert)
+    inside = _structural_check(G, cert)
+    L = len(inside)
+    order_of = inside.sum(axis=1).tolist()
+    flat = (np.flatnonzero(inside) % n).astype(np.int32)
+    ends = list(itertools.accumulate(order_of))
+    arrays = [flat[end - size:end] for end, size in zip(ends, order_of)]
     checks: list[CheckResult] = []
-    chain = [tuple(sorted(entry)) for entry in cert.chain]
-    arrays = [np.fromiter(entry, dtype=np.int32, count=len(entry)) for entry in chain]
-    masks = [np.bincount(members, minlength=G.order) > 0 for members in arrays]
-    # each q-th power map is built once per call
-    power_map = functools.cache(functools.partial(_power_map, G))
-
-    pp = prime_power(G.order)
+    pp = prime_power(n)
     p = pp[0] if pp else None
+    # row j holds x^(p^j): the order of xN in a p-group is the least such
+    # p^j in N
+    pth = ladder = None
+    if pp is not None:
+        pth = _power_map(G, p)
+        ladder = np.empty((pp[1] + 1, n), dtype=np.intp)
+        ladder[0] = np.arange(n)
+        for j in range(pp[1]):
+            ladder[j + 1] = pth[ladder[j]]
+        p_powers = p ** np.arange(pp[1] + 1, dtype=np.int32)
+
     detail = ""
     if pp is None:
-        detail = f"order {G.order} is not a prime power"
+        detail = f"order {n} is not a prime power"
     else:
-        orders = _coset_orders(G, np.arange(G.order) == 0, power_map)
-        if int(orders.max()) == G.order:
+        orders = p_powers[(ladder == 0).argmax(axis=0)]
+        top = int(orders.max())
+        if top == n:
             detail = "group is cyclic"
-        elif _quaternion_index(orders) is not None:
+        elif _quaternion_index(n, top, int((orders == 2).sum())) is not None:
             detail = "group is generalized quaternion"
     checks.append(CheckResult("group-hypotheses", not detail, detail))
 
-    checks.append(CheckResult(
-        "chain-full-group", chain[0] == tuple(range(G.order)),
-        "chain must start at the whole group"))
-    checks.append(CheckResult(
-        "chain-terminates", chain[-1] == (0,),
-        "chain must end at the trivial subgroup"))
-    descending = all(set(chain[k + 1]) < set(chain[k]) for k in range(len(chain) - 1))
+    checks.append(CheckResult("chain-full-group", order_of[0] == n,
+                              "chain must start at the whole group"))
+    checks.append(CheckResult("chain-terminates", order_of[-1] == 1 and bool(inside[-1, 0]),
+                              "chain must end at the trivial subgroup"))
+    nested = not (inside[1:] & ~inside[:-1]).any()
+    descending = nested and all(a > b for a, b in zip(order_of, order_of[1:]))
     checks.append(CheckResult("chain-descending", descending,
                               "entries must strictly decrease"))
 
-    # a nested chain's masks come from one pass over its first entry
-    commutator_masks = _nested_commutator_masks(G, arrays) if descending else {}
-
-    def commutators(members: np.ndarray) -> np.ndarray:
-        key = members.tobytes()
-        if key not in commutator_masks:
-            commutator_masks[key] = _commutator_mask(G, members)
-        return commutator_masks[key]
-
+    proven, t_powers, S = _derive(G, inside, order_of, nested, pp, pth)
+    everything = np.arange(n, dtype=np.int32)
+    # bit k of codes[x] when x lies in entry k
+    weights = np.array([1 << k for k in range(L)], dtype=np.int64 if L < 62 else object)
+    codes = weights @ inside
+    normal_bits, central_bits = _escapes(G, S, codes)
     # an entry is formed, so that its cosets make a quotient, once it is a
     # normal subgroup
-    formed = []
+    closed, formed = [], []
     for k, members in enumerate(arrays):
         # |G| distinct in-range indices are G itself
-        closed = chain[k][0] == 0 and (len(members) == G.order or np.array_equal(
-            _square_until_closed(G, members), members))
-        checks.append(CheckResult("chain-closed", closed,
-                                  f"entry of size {len(members)}", step=k))
-        # x^g = x [x, g] for every group element g, not only generators
-        normal = closed and not (commutators(members) & ~masks[k]).any()
-        checks.append(CheckResult("chain-normal", normal, f"entry {k}" + (
-            "" if closed else " is not even a subgroup"), step=k))
-        formed.append(normal)
+        closed.append(bool(inside[k, 0]) and (order_of[k] == n or proven[k] or np.array_equal(
+            _square_until_closed(G, members), members)))
+        checks.append(CheckResult("chain-closed", closed[k],
+                                  f"entry of size {order_of[k]}", step=k))
+        # x^s = x [x, s], and S generates G
+        formed.append(closed[k] and not normal_bits >> k & 1)
+        checks.append(CheckResult("chain-normal", formed[k], f"entry {k}" + (
+            "" if closed[k] else " is not even a subgroup"), step=k))
+    known = {arrays[k].tobytes(): formed[k] for k in range(L) if closed[k]}
     try:
-        series = _brute_series(G, commutators, power_map)
-        checks.append(CheckResult("chain-frattini", chain[1] == series[1],
+        series = _series(G, S, pth, known)
+        checks.append(CheckResult("chain-frattini", np.array_equal(arrays[1], series[1]),
                                   "second entry must be the Frattini subgroup"))
     except NotAPGroup as exc:
         series = None
         series_error = str(exc)
         checks.append(CheckResult("chain-frattini", False, series_error))
     if p is not None:
-        index_ok = all(len(chain[k]) == p * len(chain[k + 1])
-                       for k in range(1, len(chain) - 1))
+        index_ok = all(order_of[k] == p * order_of[k + 1] for k in range(1, L - 1))
         checks.append(CheckResult("chain-index-p", index_ok,
                                   f"consecutive indices must all be {p}"))
     else:
@@ -306,34 +416,51 @@ def verify_certificate(G: FiniteGroup, cert: ForcingCertificate) -> Verification
     if series is None:
         checks.append(CheckResult("chain-refines-series", False, series_error))
     else:
-        chain_sets = set(chain)
-        refines = all(s in chain_sets for s in series)
+        chain_bytes = {members.tobytes() for members in arrays}
+        refines = all(term.tobytes() in chain_bytes for term in series)
         checks.append(CheckResult("chain-refines-series", refines,
                                   "every series term must appear in the chain"))
 
-    @functools.cache
-    def coset_orders(k: int) -> np.ndarray:
-        """For formed entry k: the order of xN for each element x."""
-        return _coset_orders(G, masks[k], power_map)
+    # row k, for formed entry k: the order of xN_k for each element x
+    coset_orders = np.zeros((L, n), dtype=np.int32)
+    if ladder is not None:
+        # a row takes (m + 1) n bools and its argmax n intp: (m + 9) n / 4 int32s
+        for rows in _row_blocks(np.arange(L), (ladder.size + 8 * n) // 4):
+            coset_orders[rows] = p_powers[inside[rows][:, ladder].argmax(axis=1)]
+    else:
+        for k in np.flatnonzero(formed):
+            coset_orders[k] = _coset_orders(G, inside[k], functools.partial(_power_map, G))
+    # each coset of N_k holds |N_k| elements of its order
+    tops = coset_orders.max(axis=1).tolist()
+    involutions = (coset_orders == 2).sum(axis=1).tolist()
 
-    @functools.cache
-    def cosets_of(k: int) -> tuple[np.ndarray, np.ndarray]:
-        """For formed entry k: each element's coset label (the least member of
-        xN) and the sorted labels. Only the steps' entries need them."""
-        labels = np.empty(G.order, dtype=np.int32)
-        for block in _row_blocks(np.arange(G.order, dtype=np.int32), len(arrays[k])):
-            labels[block] = _gather(G, block[:, None], arrays[k]).min(axis=1)
-        return labels, _sorted_set(G, labels)
+    labels: dict[int, np.ndarray] = {}
+
+    def labels_of(k: int) -> np.ndarray:
+        """For formed entry k: each element's coset label, the least member
+        of xN. Only the steps' entries need them."""
+        # x N_j is the union of the x t_j^i N_{j+1} for an entry j proven
+        # bottom up, so those take their labels from the entry below
+        below = k
+        while below not in labels and proven[below] and below < L - 1:
+            below += 1
+        if below not in labels:
+            labels[below] = np.empty(n, dtype=np.int32)
+            for block in _row_blocks(everything, order_of[below]):
+                labels[below][block] = _gather(G, block[:, None], arrays[below]).min(axis=1)
+        for j in range(below - 1, k - 1, -1):
+            labels[j] = labels[j + 1][mul[:, t_powers[j]]].min(axis=1)
+        return labels[k]
 
     quotient_index: list[int | None] = []
-    for k in range(len(chain)):
+    for k in range(L):
         if not formed[k]:
             quotient_index.append(None)
             checks.append(CheckResult("quotient-non-quaternion", False,
                                       f"entry {k}: quotient could not be formed",
                                       step=k))
             continue
-        idx = _quaternion_index(coset_orders(k), len(arrays[k]))
+        idx = _quaternion_index(n // order_of[k], tops[k], involutions[k] // order_of[k])
         quotient_index.append(idx)
         checks.append(CheckResult("quotient-non-quaternion", idx is None,
                                   f"entry {k}" + ("" if idx is None else
@@ -352,12 +479,14 @@ def verify_certificate(G: FiniteGroup, cert: ForcingCertificate) -> Verification
                                   f"recorded {step.kernel_order}, actual index {ratio}", step=i))
         checks.append(CheckResult(
             "step-quotient-order",
-            step.quotient_order * len(lower) == G.order,
-            f"recorded {step.quotient_order}, expected {G.order // len(lower)}", step=i))
+            step.quotient_order * len(lower) == n,
+            f"recorded {step.quotient_order}, expected {n // len(lower)}", step=i))
 
-        # [N_i, G] inside N_{i+1} makes the layer central in G/N_{i+1}
-        central = not (commutators(upper) & ~masks[i + 2]).any()
-        checks.append(CheckResult("chain-central-layer", central,
+        # [N_i, G] inside N_{i+1} makes the layer central in G/N_{i+1}. S
+        # suffices: a derived S comes with every entry from 1 on a subgroup,
+        # so [N_{i+2}, S] inside N_{i+2} makes that entry normal, and then
+        # [x, gh] = [x, h] [x, g]^h
+        checks.append(CheckResult("chain-central-layer", not central_bits >> (i + 2) & 1,
                                   "layer commutators must land below", step=i))
 
         if not (formed[i + 1] and formed[i + 2]):
@@ -370,26 +499,27 @@ def verify_certificate(G: FiniteGroup, cert: ForcingCertificate) -> Verification
                                   "recorded flag must be false and match recomputation",
                                   step=i))
         witness = step.witness
-        labels_up, minima_up = cosets_of(i + 1)
-        labels_low, _ = cosets_of(i + 2)
-        orders_up, orders_low = coset_orders(i + 1), coset_orders(i + 2)
+        labels_up, labels_low = labels_of(i + 1), labels_of(i + 2)
+        # a label is the least member of its coset
+        minima_up = np.flatnonzero(labels_up == everything)
+        orders_up, orders_low = coset_orders[i + 1], coset_orders[i + 2]
         if witness.class_rep >= len(minima_up):
             checks.append(CheckResult("step-witness-class", False,
                                       f"representative {witness.class_rep} out of range",
                                       step=i))
             checks.append(CheckResult("step-forcing", False, "witness unusable", step=i))
             continue
-        x = minima_up[int(witness.class_rep)]
+        x = minima_up[witness.class_rep]
         # the class of x N_{i+1}: the cosets of g^-1 x g over every g in G,
         # listed by label, so the least is the representative
-        members = _sorted_set(G, labels_up[mul[mul[inv, x], np.arange(G.order)]])
+        members = _sorted_set(G, labels_up[mul[mul[inv, x], everything]])
         rep = int(np.searchsorted(minima_up, members[0]))
         order = int(orders_up[x])
         # the fiber over a class coset: the N_{i+2}-cosets of its elements
         # (one coset of N_{i+1} per class member, so at most n products)
         elements = _gather(G, members[:, None], upper)
         fiber_labels = np.sort(labels_low[elements], axis=1)
-        sizes = ((np.diff(fiber_labels, axis=1) != 0).sum(axis=1) + 1).tolist()
+        sizes = ((fiber_labels[:, 1:] != fiber_labels[:, :-1]).sum(axis=1) + 1).tolist()
         class_ok = (rep == witness.class_rep
                     and order == witness.class_order
                     and tuple(witness.checked_fiber_sizes) == tuple(sizes))

@@ -31,7 +31,8 @@ from forcing_lab import (
     two_group_specs,
     verify_certificate,
 )
-from forcing_lab import forcing
+from forcing_lab import certio, forcing, verify
+from forcing_lab.errors import Malformed
 from forcing_lab.forcing import _quaternion_quotient
 from forcing_lab.verify import _BLOCK_ITEMS, _coset_orders, _power_map, _row_blocks
 
@@ -390,6 +391,55 @@ class TestVerifier:
         with pytest.raises(MalformedCertificate):
             verify_certificate(G, bad)
 
+    @pytest.mark.parametrize("chain, change, message", [
+        pytest.param(lambda c: (c[0], (), c[2]), None, "chain entry 1 is empty", id="empty"),
+        pytest.param(lambda c: (c[0], c[1] + c[1][:1], c[2]), None,
+                     "chain entry 1 has duplicate indices", id="duplicate"),
+        pytest.param(lambda c: (c[0], (0, -1), c[2]), None,
+                     "chain entry 1 has bad element index -1", id="negative"),
+        pytest.param(lambda c: (c[0], (0, 8), c[2]), None,
+                     "chain entry 1 has bad element index 8", id="past-the-end"),
+        pytest.param(lambda c: (c[0], (0, 2 ** 70), c[2]), None,
+                     f"chain entry 1 has bad element index {2 ** 70}", id="past-int64"),
+        pytest.param(lambda c: (c[0], (0, 1.0), c[2]), None,
+                     "chain entry 1 has bad element index 1.0", id="float"),
+        pytest.param(lambda c: (c[0], (0, np.int64(1)), c[2]), None,
+                     f"chain entry 1 has bad element index {np.int64(1)!r}", id="numpy-int"),
+        # the first fault in chain order is the one named
+        pytest.param(lambda c: ((0, 9) + c[0][1:], (), c[2]), None,
+                     "chain entry 0 has bad element index 9", id="first-fault"),
+        pytest.param(None, lambda steps: (), "0 steps do not match a chain of 3 entries",
+                     id="step-count"),
+        pytest.param(None, lambda steps: (replace(steps[0], witness=None),),
+                     "step 0 lacks a witness", id="no-witness"),
+        pytest.param(None, lambda steps: (replace(steps[0], witness=replace(
+            steps[0].witness, class_rep=-1)),),
+            "step 0 witness representative is negative", id="negative-rep"),
+        pytest.param(None, lambda steps: (replace(steps[0], witness=replace(
+            steps[0].witness, class_rep=True)),),
+            "step 0 witness representative is not an int", id="bool-rep"),
+    ])
+    def test_structural_faults_are_named(self, group_of, cert_of, chain, change, message):
+        G = group_of("preset:Dihedral(8)")
+        cert = cert_of("preset:Dihedral(8)")
+        bad = replace(cert, chain=cert.chain if chain is None else chain(cert.chain),
+                      steps=cert.steps if change is None else change(cert.steps))
+        with pytest.raises(MalformedCertificate) as raised:
+            verify_certificate(G, bad)
+        assert str(raised.value) == message
+
+    def test_bool_in_place_of_an_index_is_malformed(self, group_of, cert_of):
+        # True == 1 and hashes like it, but certio writes it as JSON true and
+        # refuses those bytes, so the verifier refuses it too
+        G = group_of("preset:Dihedral(8)")
+        cert = cert_of("preset:Dihedral(8)")
+        forged = replace(cert, chain=tuple(tuple(True if v == 1 else v for v in entry)
+                                           for entry in cert.chain))
+        with pytest.raises(Malformed, match=r"expected int, got bool"):
+            certio.parse(certio.emit(certio.CertificateDocument(certificate=forged)))
+        with pytest.raises(MalformedCertificate, match=r"^chain entry 0 has bad element index True$"):
+            verify_certificate(G, forged)
+
     def test_wrong_group_rejected(self, group_of, cert_of):
         cert = cert_of("preset:Dihedral(8)")
         other = group_of("preset:Abelian(2,4)")  # same order, different group
@@ -561,6 +611,17 @@ class TestReportsMatchQuotientReference:
             ours = [c for c in report.checks if c.condition in QUOTIENT_CONDITIONS]
             assert ours == _quotient_reference(G, cert), label
 
+    def test_chain_longer_than_a_machine_word(self, group_of, cert_of):
+        # 65 entries: the bits that say which entries hold an element outgrow int64
+        G = group_of("preset:Dihedral(8)")
+        cert = cert_of("preset:Dihedral(8)")
+        chain = (cert.chain[0],) * 63 + cert.chain[1:]
+        long = replace(cert, chain=chain, steps=tuple(
+            replace(cert.steps[0], index_in_chain=i + 1) for i in range(len(chain) - 2)))
+        report = verify_certificate(G, long)
+        ours = [c for c in report.checks if c.condition in QUOTIENT_CONDITIONS]
+        assert ours == _quotient_reference(G, long)
+
     @pytest.mark.parametrize("spec", CERTIFIED_64)
     def test_non_nested_chains_fail_descending(self, group_of, cert_of, spec):
         # the step map phi of a non-nested pair is not a map, so only the
@@ -611,9 +672,99 @@ def _pinned_reports(group_of, cert_of):
 PINNED_REPORTS_SHA256 = "be5d29479d913a023d4fbe6e5761d8e91f69dbda48b1cec1881a5b23fe36b3da"
 
 
-def test_pinned_reports_are_unchanged(group_of, cert_of):
-    lines = "\n".join(f"{label}\t{text}" for label, text in _pinned_reports(group_of, cert_of))
+@pytest.fixture(scope="module")
+def pinned_reports(group_of, cert_of):
+    return list(_pinned_reports(group_of, cert_of))
+
+
+def test_pinned_reports_are_unchanged(pinned_reports):
+    lines = "\n".join(f"{label}\t{text}" for label, text in pinned_reports)
     assert hashlib.sha256(lines.encode()).hexdigest() == PINNED_REPORTS_SHA256
+
+
+def test_reports_are_the_same_without_the_chain_derivation(monkeypatch, group_of, cert_of,
+                                                           pinned_reports):
+    # nothing proven bottom up, and all of G in place of the chain's generators
+    monkeypatch.setattr(verify, "_derive",
+                        lambda G, inside, *rest: verify._underived(G, len(inside)))
+    off = list(_pinned_reports(group_of, cert_of))
+    assert len(off) == len(pinned_reports)
+    for (label, on_text), (_, off_text) in zip(pinned_reports, off):
+        assert off_text == on_text, label
+
+
+def test_genuine_chains_are_proven_bottom_up(monkeypatch, group_of, cert_of):
+    derived = []
+
+    def recording(G, inside, *rest):
+        proven, t_powers, S = original(G, inside, *rest)
+        derived.append(all(proven[1:]) and len(S) < G.order)
+        return proven, t_powers, S
+
+    original = verify._derive
+    monkeypatch.setattr(verify, "_derive", recording)
+    for spec in CERTIFIED_256 + ["preset:ElemAbelian(2,6)", "preset:ElemAbelian(5,2)"]:
+        assert verify_certificate(group_of(spec), cert_of(spec)).all_passed
+        assert derived.pop(), spec
+
+
+def _premise_chains(G, p):
+    """Chains that meet the derivation's premises or miss one, most of them
+    not chains of subgroups: G > 1; G > {a^j} > 1 for every a; G > a set of
+    p^2 elements holding 1 and a > 1, and G > that set; G > H t^j > H > 1
+    for H of order p and t < 24, and the same with another H' of order p in
+    place of H."""
+    whole = tuple(range(G.order))
+    yield whole, (0,)
+    powers = G.power_map
+    for a in range(1, G.order):
+        cyclic = {int(powers(j)[a]) for j in range(p)}
+        if len(cyclic) == p:
+            yield whole, tuple(sorted(cyclic)), (0,)
+        rest = [x for x in range(G.order - 1, 0, -1) if x != a][:p * p - 2]
+        yield whole, tuple(sorted({0, a, *rest})), (0,)
+        yield whole, tuple(sorted({0, a, *rest}))
+    subgroups = [tuple(H.members.tolist()) for H in
+                 (G.subgroup_closure([a]) for a in range(1, G.order)) if H.order == p]
+    for H, other in zip(subgroups[:3], subgroups[1:] + subgroups[:1]):
+        for t in range(1, min(G.order, 24)):
+            layer = {int(G.mul(h, powers(j)[t])) for h in H for j in range(p)}
+            if len(layer) == p * p:
+                yield whole, tuple(sorted(layer)), H, (0,)
+                yield whole, tuple(sorted(layer)), other, (0,)
+
+
+@pytest.mark.parametrize("spec", ["preset:Abelian(4,2)", "preset:Dihedral(16)",
+                                  "preset:Heisenberg(3)", "preset:Abelian(9,3)",
+                                  "product:preset:GenQuaternion(1)|preset:Dihedral(8)"])
+def test_chain_derivation_is_sound(monkeypatch, group_of, spec):
+    """Every entry the bottom-up induction proves is a subgroup, the chain's
+    generating set generates G, and the report is the one without them, on
+    chains made to meet the derivation's premises."""
+    G = group_of(spec)
+    p = p_group_profile(G).p
+    derived = []
+
+    def recording(G, inside, *rest):
+        proven, t_powers, S = original(G, inside, *rest)
+        derived.append((inside, proven, S))
+        return proven, t_powers, S
+
+    original = verify._derive
+    for chain in _premise_chains(G, p):
+        steps = tuple(ForcingStep(i + 1, p, G.order // len(chain[i + 2]), False,
+                                  ForcingWitness(1, p, (p,))) for i in range(len(chain) - 2))
+        cert = ForcingCertificate(group_spec=G.spec, chain=chain, steps=steps)
+        monkeypatch.setattr(verify, "_derive", recording)
+        on = _report_text(G, cert)
+        monkeypatch.setattr(verify, "_derive",
+                            lambda G, inside, *rest: verify._underived(G, len(inside)))
+        assert _report_text(G, cert) == on, chain
+    for inside, proven, S in derived:
+        for k in np.flatnonzero(proven):
+            members = np.flatnonzero(inside[k])
+            assert np.array_equal(G.subgroup_closure(members).members, members)
+        assert G.subgroup_closure(S).order == G.order
 
 
 def _unit_step_coset_orders(G, members):
