@@ -226,7 +226,8 @@ class CatalogEntry:
 
 
 # Order 16 with exactly one Frattini-refinement candidate whose quotient is
-# generalized quaternion; exercises the candidate-rejection path at p = 2.
+# generalized quaternion. It is the third in canonical order, so the
+# builder's first candidate passes the quaternion screen.
 TWISTED_C4_SPEC = "perm:8:(0 1 2 3),(1 3)(4 5 6 7)"
 
 

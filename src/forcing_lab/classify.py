@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotNilpotent, PNotDividing
+from .errors import NotNilpotent, PNotDividing, PreconditionViolated
 from .groups import FiniteGroup, Subgroup, factorize, prime_power
 
 
@@ -86,9 +86,10 @@ def sylow_decomposition(G: FiniteGroup) -> dict[int, Subgroup]:
         if len(members) != p ** k:
             raise NotNilpotent(
                 f"{len(members)} elements of {p}-power order, expected {p ** k}")
-        sub = G.subgroup_closure(members)
-        if sub.order != p ** k:
-            raise NotNilpotent(f"{p}-elements do not form a subgroup")
+        try:
+            sub = Subgroup(G, members)
+        except PreconditionViolated:
+            raise NotNilpotent(f"{p}-elements do not form a subgroup") from None
         if not G.is_normal(sub):
             raise NotNilpotent(f"Sylow {p}-subgroup is not normal")
         factors[p] = sub

@@ -85,8 +85,9 @@ def _header(args: argparse.Namespace) -> None:
 
 def _resolve_cap(args: argparse.Namespace) -> int:
     """The order cap from --cap, else FORCING_LAB_CAP, else the default;
-    refused past MAX_ORDER_CAP before any table is allocated."""
-    cap = args.cap
+    refused below 1, naming where it came from, and past MAX_ORDER_CAP,
+    before any table is allocated."""
+    cap, source = args.cap, "--cap"
     if cap is None:
         raw = os.environ.get(ENV_CAP)
         if raw is None:
@@ -95,6 +96,9 @@ def _resolve_cap(args: argparse.Namespace) -> int:
             cap = int(raw)
         except ValueError:
             raise ForcingLabError(f"{ENV_CAP} must be an integer, got {raw!r}") from None
+        source = ENV_CAP
+    if cap < 1:
+        raise ForcingLabError(f"{source} must be at least 1, got {cap}")
     if cap > MAX_ORDER_CAP:
         raise ForcingLabError(f"cap {cap} exceeds {MAX_ORDER_CAP}, the largest order "
                               "whose table fits in 256 MiB")

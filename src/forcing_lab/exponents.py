@@ -10,6 +10,7 @@ independently, and replay_trace does exactly that.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -72,6 +73,9 @@ def delta_cap(ell: int, d: int, consts: AnalyticConstants = DEFAULT_CONSTANTS) -
     return (1 - consts.epsilon_delta) / Fraction(2 * ell * (d - 1))
 
 
+# eta0 and the base rule are pure in hashable inputs, and a corpus folds a
+# few distinct ones many times over: each is computed once, while cached
+@functools.lru_cache(maxsize=256, typed=True)
 def base_delta_elementary_abelian(p: int, r: int, ell: int,
                                   consts: AnalyticConstants = DEFAULT_CONSTANTS) -> Fraction:
     """Base exponent for (Z/p)^r, odd p:
@@ -90,6 +94,7 @@ def base_delta_elementary_abelian(p: int, r: int, ell: int,
     return cap / (p * (1 + t0))
 
 
+@functools.lru_cache(maxsize=256, typed=True)
 def eta0(ell: int, m: int, r: int,
          consts: AnalyticConstants = DEFAULT_CONSTANTS) -> Fraction:
     """Per-step multiplicative update for a forcing extension with kernel
@@ -226,6 +231,7 @@ def delta_for_p_group(profile: PGroupProfile, cert: ForcingCertificate, ell: int
             outputs={"delta": format_rational(base)},
         ))
     delta = base
+    fields = _consts_fields(consts)
     for step in cert.steps:
         rw = step.witness.class_order
         eta = eta0(ell, p, rw, consts)
@@ -233,7 +239,7 @@ def delta_for_p_group(profile: PGroupProfile, cert: ForcingCertificate, ell: int
         trace.append(TraceRecord(
             rule="extension",
             inputs={"delta": format_rational(delta), "ell": str(ell), "m": str(p),
-                    "r": str(rw), "eta0": format_rational(eta), **_consts_fields(consts)},
+                    "r": str(rw), "eta0": format_rational(eta), **fields},
             outputs={"delta": format_rational(new)},
         ))
         delta = new
@@ -310,6 +316,15 @@ def replay_trace(report: DeltaReport) -> Fraction:
     def fail(message: str) -> None:
         raise UnverifiedCertificate(f"trace does not replay: {message}")
 
+    constants: dict[tuple[str, str, str], AnalyticConstants] = {}
+
+    def consts_of(inputs: Mapping[str, str]) -> AnalyticConstants:
+        """The record's constants, built once per distinct text."""
+        key = (inputs["beta"], inputs["gamma"], inputs["epsilon_delta"])
+        if key not in constants:
+            constants[key] = AnalyticConstants(*map(Fraction, key))
+        return constants[key]
+
     segments: list[Fraction] = []
     current: Fraction | None = None
     folded: Fraction | None = None
@@ -323,10 +338,7 @@ def replay_trace(report: DeltaReport) -> Fraction:
                 if not 0 < declared < Fraction(1, 2):
                     fail(f"record {k}: override outside (0, 1/2)")
             else:
-                consts = AnalyticConstants(
-                    beta=Fraction(record.inputs["beta"]),
-                    gamma=Fraction(record.inputs["gamma"]),
-                    epsilon_delta=Fraction(record.inputs["epsilon_delta"]))
+                consts = consts_of(record.inputs)
                 recomputed = base_delta_elementary_abelian(
                     int(record.inputs["p"]), int(record.inputs["rank"]),
                     int(record.inputs["ell"]), consts)
@@ -336,10 +348,7 @@ def replay_trace(report: DeltaReport) -> Fraction:
         elif record.rule == "extension":
             if current is None or Fraction(record.inputs["delta"]) != current:
                 fail(f"record {k}: extension input does not continue the chain")
-            consts = AnalyticConstants(
-                beta=Fraction(record.inputs["beta"]),
-                gamma=Fraction(record.inputs["gamma"]),
-                epsilon_delta=Fraction(record.inputs["epsilon_delta"]))
+            consts = consts_of(record.inputs)
             eta = eta0(int(record.inputs["ell"]), int(record.inputs["m"]),
                        int(record.inputs["r"]), consts)
             if eta != Fraction(record.inputs["eta0"]):

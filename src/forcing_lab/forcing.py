@@ -13,14 +13,19 @@ build_forcing_sequence constructs certificates from G's own table and its
 cached structures, and builds no quotient group: a step's witness is the
 class, in G/N_i, of the least x outside N_i with x^p in N_{i+1}, read as the
 coset labels of N_i over the elements that G's class labels put with x. It
-takes refinement candidates one at a time and screens each for a quaternion
-quotient by counting the elements of G that square into it. is_forcing
+refines each layer A > B of the series from one call of
+intermediate_index_p_subgroups: with b_1, ..., b_r the greedy basis of A
+past B, the steps are the spans <B, b_1, ..., b_k> for k = r - 1 down to 0,
+and a layer of index p has B alone. It screens each entry for a quaternion
+quotient by counting the elements of G that square into it, and only past
+a refused entry does it build a step's other candidates. is_forcing
 searches a quotient's classes by their labels, never by member lists.
 The certificate is checked by verify_certificate, in verify.py.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,16 +142,49 @@ def _quaternion_quotient(G: FiniteGroup, S: Subgroup) -> bool:
     return int(inside[G.mul_table.diagonal()].sum()) == 2 * S.order
 
 
+def _refine_layer(G: FiniteGroup, A: Subgroup, B: Subgroup, p: int) -> list[Subgroup]:
+    """The chain's entries below A in the layer A > B of the lower exponent-p
+    series, B last. Each step takes the first candidate, in canonical order,
+    whose quotient is not generalized quaternion, as read from G's squares;
+    for odd p none is refused.
+
+    The layer asks intermediate_index_p_subgroups once. Its first candidate
+    is <B, b_1, ..., b_{r-1}> over the greedy basis b_1, ..., b_r of A past
+    B, which is B itself when [A:B] = p. The greedy basis of
+    <B, b_1, ..., b_k> past B is b_1, ..., b_k, as each b_i is the least
+    element outside the span of those before it. So the first candidate
+    below it is <B, b_1, ..., b_{k-1}>, a span of the same basis. Once an
+    entry is refused (p = 2 only), every later step of the layer asks for
+    its own candidates, all of them if need be.
+    """
+    refinements = G.intermediate_index_p_subgroups(A, B, p)
+    r = len(refinements.basis)
+    planned = [next(refinements), *map(refinements.span, range(r - 2, -1, -1))]
+    layer = list(itertools.takewhile(
+        lambda S: p != 2 or not _quaternion_quotient(G, S), planned))
+    current = layer[-1] if layer else A
+    while current.order > B.order:
+        chosen = next((candidate for candidate
+                       in G.intermediate_index_p_subgroups(current, B, p)
+                       if not _quaternion_quotient(G, candidate)), None)
+        if chosen is None:
+            raise PreconditionViolated(
+                "every refinement candidate has a generalized quaternion quotient")
+        layer.append(chosen)
+        current = chosen
+    return layer
+
+
 def build_forcing_sequence(G: FiniteGroup) -> ForcingCertificate:
     """Construct a verified-by-construction forcing sequence for G.
 
     Refines each layer of the lower exponent-p series one index-p step at a
     time, always taking the first candidate subgroup (in canonical order)
-    whose quotient is not generalized quaternion, as read from G's squares.
-    For odd p no candidate is ever rejected; for p = 2 at most one candidate
-    per layer can be bad, and only then are the layer's other candidates
-    built. Each step's witness is read from G's own classes and the coset
-    labels of N_i.
+    whose quotient is not generalized quaternion, as read from G's squares:
+    _refine_layer takes a layer's steps from one greedy basis. For odd p no
+    candidate is ever rejected; for p = 2 at most one candidate per layer
+    can be bad, and only then are the layer's other candidates built. Each
+    step's witness is read from G's own classes and the coset labels of N_i.
     """
     p = G.prime()
     if is_cyclic(G):
@@ -155,19 +193,9 @@ def build_forcing_sequence(G: FiniteGroup) -> ForcingCertificate:
     if quaternion is not None:
         raise QuaternionGroup(quaternion)
     series = G.lower_exponent_p_series()
-    chain: list[Subgroup] = [series[0], series[1]]
-    for j in range(1, len(series) - 1):
-        current = series[j]
-        bottom = series[j + 1]
-        while current.order > bottom.order:
-            chosen = next((candidate for candidate
-                           in G.intermediate_index_p_subgroups(current, bottom, p)
-                           if p != 2 or not _quaternion_quotient(G, candidate)), None)
-            if chosen is None:
-                raise PreconditionViolated(
-                    "every refinement candidate has a generalized quaternion quotient")
-            chain.append(chosen)
-            current = chosen
+    chain: list[Subgroup] = series[:2]
+    for A, B in zip(series[1:], series[2:]):
+        chain.extend(_refine_layer(G, A, B, p))
     steps = []
     for i in range(len(chain) - 2):
         upper = chain[i + 1]

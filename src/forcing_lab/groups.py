@@ -28,7 +28,9 @@ most k steps of the q-th power map, for q^k exactly dividing |G|. A class
 is a label, as a coset is: one int32 array gives each element the least
 member of its class, and a ``QuotientMap`` gives each element the index of
 its coset, labelled at once; the quotient's target group is built only the
-first time it is read.
+first time it is read. A central layer A > B of exponent p is spanned coset
+by coset over its greedy basis, one p-fold gather per basis element, and
+its index-p subgroups are read off that one span (``Refinements``).
 """
 
 from __future__ import annotations
@@ -349,15 +351,15 @@ class FiniteGroup:
         return Subgroup._checked(self, self._closure(seed)[0])
 
     def is_normal(self, H: Subgroup) -> bool:
-        """Whether gHg^-1 = H for all g; generator conjugation suffices."""
+        """Whether gHg^-1 = H for all g: conjugation is one-to-one, so it is
+        enough that g^-1 H g lies in H for every generator g."""
         if H.parent is not self:
             raise PreconditionViolated("subgroup belongs to a different group")
-        for g in self.generators:
-            conj = self._mul[self._mul[self._inv[g], H.members], g]
-            conj.sort()
-            if not np.array_equal(conj, H.members):
-                return False
-        return True
+        inside = np.zeros(self.order, dtype=bool)
+        inside[H.members] = True
+        gens = np.array(self.generators, dtype=_IDX)
+        conj = self._mul[self._mul[self._inv[gens][:, None], H.members], gens[:, None]]
+        return bool(inside[conj].all())
 
     def center(self) -> Subgroup:
         mask = np.ones(self.order, dtype=bool)
@@ -462,7 +464,7 @@ class FiniteGroup:
         return self._classes
 
     def intermediate_index_p_subgroups(self, A: Subgroup, B: Subgroup,
-                                       p: int) -> Iterator[Subgroup]:
+                                       p: int) -> Refinements:
         """All S with B <= S < A and [A:S] = p, for A/B central elementary abelian in G/B.
 
         There are (p^r - 1)/(p - 1) of them, r = log_p [A:B], yielded in
@@ -471,14 +473,16 @@ class FiniteGroup:
         call; the others are built, checked and sorted only once a second
         one is asked for.
 
-        The first is B with the first r - 1 greedy generators of A past B.
-        Two sorted member arrays of equal length first differ where one holds
-        the least element that the other lacks, and that one is smaller. So
-        the least hyperplane H over B takes each element it may, walking A in
-        index order. An element in the span W of those taken so far is in H
-        anyway; one outside W may be taken while W has fewer than r - 1
-        dimensions over B. None is left out before then, and then H = W. The
-        elements that enlarge W are the closure kernel's greedy generators.
+        A/B is then a vector space over F_p. Its greedy basis b_1, ..., b_r
+        takes, in turn, the least element of A outside the span W of those
+        before it, and the p cosets W b^c, c < p, make the next span. The
+        first candidate is B with b_1, ..., b_{r-1}. Two sorted member arrays
+        of equal length first differ where one holds the least element that
+        the other lacks, and that one is smaller. So the least hyperplane H
+        over B takes each element it may, walking A in index order. An
+        element in the span W of those taken so far is in H anyway; one
+        outside W may be taken while W has fewer than r - 1 dimensions over
+        B. None is left out before then, and then H = W.
         """
         if A.parent is not self or B.parent is not self:
             raise PreconditionViolated("subgroup belongs to a different group")
@@ -487,50 +491,87 @@ class FiniteGroup:
         a, b = A.members, B.members
         in_b = np.zeros(self.order, dtype=bool)
         in_b[b] = True
-        if int(in_b[a].sum()) != B.order:
+        outside = a[~in_b[a]]
+        if len(outside) != A.order - B.order:
             raise PreconditionViolated("B is not contained in A")
-        if A.order == B.order:
+        if not len(outside):
             raise PreconditionViolated("A/B is trivial")
-        if not self.is_normal(A) or not self.is_normal(B):
-            raise PreconditionViolated("A and B must both be normal")
-        # [a, g] in B for every a in A, g in G makes A/B central in G/B; as B
-        # is normal, generators g suffice
-        if not in_b[self._commutators(a, np.array(self.generators, dtype=_IDX))].all():
-            raise PreconditionViolated("A/B is not central in G/B")
-        if not in_b[self.power_map(p)[a]].all():
-            raise PreconditionViolated("A/B has exponent larger than p")
-        # A/B is a vector space over F_p; the closure kernel's greedy
-        # generators of A past those of B are a basis
-        basis = [x for x in self._closure(np.concatenate([b, a]))[1] if not in_b[x]]
-        if p ** len(basis) * B.order != A.order:
-            raise PreconditionViolated("A/B is not elementary abelian")
+        # consecutive terms of G's own lower exponent-p series, once derived,
+        # make a normal, central layer of exponent p by their definition
+        series = self._series or ()
+        if (A.order // B.order) % p or not any(
+                np.array_equal(upper, a) and np.array_equal(lower, b)
+                for upper, lower in zip(series, series[1:]) if len(upper) == A.order):
+            if not self.is_normal(A) or not self.is_normal(B):
+                raise PreconditionViolated("A and B must both be normal")
+            # [a, g] in B for every a in A, g in G makes A/B central in G/B,
+            # so abelian; as B is normal, generators g suffice
+            if not in_b[self._commutators(a, np.array(self.generators, dtype=_IDX))].all():
+                raise PreconditionViolated("A/B is not central in G/B")
+            if not in_b[self.power_map(p)[a]].all():
+                raise PreconditionViolated("A/B has exponent larger than p")
+        # span lists A coset by coset: the span of b_1, ..., b_k is its first
+        # p^k |B| members
+        span, basis = b, []
+        reached = in_b  # from here on, the span's members
+        while len(span) < A.order:
+            x = int(outside[np.argmin(reached[outside])])
+            blocks = [span]
+            for _ in range(1, p):
+                blocks.append(self._mul[blocks[-1], x])
+            span = np.concatenate(blocks)
+            reached[span] = True
+            basis.append(x)
+        return Refinements(self, B, tuple(basis), span, p)
 
-        def span(gens: list[int]) -> tuple[np.ndarray, np.ndarray]:
-            """The members of <B, gens>, each with its coordinates over gens:
-            p - 1 right multiplications by each generator in turn."""
-            members, coords = b, np.zeros((len(b), len(gens)), dtype=np.int64)
-            for k, x in enumerate(gens):
-                blocks, cblocks = [members], [coords]
-                for c in range(1, p):
-                    blocks.append(self._mul[blocks[-1], x])
-                    cblocks.append(coords.copy())
-                    cblocks[-1][:, k] = c
-                members, coords = np.concatenate(blocks), np.concatenate(cblocks)
-            return members, coords
 
-        def others() -> Iterator[Subgroup]:
-            members, coords = span(basis)
-            out = []
-            for phi in itertools.product(range(p), repeat=len(basis)):
-                # phi = (0, ..., 0, 1) gives the first candidate
-                if next((c for c in phi if c), None) == 1 and any(phi[:-1]):
-                    out.append(Subgroup(self, members[coords @ phi % p == 0]))
-            # big-endian bytes compare as the members do (_row_keys)
-            out.sort(key=lambda s: s.members.astype(_BIG).tobytes())
-            yield from out
+class Refinements:
+    """The subgroups S with B <= S < A and [A:S] = p, an iterator in
+    canonical order (FiniteGroup.intermediate_index_p_subgroups), with the
+    greedy basis b_1, ..., b_r of A past B that they come from and A's
+    members in span order. span(k) is <B, b_1, ..., b_k>; the first
+    candidate is span(r - 1), which for r = 1 is B itself."""
 
-        first = Subgroup(self, span(basis[:-1])[0])
-        return itertools.chain([first], others())
+    def __init__(self, parent: FiniteGroup, B: Subgroup, basis: tuple[int, ...],
+                 span: np.ndarray, p: int) -> None:
+        self.parent, self.basis, self.p = parent, basis, p
+        self._span, self._coset = span, B.order
+        r = len(basis)
+        first = B if r == 1 else Subgroup(parent, self._prefix(r - 1))
+        # the rest hold no reference to self: that cycle would keep G's
+        # table alive until the cycle collector runs
+        self._candidates = itertools.chain([first], _other_candidates(parent, span, B.order, p, r))
+
+    def __iter__(self) -> Refinements:
+        return self
+
+    def __next__(self) -> Subgroup:
+        return next(self._candidates)
+
+    def _prefix(self, k: int) -> np.ndarray:
+        return self._span[:self._coset * self.p ** k]
+
+    def span(self, k: int) -> Subgroup:
+        """<B, b_1, ..., b_k>, closed without a check: the b_i are central
+        and of order p modulo B."""
+        return Subgroup._checked(self.parent, np.sort(self._prefix(k)))
+
+
+def _other_candidates(parent: FiniteGroup, span: np.ndarray, coset: int, p: int,
+                      r: int) -> Iterator[Subgroup]:
+    """Every refinement candidate but the first, in canonical order: the
+    kernels of the nonzero linear forms phi on A/B, one per line, first
+    nonzero coordinate 1. The coordinates of the j-th member of A in span
+    order are the base-p digits of j // |B|."""
+    coords = np.arange(len(span))[:, None] // coset // p ** np.arange(r) % p
+    out = []
+    for phi in itertools.product(range(p), repeat=r):
+        # phi = (0, ..., 0, 1) gives the first candidate
+        if next((c for c in phi if c), None) == 1 and any(phi[:-1]):
+            out.append(Subgroup(parent, span[coords @ phi % p == 0]))
+    # big-endian bytes compare as the members do (_row_keys)
+    out.sort(key=lambda s: s.members.astype(_BIG).tobytes())
+    yield from out
 
 
 def _induced_table(mul: np.ndarray, elements: np.ndarray, label: np.ndarray) -> np.ndarray:

@@ -19,7 +19,8 @@ commutators with S (x^s = x [x, s], and [x, gh] = [x, h] [x, g]^h), the
 exponent-p series is closed under conjugation by S, a coset label comes
 from the entry below in p lookups, and element and coset orders from one
 table of p-power maps. _derive is the one place that reads the chain this
-way. What it does not prove falls back, condition by condition, to all of
+way. The witnesses of all steps are checked together, on (steps x n)
+arrays of labels and coset orders. What it does not prove falls back, condition by condition, to all of
 G: closure by squaring, commutators with every element and labels as the
 least product over a whole coset, so every verdict and detail is the same
 either way. Every gather of n x |N| products or more is one flat take from
@@ -132,15 +133,6 @@ def _row_blocks(rows: np.ndarray, width: int) -> Iterator[np.ndarray]:
     return (rows[start:start + step] for start in range(0, len(rows), step))
 
 
-def _sorted_set(G: FiniteGroup, elements: np.ndarray) -> np.ndarray:
-    """The distinct element indices in elements, sorted, from a membership
-    mask: np.unique and np.union1d import numpy.ma on their first call, which
-    costs a fresh interpreter about 14 ms."""
-    mask = np.zeros(G.order, dtype=bool)
-    mask[elements] = True
-    return np.flatnonzero(mask).astype(np.int32)
-
-
 def _square_until_closed(G: FiniteGroup, members: np.ndarray,
                          known: Container[bytes] = frozenset()) -> np.ndarray:
     """Sorted int32 members of the subgroup generated by members (sorted
@@ -165,18 +157,22 @@ def _commutators(G: FiniteGroup, S: np.ndarray, xs: np.ndarray) -> Iterator[np.n
         yield _gather(G, inv[xs], conjugates)
 
 
-def _escapes(G: FiniteGroup, S: np.ndarray, codes: np.ndarray) -> tuple[int, int]:
+def _escapes(G: FiniteGroup, S: np.ndarray, codes: np.ndarray
+             ) -> tuple[int, int, np.ndarray]:
     """Which entries S's commutators leave, with codes[x] the entries that
     hold x as bits: bit k of the first when some x in N_k has [x, s] outside
     N_k, bit i + 2 of the second when some x in N_{i+1} has [x, s] outside
-    N_{i+2}."""
+    N_{i+2}. Third, the mask of every [x, s], x in G, the lower exponent-p
+    series' first commutators."""
     normal = central = 0
+    reached = np.zeros(G.order, dtype=bool)
     everything = np.arange(G.order, dtype=np.int32)
     for image in _commutators(G, S, everything):
+        reached[image] = True
         outside = np.invert(codes[image])
         normal |= int(np.bitwise_or.reduce(codes & outside, axis=None))
         central |= int(np.bitwise_or.reduce((codes << 1) & outside, axis=None))
-    return normal, central
+    return normal, central, reached
 
 
 def _underived(G: FiniteGroup, length: int) -> tuple[list[bool], None, np.ndarray]:
@@ -235,22 +231,25 @@ def _derive(G: FiniteGroup, inside: np.ndarray, sizes: list[int], nested: bool,
 
 
 def _series(G: FiniteGroup, S: np.ndarray, pth: np.ndarray | None,
-            known: dict[bytes, bool]) -> list[np.ndarray]:
+            known: dict[bytes, bool], commutators: np.ndarray) -> list[np.ndarray]:
     """The lower exponent-p series G_j = G_{j-1}^p [G_{j-1}, G], for S a
     generating set of G: the closure of the p-th powers of G_{j-1} and its
-    commutators with S (pth: the p-th power map), closed again under
-    conjugation by S until it stops growing. known maps the member bytes of
-    subgroups already proven closed to whether they are proven normal."""
+    commutators with S (pth: the p-th power map; commutators: the mask of
+    those of G_0 = G), closed again under conjugation by S until it stops
+    growing. known maps the member bytes of subgroups already proven closed
+    to whether they are proven normal."""
     pp = prime_power(G.order)
     if pp is None:
         raise NotAPGroup(f"order {G.order} is not a prime power")
     series = [np.arange(G.order, dtype=np.int32)]
+    found = commutators.copy()
     while len(series[-1]) > 1:
         current = series[-1]
-        found = np.zeros(G.order, dtype=bool)
+        if len(series) > 1:
+            found = np.zeros(G.order, dtype=bool)
+            for image in _commutators(G, S, current):
+                found[image] = True
         found[pth[current]] = True
-        for image in _commutators(G, S, current):
-            found[image] = True
         while True:
             term = _square_until_closed(G, np.flatnonzero(found).astype(np.int32), known)
             if known.get(term.tobytes()):
@@ -304,6 +303,35 @@ def _coset_orders(G: FiniteGroup, inside: np.ndarray,
         orders[todo[landed]] = k
         todo = todo[~landed]
     return orders
+
+
+def _witness_classes(G: FiniteGroup, labels_up: np.ndarray, orders_up: np.ndarray,
+                     orders_low: np.ndarray, class_reps: np.ndarray
+                     ) -> list[tuple[int, int, int, bool]]:
+    """(rep, order, class size, forcing) for a block of steps at once: row i
+    of each (steps x n) array holds the coset labels and coset orders of the
+    step's N_{i+1}, and the coset orders of its N_{i+2}, both formed, and
+    class_reps[i] is below [G:N_{i+1}]. x is the class_reps[i]-th least
+    label of N_{i+1}, and the class of x N_{i+1} is the labels of g^-1 x g
+    over every g in G, the least one its representative. A class coset
+    c N_{i+1} is the y labelled c, and forcing asks every such y to keep
+    the order of x N_{i+1} modulo N_{i+2}."""
+    steps, n = labels_up.shape
+    rows = np.arange(steps, dtype=np.int32)
+    everything = np.arange(n, dtype=np.int32)
+    # rank[i, y]: the labels up to y, so x is where rank first passes the rep
+    rank = np.cumsum(labels_up == everything, axis=1, dtype=np.int32)
+    x = (rank <= class_reps[:, None]).sum(axis=1, dtype=np.int32)
+    conjugates = _gather(G, _gather(G, G.inv_table[None, :], x[:, None]), everything)
+    # labels as flat indices of (steps x n) arrays, row i's offset by i n
+    flat = labels_up + n * rows[:, None]
+    in_class = np.zeros(steps * n, dtype=bool)
+    in_class[np.take(flat, conjugates + n * rows[:, None])] = True
+    reps = rank[rows, in_class.reshape(steps, n).argmax(axis=1)] - 1
+    orders = orders_up[rows, x]
+    forcing = ~(in_class[flat] & (orders_low != orders[:, None])).any(axis=1)
+    return list(zip(reps.tolist(), orders.tolist(),
+                    in_class.reshape(steps, n).sum(axis=1).tolist(), forcing.tolist()))
 
 
 def _quaternion_index(order: int, top: int, involutions: int) -> int | None:
@@ -384,7 +412,7 @@ def verify_certificate(G: FiniteGroup, cert: ForcingCertificate) -> Verification
     # bit k of codes[x] when x lies in entry k
     weights = np.array([1 << k for k in range(L)], dtype=np.int64 if L < 62 else object)
     codes = weights @ inside
-    normal_bits, central_bits = _escapes(G, S, codes)
+    normal_bits, central_bits, commutators = _escapes(G, S, codes)
     # an entry is formed, so that its cosets make a quotient, once it is a
     # normal subgroup
     closed, formed = [], []
@@ -400,7 +428,7 @@ def verify_certificate(G: FiniteGroup, cert: ForcingCertificate) -> Verification
             "" if closed[k] else " is not even a subgroup"), step=k))
     known = {arrays[k].tobytes(): formed[k] for k in range(L) if closed[k]}
     try:
-        series = _series(G, S, pth, known)
+        series = _series(G, S, pth, known, commutators)
         checks.append(CheckResult("chain-frattini", np.array_equal(arrays[1], series[1]),
                                   "second entry must be the Frattini subgroup"))
     except NotAPGroup as exc:
@@ -434,23 +462,24 @@ def verify_certificate(G: FiniteGroup, cert: ForcingCertificate) -> Verification
     tops = coset_orders.max(axis=1).tolist()
     involutions = (coset_orders == 2).sum(axis=1).tolist()
 
-    labels: dict[int, np.ndarray] = {}
+    # row k, once labelled: each element's coset label, the least member of
+    # x N_k. Only the steps' upper entries need them
+    labels = np.empty((L, n), dtype=np.int32)
+    labelled = [False] * L
 
-    def labels_of(k: int) -> np.ndarray:
-        """For formed entry k: each element's coset label, the least member
-        of xN. Only the steps' entries need them."""
-        # x N_j is the union of the x t_j^i N_{j+1} for an entry j proven
-        # bottom up, so those take their labels from the entry below
+    def label(k: int) -> None:
+        """Fill row k of labels, for formed entry k. x N_j is the union of
+        the x t_j^i N_{j+1} for an entry j proven bottom up, so those take
+        their labels from the entry below."""
         below = k
-        while below not in labels and proven[below] and below < L - 1:
+        while not labelled[below] and proven[below] and below < L - 1:
             below += 1
-        if below not in labels:
-            labels[below] = np.empty(n, dtype=np.int32)
+        if not labelled[below]:
             for block in _row_blocks(everything, order_of[below]):
-                labels[below][block] = _gather(G, block[:, None], arrays[below]).min(axis=1)
+                labels[below, block] = _gather(G, block[:, None], arrays[below]).min(axis=1)
         for j in range(below - 1, k - 1, -1):
             labels[j] = labels[j + 1][mul[:, t_powers[j]]].min(axis=1)
-        return labels[k]
+        labelled[k:below + 1] = [True] * (below + 1 - k)
 
     quotient_index: list[int | None] = []
     for k in range(L):
@@ -466,6 +495,21 @@ def verify_certificate(G: FiniteGroup, cert: ForcingCertificate) -> Verification
                                   f"entry {k}" + ("" if idx is None else
                                                   f": quotient is Q({idx})"),
                                   step=k))
+
+    # every step whose witness can be read, in blocks of steps x n products
+    usable = np.array([i for i, step in enumerate(cert.steps)
+                       if formed[i + 1] and formed[i + 2]
+                       and step.witness.class_rep < n // order_of[i + 1]], dtype=np.intp)
+    for i in usable.tolist():
+        label(i + 1)
+    classes = {}
+    for block in _row_blocks(usable, n):
+        classes.update(zip(block.tolist(), _witness_classes(
+            G, labels[block + 1], coset_orders[block + 1], coset_orders[block + 2],
+            np.array([cert.steps[i].witness.class_rep for i in block]))))
+    # a coset y N_{i+1} meets |N_{i+1}| / |N_{i+1} & N_{i+2}| cosets of N_{i+2}:
+    # y a and y b share one exactly when a^-1 b lies in both
+    meets = (inside[1:-1] & inside[2:]).sum(axis=1).tolist()
 
     for i, step in enumerate(cert.steps):
         upper, lower = arrays[i + 1], arrays[i + 2]
@@ -499,27 +543,14 @@ def verify_certificate(G: FiniteGroup, cert: ForcingCertificate) -> Verification
                                   "recorded flag must be false and match recomputation",
                                   step=i))
         witness = step.witness
-        labels_up, labels_low = labels_of(i + 1), labels_of(i + 2)
-        # a label is the least member of its coset
-        minima_up = np.flatnonzero(labels_up == everything)
-        orders_up, orders_low = coset_orders[i + 1], coset_orders[i + 2]
-        if witness.class_rep >= len(minima_up):
+        if i not in classes:
             checks.append(CheckResult("step-witness-class", False,
                                       f"representative {witness.class_rep} out of range",
                                       step=i))
             checks.append(CheckResult("step-forcing", False, "witness unusable", step=i))
             continue
-        x = minima_up[witness.class_rep]
-        # the class of x N_{i+1}: the cosets of g^-1 x g over every g in G,
-        # listed by label, so the least is the representative
-        members = _sorted_set(G, labels_up[mul[mul[inv, x], everything]])
-        rep = int(np.searchsorted(minima_up, members[0]))
-        order = int(orders_up[x])
-        # the fiber over a class coset: the N_{i+2}-cosets of its elements
-        # (one coset of N_{i+1} per class member, so at most n products)
-        elements = _gather(G, members[:, None], upper)
-        fiber_labels = np.sort(labels_low[elements], axis=1)
-        sizes = ((fiber_labels[:, 1:] != fiber_labels[:, :-1]).sum(axis=1) + 1).tolist()
+        rep, order, size, forcing = classes[i]
+        sizes = [order_of[i + 1] // meets[i]] * size
         class_ok = (rep == witness.class_rep
                     and order == witness.class_order
                     and tuple(witness.checked_fiber_sizes) == tuple(sizes))
@@ -527,7 +558,6 @@ def verify_certificate(G: FiniteGroup, cert: ForcingCertificate) -> Verification
             "step-witness-class", class_ok,
             f"class of {witness.class_rep}: rep {rep}, order {order}, sizes {sizes}",
             step=i))
-        forcing = bool((orders_low[elements] == order).all())
         checks.append(CheckResult(
             "step-forcing", forcing,
             "every fiber element over every class member must keep the class order",

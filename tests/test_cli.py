@@ -511,6 +511,20 @@ class TestHeaderAndCap:
         assert code == 1
         assert f"cap {MAX_ORDER_CAP + 1} exceeds {MAX_ORDER_CAP}" in err
 
+    @pytest.mark.parametrize("cap", ["-3", "0"])
+    def test_cap_below_one_is_refused_from_flag(self, capsys, cap):
+        code, out, err = run(capsys, "analyze", "preset:Dihedral(8)", "--cap", cap,
+                             "--no-header")
+        assert code == 1 and out == ""
+        assert err == f"error: ForcingLabError: --cap must be at least 1, got {cap}\n"
+
+    @pytest.mark.parametrize("cap", ["-1", "0"])
+    def test_cap_below_one_is_refused_from_env(self, capsys, monkeypatch, cap):
+        monkeypatch.setenv("FORCING_LAB_CAP", cap)
+        code, out, err = run(capsys, "analyze", "preset:Dihedral(8)", "--no-header")
+        assert code == 1 and out == ""
+        assert err == f"error: ForcingLabError: FORCING_LAB_CAP must be at least 1, got {cap}\n"
+
     def test_cap_at_ceiling_runs(self, capsys):
         code, out, _ = run(capsys, "analyze", "preset:Heisenberg(3)", "--cap",
                            str(MAX_ORDER_CAP), "--no-header")

@@ -283,6 +283,24 @@ class TestReplay:
         with pytest.raises(UnverifiedCertificate):
             replay_trace(bad)
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"eta0": "1/2104"}, "record 1: eta0 recomputes to 1/2103"),
+        # beta = 40 gives eta0(5, 3, 3) = (1/20) / (3/20 + 3 * 40)
+        ({"beta": "40/1"}, "record 1: eta0 recomputes to 1/2403"),
+        ({"beta": "19/1"}, "constants invariant rejected: beta must exceed gamma + 1/2"),
+    ])
+    def test_cached_rules_hide_no_forgery(self, group_of, changes, message):
+        """eta0 and the constants are cached: a forged extension with the
+        genuine (ell, m, r), replayed after the genuine trace, still fails
+        with its own message, and twice over."""
+        report = delta_for_nilpotent(group_of("preset:Heisenberg(3)"), 5)
+        forged = self._tamper(report, 1, **changes)
+        for _ in range(2):
+            assert replay_trace(report) == report.delta
+            with pytest.raises(ForcingLabError) as caught:
+                replay_trace(forged)
+            assert str(caught.value).endswith(message)
+
     def test_missing_compositum_detected(self, group_of):
         G = group_of("product:preset:Heisenberg(3)|preset:ElemAbelian(5,2)")
         report = delta_for_nilpotent(G, 7)

@@ -265,6 +265,106 @@ class TestQuaternionDetour:
             build_forcing_sequence(group_of("preset:GenQuaternion(2)"))
 
 
+def _reference_certificate(G, refused):
+    """The builder's certificate as made one index-p step at a time: every
+    step asks intermediate_index_p_subgroups(current, bottom, p) for its
+    candidates and takes the first that refused(G, S) does not refuse, a
+    screen read only at p = 2."""
+    p = G.prime()
+    series = G.lower_exponent_p_series()
+    chain = series[:2]
+    for current, bottom in zip(series[1:], series[2:]):
+        while current.order > bottom.order:
+            current = next((S for S in G.intermediate_index_p_subgroups(current, bottom, p)
+                            if p != 2 or not refused(G, S)), None)
+            if current is None:
+                raise PreconditionViolated(
+                    "every refinement candidate has a generalized quaternion quotient")
+            chain.append(current)
+    steps = tuple(ForcingStep(i + 1, p, G.order // lower.order, False,
+                              central_step_witness(G, upper, lower))
+                  for i, (upper, lower) in enumerate(zip(chain[1:], chain[2:])))
+    return ForcingCertificate(group_spec=G.spec, chain=tuple(
+        tuple(S.members.tolist()) for S in chain), steps=steps)
+
+
+class TestLayerRefinement:
+    """The builder refines a layer of the lower exponent-p series from one
+    greedy basis, and gives the certificate of the per-step reference."""
+
+    def test_certificates_equal_the_per_step_reference(self, group_of, cert_of):
+        specs = dict.fromkeys([spec for _, spec in p_group_specs(256)] + TWO_GROUPS_64
+                              + ["preset:Dihedral(1024)"])
+        built = 0
+        for spec in specs:
+            G = group_of(spec)
+            if p_group_profile(G).is_cyclic or p_group_profile(G).quaternion_index is not None:
+                continue
+            assert cert_of(spec) == _reference_certificate(G, _quaternion_quotient), spec
+            built += 1
+        assert built == 122
+
+    def test_asks_for_candidates_once_per_layer(self, monkeypatch, group_of):
+        """One call per layer below the Frattini subgroup, however many
+        steps refine it: 238 layers make 300 steps over the corpus."""
+        original = FiniteGroup.intermediate_index_p_subgroups
+        asked = []
+
+        def counting(self, A, B, p):
+            asked.append((A.order, B.order))
+            return original(self, A, B, p)
+
+        monkeypatch.setattr(FiniteGroup, "intermediate_index_p_subgroups", counting)
+        layers = steps = 0
+        for _, spec in p_group_specs(256):
+            G = group_of(spec)
+            asked.clear()
+            try:
+                cert = build_forcing_sequence(G)
+            except (CyclicGroup, QuaternionGroup):
+                continue
+            orders = [S.order for S in G.lower_exponent_p_series()]
+            assert asked == list(zip(orders[1:], orders[2:])), spec
+            layers += len(asked)
+            steps += len(cert.steps)
+        assert (layers, steps) == (238, 300)
+
+    def test_twisted_c4_gets_the_reference_chain(self, group_of, cert_of):
+        # its quaternion candidate is not the first in canonical order, so
+        # the screen passes the first and no fallback is needed
+        G = group_of(TWISTED_C4_SPEC)
+        assert cert_of(TWISTED_C4_SPEC) == _reference_certificate(G, _quaternion_quotient)
+
+    @pytest.mark.parametrize("spec, refused_order", [
+        ("preset:Abelian(4,4,4)", 4),  # the layer's first candidate
+        ("preset:Abelian(4,4,4)", 2),  # a span below it
+        ("preset:Abelian(4,4,4)", 1),  # the layer's bottom: no candidate is left
+        ("preset:Dihedral(16)", 2),  # the bottom of an index-2 layer
+    ])
+    def test_refused_entries_take_the_per_step_fallback(self, monkeypatch, spec,
+                                                        refused_order):
+        """A screen that refuses the genuine chain's entry of one order sends
+        the builder down the fallback; it gives what the reference gives."""
+        G = parse_group_spec(spec)
+        genuine = build_forcing_sequence(G)
+        bad = next(entry for entry in genuine.chain[1:] if len(entry) == refused_order)
+
+        def refused(G, S):
+            return tuple(S.members.tolist()) == bad
+
+        monkeypatch.setattr(forcing, "_quaternion_quotient", refused)
+        try:
+            expected = _reference_certificate(G, refused)
+        except PreconditionViolated as exc:
+            with pytest.raises(PreconditionViolated, match=str(exc)):
+                build_forcing_sequence(G)
+            return
+        cert = build_forcing_sequence(G)
+        assert cert == expected and cert.chain != genuine.chain
+        assert bad not in cert.chain
+        assert verify_certificate(G, cert).all_passed
+
+
 def _forged_c6_certificate(group_of):
     C6 = group_of("preset:Cyclic(6)")
     orders = C6.orders()
