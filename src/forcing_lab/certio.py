@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
@@ -41,13 +42,26 @@ class CertificateDocument:
             object.__setattr__(self, "group_spec", self.certificate.group_spec)
 
 
+# one encoder for every canonical encoding (json.dumps would build one per
+# call); it skips the cycle check, as decoded and emitted documents are trees
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True,
+                              check_circular=False)
+
+
 def _canonical_bytes(obj: Any) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True).encode()
+    return _CANONICAL.encode(obj).encode()
 
 
 def _digest_of(body: dict[str, Any]) -> str:
     undigested = {k: v for k, v in body.items() if k != "digest"}
     return hashlib.sha256(_canonical_bytes(undigested)).hexdigest()
+
+
+def _joined(members: dict[str, bytes]) -> bytes:
+    """The canonical bytes of an object, from the canonical bytes of each of
+    its members: the same bytes _canonical_bytes gives for the object."""
+    return b"{" + b",".join(_canonical_bytes(key) + b":" + value
+                            for key, value in sorted(members.items())) + b"}"
 
 
 def _witness_obj(w: ForcingWitness) -> dict[str, Any]:
@@ -95,7 +109,7 @@ def delta_report_obj(report: DeltaReport) -> dict[str, Any]:
     return obj
 
 
-def document_obj(doc: CertificateDocument) -> dict[str, Any]:
+def _undigested_obj(doc: CertificateDocument) -> dict[str, Any]:
     body: dict[str, Any] = {
         "schema_version": doc.schema_version,
         "digest_alg": doc.digest_alg,
@@ -104,6 +118,11 @@ def document_obj(doc: CertificateDocument) -> dict[str, Any]:
     }
     if doc.delta_report is not None:
         body["delta_report"] = delta_report_obj(doc.delta_report)
+    return body
+
+
+def document_obj(doc: CertificateDocument) -> dict[str, Any]:
+    body = _undigested_obj(doc)
     body["digest"] = _digest_of(body)
     return body
 
@@ -113,43 +132,58 @@ def document_digest(doc: CertificateDocument) -> str:
 
 
 def emit(doc: CertificateDocument) -> bytes:
-    return _canonical_bytes(document_obj(doc))
+    """The document's canonical bytes. Each top-level member is encoded
+    once, and the members are joined in key order twice: without the digest,
+    to compute it, and then with it."""
+    members = {key: _canonical_bytes(value) for key, value in _undigested_obj(doc).items()}
+    members["digest"] = _canonical_bytes(hashlib.sha256(_joined(members)).hexdigest())
+    return _joined(members)
 
 
-def _expect(obj: Any, typ: type, where: str) -> Any:
-    # bool is an int subclass; reject it anywhere an int is required
+def _name(where: str, key: str | int | None) -> str:
+    """where, or its member .key or entry [key]."""
+    return where if key is None else f"{where}[{key}]" if type(key) is int else f"{where}.{key}"
+
+
+def _expect(obj: Any, typ: type, where: str, key: str | int | None = None) -> Any:
+    """obj, once it has type typ; Malformed names where, or its member or
+    entry key, otherwise (the name is formatted only then)."""
+    # JSON decodes to exact types; bool is an int subclass, so reject it
+    # anywhere an int is required
+    if type(obj) is typ:
+        return obj
     if not isinstance(obj, typ) or (typ is int and isinstance(obj, bool)):
-        raise Malformed(f"{where}: expected {typ.__name__}, got {type(obj).__name__}")
+        raise Malformed(f"{_name(where, key)}: expected {typ.__name__}, got {type(obj).__name__}")
     return obj
 
 
-def _int_list(obj: Any, where: str) -> list[int]:
-    _expect(obj, list, where)
+def _int_list(obj: Any, where: str, key: str | int | None = None) -> list[int]:
+    _expect(obj, list, where, key)
     # JSON decodes integers as exact ints; entry locations are formatted only
     # for a list holding something else
-    if all(type(v) is int for v in obj):
+    if set(map(type, obj)) <= {int}:
         return obj
-    return [_expect(v, int, f"{where}[{i}]") for i, v in enumerate(obj)]
+    return [_expect(v, int, _name(where, key), i) for i, v in enumerate(obj)]
 
 
 def _parse_witness(obj: Any, where: str) -> ForcingWitness:
     _expect(obj, dict, where)
     return ForcingWitness(
-        class_rep=_expect(obj.get("class_rep"), int, f"{where}.class_rep"),
-        class_order=_expect(obj.get("class_order"), int, f"{where}.class_order"),
-        checked_fiber_sizes=tuple(_int_list(obj.get("checked_fiber_sizes"),
-                                            f"{where}.checked_fiber_sizes")),
+        class_rep=_expect(obj.get("class_rep"), int, where, "class_rep"),
+        class_order=_expect(obj.get("class_order"), int, where, "class_order"),
+        checked_fiber_sizes=tuple(_int_list(obj.get("checked_fiber_sizes"), where,
+                                            "checked_fiber_sizes")),
     )
 
 
 def _parse_step(obj: Any, where: str) -> ForcingStep:
     _expect(obj, dict, where)
     return ForcingStep(
-        index_in_chain=_expect(obj.get("index_in_chain"), int, f"{where}.index_in_chain"),
-        kernel_order=_expect(obj.get("kernel_order"), int, f"{where}.kernel_order"),
-        quotient_order=_expect(obj.get("quotient_order"), int, f"{where}.quotient_order"),
-        quotient_is_quaternion=_expect(obj.get("quotient_is_quaternion"), bool,
-                                       f"{where}.quotient_is_quaternion"),
+        index_in_chain=_expect(obj.get("index_in_chain"), int, where, "index_in_chain"),
+        kernel_order=_expect(obj.get("kernel_order"), int, where, "kernel_order"),
+        quotient_order=_expect(obj.get("quotient_order"), int, where, "quotient_order"),
+        quotient_is_quaternion=_expect(obj.get("quotient_is_quaternion"), bool, where,
+                                       "quotient_is_quaternion"),
         witness=_parse_witness(obj.get("witness"), f"{where}.witness"),
     )
 
@@ -157,7 +191,7 @@ def _parse_step(obj: Any, where: str) -> ForcingStep:
 def _parse_certificate(obj: Any) -> ForcingCertificate:
     _expect(obj, dict, "certificate")
     chain_obj = _expect(obj.get("chain"), list, "certificate.chain")
-    chain = tuple(tuple(_int_list(entry, f"certificate.chain[{i}]"))
+    chain = tuple(tuple(_int_list(entry, "certificate.chain", i))
                   for i, entry in enumerate(chain_obj))
     steps_obj = _expect(obj.get("steps"), list, "certificate.steps")
     return ForcingCertificate(
@@ -172,14 +206,23 @@ def _parse_certificate(obj: Any) -> ForcingCertificate:
 
 def _parse_trace_record(obj: Any, where: str) -> TraceRecord:
     _expect(obj, dict, where)
-    rule = _expect(obj.get("rule"), str, f"{where}.rule")
-    inputs = _expect(obj.get("inputs"), dict, f"{where}.inputs")
-    outputs = _expect(obj.get("outputs"), dict, f"{where}.outputs")
+    rule = _expect(obj.get("rule"), str, where, "rule")
+    inputs = _expect(obj.get("inputs"), dict, where, "inputs")
+    outputs = _expect(obj.get("outputs"), dict, where, "outputs")
     for name, mapping in (("inputs", inputs), ("outputs", outputs)):
-        for k, v in mapping.items():
-            _expect(k, str, f"{where}.{name} key")
-            _expect(v, str, f"{where}.{name}[{k}]")
-    return TraceRecord(rule=rule, inputs=dict(inputs), outputs=dict(outputs))
+        # JSON object keys are str; a value is named only if one is not
+        if not set(map(type, mapping.values())) <= {str}:
+            for k, v in mapping.items():
+                _expect(v, str, f"{where}.{name}[{k}]")
+    return TraceRecord(rule=rule, inputs=inputs, outputs=outputs)
+
+
+def _rational(obj: Any, where: str) -> Fraction:
+    """A rational field, read only in the num/den form format_rational writes."""
+    try:
+        return parse_rational(_expect(obj, str, where))
+    except ValueError as exc:
+        raise Malformed(f"{where}: {exc}") from None
 
 
 def _parse_delta_report(obj: Any) -> DeltaReport:
@@ -188,15 +231,11 @@ def _parse_delta_report(obj: Any) -> DeltaReport:
     if "closed_form_check" in obj:
         check_obj = _expect(obj["closed_form_check"], dict, "delta_report.closed_form_check")
         check = ClosedFormCheck(
-            predicted=parse_rational(_expect(check_obj.get("predicted"), str,
-                                             "closed_form_check.predicted")),
+            predicted=_rational(check_obj.get("predicted"), "closed_form_check.predicted"),
             matched=_expect(check_obj.get("matched"), bool, "closed_form_check.matched"),
         )
     trace_obj = _expect(obj.get("trace"), list, "delta_report.trace")
-    try:
-        delta = parse_rational(_expect(obj.get("delta"), str, "delta_report.delta"))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise Malformed(f"delta_report.delta: {exc}") from exc
+    delta = _rational(obj.get("delta"), "delta_report.delta")
     return DeltaReport(
         group_spec=_expect(obj.get("group_spec"), str, "delta_report.group_spec"),
         ell=_expect(obj.get("ell"), int, "delta_report.ell"),

@@ -54,6 +54,7 @@ from .exponents import (
     delta_for_p_group,
     eta0,
     format_rational,
+    parse_rational,
     replay_trace,
 )
 from .forcing import ForcingCertificate, build_forcing_sequence
@@ -331,12 +332,13 @@ def _tie_report(report: DeltaReport, cert: ForcingCertificate, order: int) -> No
     that differs is named: group_spec, ell, each trace record, then delta."""
     p, n = prime_power(order)
     base = report.trace[0]  # replay_trace accepts no trace that starts otherwise
-    override = Fraction(base.outputs["delta"]) if base.inputs.get("source") == "override" else None
+    override = (parse_rational(base.outputs["delta"]) if base.inputs.get("source") == "override"
+                else None)
     # the constants of a record whose constants replay_trace has read
     source = base if override is None else next(
         (record for record in report.trace if record.rule == "extension"), None)
     consts = DEFAULT_CONSTANTS if source is None else AnalyticConstants(
-        *(Fraction(source.inputs[key]) for key in ("beta", "gamma", "epsilon_delta")))
+        *(parse_rational(source.inputs[key]) for key in ("beta", "gamma", "epsilon_delta")))
     # delta_for_p_group reads no p-class from the profile
     profile = PGroupProfile(p=p, n=n, p_class=0, rank=prime_power(order // len(cert.chain[1]))[1],
                             is_cyclic=False, quaternion_index=None)

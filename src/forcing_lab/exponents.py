@@ -11,6 +11,7 @@ independently, and replay_trace does exactly that.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -35,8 +36,37 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+# the most digits of an integer in a document: str() of a longer int raises
+# under Python's default int-to-str limit, so no document holds one, and the
+# bound caps what reading a value can cost
+MAX_DIGITS = 4300
+_INTEGER = re.compile(rf"-?[0-9]{{1,{MAX_DIGITS}}}")
+_RATIONAL = re.compile(rf"(-?[0-9]{{1,{MAX_DIGITS}}})/([0-9]{{1,{MAX_DIGITS}}})")
+
+
+def _shown(text: object) -> str:
+    """text for an error message, cut to 40 characters."""
+    shown = repr(text)
+    return shown if len(shown) <= 40 else shown[:37] + "..."
+
+
+def parse_int(text: str) -> int:
+    """An integer in the form str() writes, with at most MAX_DIGITS digits;
+    ValueError for any other text, or for a value that is not a str."""
+    if type(text) is not str or not _INTEGER.fullmatch(text):
+        raise ValueError(f"{_shown(text)} is not an integer of at most {MAX_DIGITS} digits")
+    return int(text)
+
+
 def parse_rational(text: str) -> Fraction:
-    return Fraction(text)
+    """A rational in the num/den form format_rational writes, den positive
+    and each part at most MAX_DIGITS digits; ValueError for any other text
+    (a decimal exponent among them), or for a value that is not a str."""
+    parts = _RATIONAL.fullmatch(text) if type(text) is str else None
+    if parts is not None and int(parts[2]):
+        return Fraction(int(parts[1]), int(parts[2]))
+    raise ValueError(f"{_shown(text)} is not a rational num/den of at most {MAX_DIGITS} "
+                     "digits each, den positive")
 
 
 @dataclass(frozen=True)
@@ -309,20 +339,52 @@ def delta_for_nilpotent(G: FiniteGroup, ell: int,
                        trace=tuple(trace), closed_form_check=None)
 
 
+_CONSTANT_FIELDS = ("beta", "gamma", "epsilon_delta")
+_ETA_FIELDS = ("ell", "m", "r", *_CONSTANT_FIELDS)
+
+
+# constants recur across the documents of a corpus; they are immutable
+@functools.lru_cache(maxsize=64)
+def _constants(beta: Fraction, gamma: Fraction, epsilon_delta: Fraction) -> AnalyticConstants:
+    return AnalyticConstants(beta, gamma, epsilon_delta)
+
+
 def replay_trace(report: DeltaReport) -> Fraction:
     """Recompute every trace record from its recorded inputs and check the
-    chain reproduces report.delta exactly; UnverifiedCertificate otherwise."""
+    chain reproduces report.delta exactly; UnverifiedCertificate otherwise,
+    a field that is missing or does not read as its int or num/den rational
+    among them. Each distinct text is read once: record k's output delta is
+    record k + 1's input, and the eta0 and constants texts recur on every
+    step."""
 
     def fail(message: str) -> None:
         raise UnverifiedCertificate(f"trace does not replay: {message}")
 
-    constants: dict[tuple[str, str, str], AnalyticConstants] = {}
+    rationals: dict[str, Fraction] = {}
+    ints: dict[str, int] = {}
 
-    def consts_of(inputs: Mapping[str, str]) -> AnalyticConstants:
-        """The record's constants, built once per distinct text."""
-        key = (inputs["beta"], inputs["gamma"], inputs["epsilon_delta"])
+    def field(k: int, fields: Mapping[str, str], key: str, rational: bool = True
+              ) -> Fraction | int:
+        """fields[key] of record k as a rational, or else an int."""
+        text = fields.get(key)
+        if type(text) is not str:
+            fail(f"record {k}: {key} is {'missing' if text is None else _shown(text)}")
+        known = rationals if rational else ints
+        if text not in known:
+            try:
+                known[text] = parse_rational(text) if rational else parse_int(text)
+            except ValueError as exc:
+                fail(f"record {k}: {key}: {exc}")
+        return known[text]
+
+    constants: dict[tuple[str, ...], AnalyticConstants] = {}
+    etas: dict[tuple[str, ...], Fraction] = {}
+
+    def consts_of(k: int, inputs: Mapping[str, str]) -> AnalyticConstants:
+        """The record's constants, read once per distinct text."""
+        key = tuple(map(inputs.get, _CONSTANT_FIELDS))
         if key not in constants:
-            constants[key] = AnalyticConstants(*map(Fraction, key))
+            constants[key] = _constants(*(field(k, inputs, name) for name in _CONSTANT_FIELDS))
         return constants[key]
 
     segments: list[Fraction] = []
@@ -330,31 +392,33 @@ def replay_trace(report: DeltaReport) -> Fraction:
     folded: Fraction | None = None
     fold_index = 0
     for k, record in enumerate(report.trace):
+        inputs, outputs = record.inputs, record.outputs
         if record.rule == "base":
             if current is not None:
                 segments.append(current)
-            declared = Fraction(record.outputs["delta"])
-            if record.inputs.get("source") == "override":
+            declared = field(k, outputs, "delta")
+            if inputs.get("source") == "override":
                 if not 0 < declared < Fraction(1, 2):
                     fail(f"record {k}: override outside (0, 1/2)")
             else:
-                consts = consts_of(record.inputs)
+                consts = consts_of(k, inputs)
                 recomputed = base_delta_elementary_abelian(
-                    int(record.inputs["p"]), int(record.inputs["rank"]),
-                    int(record.inputs["ell"]), consts)
+                    *(field(k, inputs, name, False) for name in ("p", "rank", "ell")), consts)
                 if recomputed != declared:
                     fail(f"record {k}: base recomputes to {recomputed}")
             current = declared
         elif record.rule == "extension":
-            if current is None or Fraction(record.inputs["delta"]) != current:
+            if current is None or field(k, inputs, "delta") != current:
                 fail(f"record {k}: extension input does not continue the chain")
-            consts = consts_of(record.inputs)
-            eta = eta0(int(record.inputs["ell"]), int(record.inputs["m"]),
-                       int(record.inputs["r"]), consts)
-            if eta != Fraction(record.inputs["eta0"]):
+            key = tuple(map(inputs.get, _ETA_FIELDS))
+            if key not in etas:
+                etas[key] = eta0(*(field(k, inputs, name, False) for name in _ETA_FIELDS[:3]),
+                                 consts_of(k, inputs))
+            eta = etas[key]
+            if eta != field(k, inputs, "eta0"):
                 fail(f"record {k}: eta0 recomputes to {eta}")
             new = current * eta
-            if new != Fraction(record.outputs["delta"]):
+            if new != field(k, outputs, "delta"):
                 fail(f"record {k}: extension output mismatch")
             current = new
         elif record.rule == "compositum":
@@ -368,14 +432,14 @@ def replay_trace(report: DeltaReport) -> Fraction:
                 fold_index = 1
             if fold_index >= len(segments):
                 fail(f"record {k}: compositum exceeds available factors")
-            if Fraction(record.inputs["delta1"]) != folded:
+            if field(k, inputs, "delta1") != folded:
                 fail(f"record {k}: left input does not continue the fold")
-            if Fraction(record.inputs["delta2"]) != segments[fold_index]:
+            if field(k, inputs, "delta2") != segments[fold_index]:
                 fail(f"record {k}: right input is not the next factor")
             recomputed = compositum_delta(
-                folded, int(record.inputs["degree1"]),
-                segments[fold_index], int(record.inputs["degree2"]))
-            if recomputed != Fraction(record.outputs["delta"]):
+                folded, field(k, inputs, "degree1", False),
+                segments[fold_index], field(k, inputs, "degree2", False))
+            if recomputed != field(k, outputs, "delta"):
                 fail(f"record {k}: compositum output mismatch")
             folded = recomputed
             fold_index += 1

@@ -10,21 +10,22 @@ The chain N_0 > N_1 > ... > N_{L-1} is proven bottom up when |G| = p^m, each
 entry holds the next, from entry 1 on each has p times the elements of the
 next, and the last is {1}. With t_k the least member of N_k outside N_{k+1},
 N_k is a subgroup once N_{k+1} is one, t_k^p lies in N_{k+1}, t_k normalises
-N_{k+1} (checked on its generators t_{k+1}, ..., t_{L-2}), and N_{k+1} t_k^j
-lies in N_k for j < p: those p cosets are distinct, so they fill it. The t_k
-and the least elements s that take N_1's running union M <- U_j M s^j to
-all of G within log_p [G:N_1] steps make a set S of log_p |G| elements that
-provably generates G. Normality and central layers are then checked on
-commutators with S (x^s = x [x, s], and [x, gh] = [x, h] [x, g]^h), the
-exponent-p series is closed under conjugation by S, a coset label comes
-from the entry below in p lookups, and element and coset orders from one
-table of p-power maps. _derive is the one place that reads the chain this
-way. The witnesses of all steps are checked together, on (steps x n)
-arrays of labels and coset orders. What it does not prove falls back, condition by condition, to all of
-G: closure by squaring, commutators with every element and labels as the
-least product over a whole coset, so every verdict and detail is the same
-either way. Every gather of n x |N| products or more is one flat take from
-the table per row block of at most _BLOCK_ITEMS int32 products.
+N_{k+1} (checked on its generators t_{k+1}, ..., t_{L-2}), and t_k^j N_{k+1},
+then N_{k+1} t_k^j, lies in N_k for j < p: those p cosets are distinct, so
+they fill it. The t_k and the least elements s that take N_1's running union
+M <- U_j s^j M to all of G within log_p [G:N_1] steps make a set S of
+log_p |G| elements that provably generates G. _derive is the one place that
+reads the chain this way. What it does not prove falls back, condition by
+condition, to all of G (closure by squaring, commutators with every element,
+labels as the least product over a coset), so every verdict and detail is
+the same either way.
+
+Each fact is formed once, for the whole chain: the (|S| x n) table of
+commutators [x, s], whence normality, central layers and the exponent-p
+series (x^s = x [x, s], and [x, gh] = [x, h] [x, g]^h); coset orders from
+one table of p-power maps; labels bottom up; the witnesses of all steps on
+(steps x n) arrays; and each report row, once while cached. Every gather of
+n x |N| products or more is one flat take per row block of _BLOCK_ITEMS.
 """
 
 from __future__ import annotations
@@ -67,6 +68,11 @@ class VerificationReport:
 
     def failures(self) -> tuple[CheckResult, ...]:
         return tuple(c for c in self.checks if not c.passed)
+
+
+# a report row is an immutable value, and most rows recur from one
+# certificate to the next, details and all
+_row = functools.lru_cache(maxsize=1024)(CheckResult)
 
 
 def _structural_check(G: FiniteGroup, cert: ForcingCertificate) -> np.ndarray:
@@ -113,18 +119,17 @@ def _structural_check(G: FiniteGroup, cert: ForcingCertificate) -> np.ndarray:
     return inside
 
 
-# int32 products gathered per row block by the verifier's table kernels: a
-# table of order up to 128 is one block, and a block's temporaries (its intp
+# products gathered per row block by the verifier's table kernels: a table
+# of order up to 128 is one block, and a block's temporaries (its intp
 # indices among them) stay well under a quarter of an order-1024 table
 _BLOCK_ITEMS = 1 << 14
 
 
 def _gather(G: FiniteGroup, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """The products left * right of broadcast int32 element arrays, as one
-    gather from the flat table (an int32 flat index holds any order below
-    46341, far above MAX_ORDER_CAP); callers keep the broadcast shape under
+    """The products left * right of broadcast element arrays, as one gather
+    from the flat table; callers keep the broadcast shape under
     _BLOCK_ITEMS."""
-    return np.take(G.mul_table.reshape(-1), left * G.order + right)
+    return G.mul_table.reshape(-1).take(left * G.order + right)
 
 
 def _row_blocks(rows: np.ndarray, width: int) -> Iterator[np.ndarray]:
@@ -135,8 +140,8 @@ def _row_blocks(rows: np.ndarray, width: int) -> Iterator[np.ndarray]:
 
 def _square_until_closed(G: FiniteGroup, members: np.ndarray,
                          known: Container[bytes] = frozenset()) -> np.ndarray:
-    """Sorted int32 members of the subgroup generated by members (sorted
-    int32, 0 among them): square until closed, or until the members are a
+    """Sorted intp members of the subgroup generated by members (sorted
+    intp, 0 among them): square until closed, or until the members are a
     subgroup in known (by member bytes)."""
     while members.tobytes() not in known:
         products = np.zeros(G.order, dtype=bool)
@@ -144,7 +149,7 @@ def _square_until_closed(G: FiniteGroup, members: np.ndarray,
             products[_gather(G, block[:, None], members)] = True
         if products.sum() == len(members):
             break
-        members = np.flatnonzero(products).astype(np.int32)
+        members = products.nonzero()[0]
     return members
 
 
@@ -158,26 +163,28 @@ def _commutators(G: FiniteGroup, S: np.ndarray, xs: np.ndarray) -> Iterator[np.n
 
 
 def _escapes(G: FiniteGroup, S: np.ndarray, codes: np.ndarray
-             ) -> tuple[int, int, np.ndarray]:
+             ) -> tuple[int, int, np.ndarray, np.ndarray | None]:
     """Which entries S's commutators leave, with codes[x] the entries that
     hold x as bits: bit k of the first when some x in N_k has [x, s] outside
     N_k, bit i + 2 of the second when some x in N_{i+1} has [x, s] outside
-    N_{i+2}. Third, the mask of every [x, s], x in G, the lower exponent-p
-    series' first commutators."""
+    N_{i+2}. Third, the mask of every [x, s]. Fourth, their intp table, row
+    s and column x, kept for a derived S (log_p n < n rows) but not all of G."""
+    images = _commutators(G, S, np.arange(G.order))
+    table = np.concatenate(list(images), dtype=np.intp) if len(S) < G.order else None
     normal = central = 0
     reached = np.zeros(G.order, dtype=bool)
-    everything = np.arange(G.order, dtype=np.int32)
-    for image in _commutators(G, S, everything):
+    for image in images if table is None else (table,):
         reached[image] = True
-        outside = np.invert(codes[image])
-        normal |= int(np.bitwise_or.reduce(codes & outside, axis=None))
-        central |= int(np.bitwise_or.reduce((codes << 1) & outside, axis=None))
-    return normal, central, reached
+        # the entries some [x, s] of the block leaves, for each x
+        left = np.bitwise_or.reduce(np.invert(codes.take(image)), axis=0)
+        normal |= int(np.bitwise_or.reduce(codes & left))
+        central |= int(np.bitwise_or.reduce((codes << 1) & left))
+    return normal, central, reached, table
 
 
 def _underived(G: FiniteGroup, length: int) -> tuple[list[bool], None, np.ndarray]:
     """Nothing proven by induction, and all of G as S."""
-    return [False] * length, None, np.arange(G.order, dtype=np.int32)
+    return [False] * length, None, np.arange(G.order)
 
 
 def _derive(G: FiniteGroup, inside: np.ndarray, sizes: list[int], nested: bool,
@@ -197,67 +204,78 @@ def _derive(G: FiniteGroup, inside: np.ndarray, sizes: list[int], nested: bool,
     proven = [False] * (L - 1) + [True]
     S = []
     if L > 2:
-        # x lies in N_k exactly when depth[x] >= k, so the n - |N_k| first
-        # elements by depth are those outside N_k, and the next is t_k
+        # x lies in N_k exactly when depth[x] >= k
         depth = inside.sum(axis=0) - 1
         ks = np.arange(1, L - 1)
-        t = np.argsort(depth, kind="stable")[[n - sizes[k] for k in range(1, L - 1)]]
+        t = (inside[1:-1] > inside[2:]).argmax(axis=1)
         for j in range(1, p):
             t_powers[1:-1, j] = mul[t_powers[1:-1, j - 1], t]
         power_in = depth[pth[t]] > ks
         # t_a^-1 t_b t_a in N_{a+1} for every b > a: N_{k+1} = <t_{k+1}, ...>
         conjugates = mul[mul[inv[t][:, None], t], t[:, None]]
         normalises = ((depth[conjugates] > ks[:, None]) | (ks <= ks[:, None])).all(axis=1)
-        # N_{k+1} t_k^j inside N_k
-        cosets_in = ~((depth[:, None, None] > ks[:, None])
-                      & (depth[mul[:, t_powers[1:-1, 1:]]] < ks[:, None])).any(axis=(0, 2))
+        # t_k^j N_{k+1} inside N_k, from rows of the table: it is N_{k+1} t_k^j
+        # wherever t_k normalises N_{k+1}, and entry k is proven nowhere else
+        cosets_in = ~((depth > ks[:, None, None])
+                      & (depth.take(mul[t_powers[1:-1, 1:]]) < ks[:, None, None])).any(axis=(1, 2))
         local = (power_in & normalises & cosets_in).tolist()
         for k in reversed(range(1, L - 1)):
             proven[k] = proven[k + 1] and local[k - 1]
         S = t.tolist()
     if not proven[1]:
         return proven, t_powers, _underived(G, L)[2]
+    # each s^j reached lies in <S>, so S generates G once reached is all of it
     reached = inside[1].copy()
     for _ in range(m - (L - 2)):
-        s = int(np.argmin(reached))
-        s_powers = [s]
-        for _ in range(p - 2):
-            s_powers.append(int(mul[s_powers[-1], s]))
-        reached[mul[np.flatnonzero(reached)[:, None], s_powers]] = True
+        s = int(reached.argmin())
+        grown, power = reached.copy(), s
+        for _ in range(p - 1):
+            grown |= reached.take(mul[inv[power]])
+            power = mul[power, s]
+        reached = grown
         S.append(s)
-    if not reached.all():
-        return proven, t_powers, _underived(G, L)[2]
-    return proven, t_powers, np.array(S, dtype=np.int32)
+    return proven, t_powers, np.array(S) if reached.all() else _underived(G, L)[2]
 
 
 def _series(G: FiniteGroup, S: np.ndarray, pth: np.ndarray | None,
-            known: dict[bytes, bool], commutators: np.ndarray) -> list[np.ndarray]:
+            known: dict[bytes, bool], commutators: np.ndarray,
+            table: np.ndarray | None) -> list[np.ndarray]:
     """The lower exponent-p series G_j = G_{j-1}^p [G_{j-1}, G], for S a
-    generating set of G: the closure of the p-th powers of G_{j-1} and its
-    commutators with S (pth: the p-th power map; commutators: the mask of
-    those of G_0 = G), closed again under conjugation by S until it stops
-    growing. known maps the member bytes of subgroups already proven closed
-    to whether they are proven normal."""
-    pp = prime_power(G.order)
-    if pp is None:
+    generating set of G: the closure of the p-th powers of G_{j-1} (pth, None
+    when |G| is not a prime power) and its commutators with S (for G_0,
+    the mask commutators; else from _escapes' table, if it kept one),
+    closed again under conjugation by S until it stops growing. known maps
+    the member bytes of subgroups proven closed to whether proven normal."""
+    if pth is None:
         raise NotAPGroup(f"order {G.order} is not a prime power")
-    series = [np.arange(G.order, dtype=np.int32)]
+    # the table with the p-th powers as one more row, which closing a term
+    # under conjugation may mark again: the term holds them
+    images = None if table is None else np.concatenate((table, pth[None, :]))
+
+    def grow(found: np.ndarray, xs: np.ndarray) -> None:
+        """Mark x^p and [x, s] in found for every x in xs and s in S."""
+        if images is not None:
+            found[images.take(xs, axis=1)] = True
+            return
+        found[pth[xs]] = True
+        for image in _commutators(G, S, xs):
+            found[image] = True
+
+    series = [np.arange(G.order)]
     found = commutators.copy()
+    found[pth] = True
     while len(series[-1]) > 1:
         current = series[-1]
         if len(series) > 1:
             found = np.zeros(G.order, dtype=bool)
-            for image in _commutators(G, S, current):
-                found[image] = True
-        found[pth[current]] = True
+            grow(found, current)
         while True:
-            term = _square_until_closed(G, np.flatnonzero(found).astype(np.int32), known)
+            term = _square_until_closed(G, found.nonzero()[0], known)
             if known.get(term.tobytes()):
                 break
             found[term] = True
             # x^s = x [x, s]
-            for image in _commutators(G, S, term):
-                found[image] = True
+            grow(found, term)
             if found.sum() == len(term):
                 break
         series.append(term)
@@ -278,6 +296,55 @@ def _power_map(G: FiniteGroup, e: int) -> np.ndarray:
         if e:
             square = mul[square, square]
     return result
+
+
+def _p_coset_orders(pth: np.ndarray, inside: np.ndarray, p: int, m: int
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Row k, for entry k a subgroup of G of order p^m: the order of xN_k
+    for every x, p to the count of j <= m with x^(p^j) outside N_k (once
+    inside, it stays). Second, every element's order. Row j of the ladder
+    is x -> x^(p^j): with rows 0..h-1 known, row h - 1 + j is row h - 1
+    applied to row j, so each take nearly doubles them."""
+    n = len(pth)
+    ladder = np.empty((m + 1, n), dtype=np.intp)
+    ladder[0], ladder[1] = np.arange(n), pth
+    known = 2
+    while known <= m:
+        ladder[known:2 * known - 1] = ladder[known - 1].take(ladder[1:min(known, m + 2 - known)])
+        known = 2 * known - 1
+    p_powers = p ** np.arange(m + 1, dtype=np.int32)
+    orders = np.zeros(inside.shape, dtype=np.int32)
+    # a row takes (m + 1) n bools and two n int32 counts: (m + 9) n / 4 int32s
+    for rows in _row_blocks(np.arange(len(inside)), (ladder.size + 8 * n) // 4):
+        outside = m + 1 - inside[rows].T.take(ladder, axis=0).sum(axis=0, dtype=np.int32)
+        orders[rows] = p_powers.take(outside.T)
+    return orders, p_powers.take(m + 1 - (ladder == 0).sum(axis=0))
+
+
+def _labels(G: FiniteGroup, arrays: list[np.ndarray], proven: list[bool],
+            t_powers: np.ndarray | None, wanted: list[int]) -> np.ndarray:
+    """Row k, for each formed entry k in wanted: every element's coset label,
+    the least member of x N_k. x N_j is the union of the x t_j^i N_{j+1} for
+    an entry j proven bottom up, so those take their labels from the entry
+    below in p lookups; any other takes the least product over the coset."""
+    L = len(arrays)
+    labels = np.empty((L, G.order), dtype=np.intp)
+    labelled = [False] * L
+    for k in sorted(wanted):
+        below = k
+        while not labelled[below] and proven[below] and below < L - 1:
+            below += 1
+        if not labelled[below]:
+            for block in _row_blocks(np.arange(G.order), len(arrays[below])):
+                labels[below, block] = _gather(G, block, arrays[below][:, None]).min(axis=0)
+        for j in range(below - 1, k - 1, -1):
+            # the least label of the x t_j^i N_{j+1}, i < p, with t_j^0 = 1
+            np.minimum(labels[j + 1], labels[j + 1].take(G.mul_table[:, t_powers[j, 1]]),
+                       out=labels[j])
+            for t in t_powers[j, 2:]:
+                np.minimum(labels[j], labels[j + 1].take(G.mul_table[:, t]), out=labels[j])
+        labelled[k:below + 1] = [True] * (below + 1 - k)
+    return labels
 
 
 def _coset_orders(G: FiniteGroup, inside: np.ndarray,
@@ -309,16 +376,15 @@ def _witness_classes(G: FiniteGroup, labels_up: np.ndarray, orders_up: np.ndarra
                      orders_low: np.ndarray, class_reps: np.ndarray
                      ) -> list[tuple[int, int, int, bool]]:
     """(rep, order, class size, forcing) for a block of steps at once: row i
-    of each (steps x n) array holds the coset labels and coset orders of the
+    of each (steps x n) array holds the coset labels and orders of the
     step's N_{i+1}, and the coset orders of its N_{i+2}, both formed, and
-    class_reps[i] is below [G:N_{i+1}]. x is the class_reps[i]-th least
-    label of N_{i+1}, and the class of x N_{i+1} is the labels of g^-1 x g
-    over every g in G, the least one its representative. A class coset
-    c N_{i+1} is the y labelled c, and forcing asks every such y to keep
-    the order of x N_{i+1} modulo N_{i+2}."""
+    class_reps[i] < [G:N_{i+1}]. x is the class_reps[i]-th least label of
+    N_{i+1}; the class of x N_{i+1} is the labels of every g^-1 x g, the
+    least its representative. Forcing asks every y labelled in the class to
+    keep the order of x N_{i+1} modulo N_{i+2}."""
     steps, n = labels_up.shape
-    rows = np.arange(steps, dtype=np.int32)
-    everything = np.arange(n, dtype=np.int32)
+    rows = np.arange(steps)
+    everything = np.arange(n)
     # rank[i, y]: the labels up to y, so x is where rank first passes the rep
     rank = np.cumsum(labels_up == everything, axis=1, dtype=np.int32)
     x = (rank <= class_reps[:, None]).sum(axis=1, dtype=np.int32)
@@ -326,7 +392,7 @@ def _witness_classes(G: FiniteGroup, labels_up: np.ndarray, orders_up: np.ndarra
     # labels as flat indices of (steps x n) arrays, row i's offset by i n
     flat = labels_up + n * rows[:, None]
     in_class = np.zeros(steps * n, dtype=bool)
-    in_class[np.take(flat, conjugates + n * rows[:, None])] = True
+    in_class[flat.take(conjugates + n * rows[:, None])] = True
     reps = rank[rows, in_class.reshape(steps, n).argmax(axis=1)] - 1
     orders = orders_up[rows, x]
     forcing = ~(in_class[flat] & (orders_low != orders[:, None])).any(axis=1)
@@ -339,8 +405,10 @@ def _quaternion_index(order: int, top: int, involutions: int) -> int | None:
     order is top and which has the given number of involutions, is
     generalized quaternion of order 2**(n+2), else None. A non-cyclic
     2-group of order at least 8 is one exactly when it has one involution."""
+    if involutions != 1 or top == order:
+        return None
     pp = prime_power(order)
-    if pp is None or pp[0] != 2 or pp[1] < 3 or top == order or involutions != 1:
+    if pp is None or pp[0] != 2 or pp[1] < 3:
         return None
     return pp[1] - 2
 
@@ -350,158 +418,71 @@ def verify_certificate(G: FiniteGroup, cert: ForcingCertificate) -> Verification
 
     Structural impossibilities (bad indices, shape mismatches) raise
     MalformedCertificate; every semantic condition becomes a named pass/fail
-    entry in the report. Group-theoretic facts are recomputed from G's table
-    alone, independently of the builder: element orders from p-th powers,
-    closure bottom up or by squaring, normality, centrality and the
-    exponent-p series from commutators with a generating set the chain
-    yields (or with all of G), and the series' Frattini term. Quotients are
-    never built: a coset xN is labelled by its least member, target index i
-    is the i-th smallest label, and the order of xN is the least k with x^k
-    in N. Forcing is checked over every element of every coset of the
-    witness class.
+    entry in the report, recomputed from G's table alone. Quotients are never
+    built: a coset xN is labelled by its least member, target index i is the
+    i-th smallest label, and the order of xN is the least k with x^k in N.
+    Forcing is checked over every element of every coset of the witness class.
     """
-    mul, inv = G.mul_table, G.inv_table
-    n = G.order
+    mul, inv, n = G.mul_table, G.inv_table, G.order
     # the inverses are G's data, not the verifier's: one product each checks them
-    bad = np.flatnonzero(mul[np.arange(n), inv] != 0)
-    if len(bad):
-        raise PreconditionViolated(f"inv_table[{bad[0]}] is not the inverse of {bad[0]}")
+    wrong = mul[np.arange(n), inv] != 0
+    if wrong.any():
+        bad = int(wrong.argmax())
+        raise PreconditionViolated(f"inv_table[{bad}] is not the inverse of {bad}")
     inside = _structural_check(G, cert)
     L = len(inside)
-    order_of = inside.sum(axis=1).tolist()
-    flat = (np.flatnonzero(inside) % n).astype(np.int32)
-    ends = list(itertools.accumulate(order_of))
-    arrays = [flat[end - size:end] for end, size in zip(ends, order_of)]
-    checks: list[CheckResult] = []
+    order_of = [len(entry) for entry in cert.chain]  # distinct indices
+    flat = inside.nonzero()[1]
+    arrays = [flat[end - size:end] for end, size in zip(itertools.accumulate(order_of), order_of)]
     pp = prime_power(n)
     p = pp[0] if pp else None
-    # row j holds x^(p^j): the order of xN in a p-group is the least such
-    # p^j in N
-    pth = ladder = None
-    if pp is not None:
-        pth = _power_map(G, p)
-        ladder = np.empty((pp[1] + 1, n), dtype=np.intp)
-        ladder[0] = np.arange(n)
-        for j in range(pp[1]):
-            ladder[j + 1] = pth[ladder[j]]
-        p_powers = p ** np.arange(pp[1] + 1, dtype=np.int32)
-
-    detail = ""
-    if pp is None:
-        detail = f"order {n} is not a prime power"
-    else:
-        orders = p_powers[(ladder == 0).argmax(axis=0)]
-        top = int(orders.max())
-        if top == n:
-            detail = "group is cyclic"
-        elif _quaternion_index(n, top, int((orders == 2).sum())) is not None:
-            detail = "group is generalized quaternion"
-    checks.append(CheckResult("group-hypotheses", not detail, detail))
-
-    checks.append(CheckResult("chain-full-group", order_of[0] == n,
-                              "chain must start at the whole group"))
-    checks.append(CheckResult("chain-terminates", order_of[-1] == 1 and bool(inside[-1, 0]),
-                              "chain must end at the trivial subgroup"))
-    nested = not (inside[1:] & ~inside[:-1]).any()
-    descending = nested and all(a > b for a, b in zip(order_of, order_of[1:]))
-    checks.append(CheckResult("chain-descending", descending,
-                              "entries must strictly decrease"))
-
-    proven, t_powers, S = _derive(G, inside, order_of, nested, pp, pth)
-    everything = np.arange(n, dtype=np.int32)
-    # bit k of codes[x] when x lies in entry k
-    weights = np.array([1 << k for k in range(L)], dtype=np.int64 if L < 62 else object)
-    codes = weights @ inside
-    normal_bits, central_bits, commutators = _escapes(G, S, codes)
-    # an entry is formed, so that its cosets make a quotient, once it is a
-    # normal subgroup
-    closed, formed = [], []
-    for k, members in enumerate(arrays):
-        # |G| distinct in-range indices are G itself
-        closed.append(bool(inside[k, 0]) and (order_of[k] == n or proven[k] or np.array_equal(
-            _square_until_closed(G, members), members)))
-        checks.append(CheckResult("chain-closed", closed[k],
-                                  f"entry of size {order_of[k]}", step=k))
-        # x^s = x [x, s], and S generates G
-        formed.append(closed[k] and not normal_bits >> k & 1)
-        checks.append(CheckResult("chain-normal", formed[k], f"entry {k}" + (
-            "" if closed[k] else " is not even a subgroup"), step=k))
-    known = {arrays[k].tobytes(): formed[k] for k in range(L) if closed[k]}
-    try:
-        series = _series(G, S, pth, known, commutators)
-        checks.append(CheckResult("chain-frattini", np.array_equal(arrays[1], series[1]),
-                                  "second entry must be the Frattini subgroup"))
-    except NotAPGroup as exc:
-        series = None
-        series_error = str(exc)
-        checks.append(CheckResult("chain-frattini", False, series_error))
-    if p is not None:
-        index_ok = all(order_of[k] == p * order_of[k + 1] for k in range(1, L - 1))
-        checks.append(CheckResult("chain-index-p", index_ok,
-                                  f"consecutive indices must all be {p}"))
-    else:
-        checks.append(CheckResult("chain-index-p", False, "no p: order is not a prime power"))
-    if series is None:
-        checks.append(CheckResult("chain-refines-series", False, series_error))
-    else:
-        chain_bytes = {members.tobytes() for members in arrays}
-        refines = all(term.tobytes() in chain_bytes for term in series)
-        checks.append(CheckResult("chain-refines-series", refines,
-                                  "every series term must appear in the chain"))
+    terminates = order_of[-1] == 1 and bool(inside[-1, 0])
+    nested = not (inside[1:] > inside[:-1]).any()
 
     # row k, for formed entry k: the order of xN_k for each element x
     coset_orders = np.zeros((L, n), dtype=np.int32)
-    if ladder is not None:
-        # a row takes (m + 1) n bools and its argmax n intp: (m + 9) n / 4 int32s
-        for rows in _row_blocks(np.arange(L), (ladder.size + 8 * n) // 4):
-            coset_orders[rows] = p_powers[inside[rows][:, ladder].argmax(axis=1)]
-    else:
+    pth = None
+    if pp is not None:
+        pth = _power_map(G, p).astype(np.intp)
+        coset_orders, orders = _p_coset_orders(pth, inside, p, pp[1])
+
+    proven, t_powers, S = _derive(G, inside, order_of, nested, pp, pth)
+    # bit k of codes[x] when x lies in entry k
+    weights = np.array([1 << k for k in range(L)], dtype=np.int64 if L < 62 else object)
+    normal_bits, central_bits, commutators, table = _escapes(G, S, weights @ inside)
+    # an entry is formed, so that its cosets make a quotient, once it is a
+    # normal subgroup (x^s = x [x, s], and S generates G); |G| distinct
+    # in-range indices are G itself
+    closed = [has_identity and (order_of[k] == n or proven[k] or np.array_equal(
+        _square_until_closed(G, arrays[k]), arrays[k]))
+        for k, has_identity in enumerate(inside[:, 0].tolist())]
+    formed = [closed[k] and not normal_bits >> k & 1 for k in range(L)]
+    try:
+        series = _series(G, S, pth, {arrays[k].tobytes(): formed[k] for k in range(L)
+                                     if closed[k]}, commutators, table)
+        frattini = (arrays[1].tobytes() == series[1].tobytes(),
+                    "second entry must be the Frattini subgroup")
+        chain_bytes = {members.tobytes() for members in arrays}
+        refines = (all(term.tobytes() in chain_bytes for term in series),
+                   "every series term must appear in the chain")
+    except NotAPGroup as exc:
+        frattini = refines = (False, str(exc))
+    del table  # the largest array the verifier keeps, of no further use
+
+    if pp is None:
         for k in np.flatnonzero(formed):
             coset_orders[k] = _coset_orders(G, inside[k], functools.partial(_power_map, G))
     # each coset of N_k holds |N_k| elements of its order
     tops = coset_orders.max(axis=1).tolist()
     involutions = (coset_orders == 2).sum(axis=1).tolist()
-
-    # row k, once labelled: each element's coset label, the least member of
-    # x N_k. Only the steps' upper entries need them
-    labels = np.empty((L, n), dtype=np.int32)
-    labelled = [False] * L
-
-    def label(k: int) -> None:
-        """Fill row k of labels, for formed entry k. x N_j is the union of
-        the x t_j^i N_{j+1} for an entry j proven bottom up, so those take
-        their labels from the entry below."""
-        below = k
-        while not labelled[below] and proven[below] and below < L - 1:
-            below += 1
-        if not labelled[below]:
-            for block in _row_blocks(everything, order_of[below]):
-                labels[below, block] = _gather(G, block[:, None], arrays[below]).min(axis=1)
-        for j in range(below - 1, k - 1, -1):
-            labels[j] = labels[j + 1][mul[:, t_powers[j]]].min(axis=1)
-        labelled[k:below + 1] = [True] * (below + 1 - k)
-
-    quotient_index: list[int | None] = []
-    for k in range(L):
-        if not formed[k]:
-            quotient_index.append(None)
-            checks.append(CheckResult("quotient-non-quaternion", False,
-                                      f"entry {k}: quotient could not be formed",
-                                      step=k))
-            continue
-        idx = _quaternion_index(n // order_of[k], tops[k], involutions[k] // order_of[k])
-        quotient_index.append(idx)
-        checks.append(CheckResult("quotient-non-quaternion", idx is None,
-                                  f"entry {k}" + ("" if idx is None else
-                                                  f": quotient is Q({idx})"),
-                                  step=k))
+    quotient_index = [_quaternion_index(n // order_of[k], tops[k], involutions[k] // order_of[k])
+                      if formed[k] else None for k in range(L)]
 
     # every step whose witness can be read, in blocks of steps x n products
     usable = np.array([i for i, step in enumerate(cert.steps)
                        if formed[i + 1] and formed[i + 2]
                        and step.witness.class_rep < n // order_of[i + 1]], dtype=np.intp)
-    for i in usable.tolist():
-        label(i + 1)
+    labels = _labels(G, arrays, proven, t_powers, (usable + 1).tolist())
     classes = {}
     for block in _row_blocks(usable, n):
         classes.update(zip(block.tolist(), _witness_classes(
@@ -509,57 +490,76 @@ def verify_certificate(G: FiniteGroup, cert: ForcingCertificate) -> Verification
             np.array([cert.steps[i].witness.class_rep for i in block]))))
     # a coset y N_{i+1} meets |N_{i+1}| / |N_{i+1} & N_{i+2}| cosets of N_{i+2}:
     # y a and y b share one exactly when a^-1 b lies in both
-    meets = (inside[1:-1] & inside[2:]).sum(axis=1).tolist()
+    meets = order_of[2:] if nested else (inside[1:-1] & inside[2:]).sum(axis=1).tolist()
+
+    detail = f"order {n} is not a prime power"
+    if pp is not None:
+        top = int(orders.max())
+        detail = ("group is cyclic" if top == n else "group is generalized quaternion"
+                  if _quaternion_index(n, top, int((orders == 2).sum())) is not None else "")
+    checks = [
+        _row("group-hypotheses", not detail, detail, None),
+        _row("chain-full-group", order_of[0] == n, "chain must start at the whole group", None),
+        _row("chain-terminates", terminates, "chain must end at the trivial subgroup", None),
+        _row("chain-descending", nested and all(a > b for a, b in zip(order_of, order_of[1:])),
+             "entries must strictly decrease", None),
+    ]
+    for k in range(L):
+        checks.append(_row("chain-closed", closed[k], f"entry of size {order_of[k]}", k))
+        checks.append(_row("chain-normal", formed[k], f"entry {k}" + (
+            "" if closed[k] else " is not even a subgroup"), k))
+    checks.append(_row("chain-frattini", *frattini, None))
+    checks.append(_row(
+        "chain-index-p", p is not None and all(order_of[k] == p * order_of[k + 1]
+                                               for k in range(1, L - 1)),
+        "no p: order is not a prime power" if p is None else
+        f"consecutive indices must all be {p}", None))
+    checks.append(_row("chain-refines-series", *refines, None))
+    for k, idx in enumerate(quotient_index):
+        checks.append(_row("quotient-non-quaternion", formed[k] and idx is None,
+                           f"entry {k}: quotient could not be formed" if not formed[k] else
+                           f"entry {k}" + ("" if idx is None else f": quotient is Q({idx})"), k))
 
     for i, step in enumerate(cert.steps):
-        upper, lower = arrays[i + 1], arrays[i + 2]
-        checks.append(CheckResult("step-chain-index", step.index_in_chain == i + 1,
-                                  f"recorded {step.index_in_chain}, expected {i + 1}", step=i))
-        ratio = len(upper) // len(lower) if len(lower) and len(upper) % len(lower) == 0 else 0
-        kernel_ok = ratio >= 2 and is_prime(ratio) and step.kernel_order == ratio
-        if p is not None:
-            kernel_ok = kernel_ok and ratio == p
-        checks.append(CheckResult("step-kernel-order", kernel_ok,
-                                  f"recorded {step.kernel_order}, actual index {ratio}", step=i))
-        checks.append(CheckResult(
-            "step-quotient-order",
-            step.quotient_order * len(lower) == n,
-            f"recorded {step.quotient_order}, expected {n // len(lower)}", step=i))
-
-        # [N_i, G] inside N_{i+1} makes the layer central in G/N_{i+1}. S
-        # suffices: a derived S comes with every entry from 1 on a subgroup,
-        # so [N_{i+2}, S] inside N_{i+2} makes that entry normal, and then
-        # [x, gh] = [x, h] [x, g]^h
-        checks.append(CheckResult("chain-central-layer", not central_bits >> (i + 2) & 1,
-                                  "layer commutators must land below", step=i))
-
+        upper, lower = order_of[i + 1], order_of[i + 2]
+        ratio = upper // lower if upper % lower == 0 else 0
+        kernel_ok = (ratio == step.kernel_order == p if p is not None else
+                     ratio >= 2 and is_prime(ratio) and step.kernel_order == ratio)
+        checks += [
+            _row("step-chain-index", step.index_in_chain == i + 1,
+                 f"recorded {step.index_in_chain}, expected {i + 1}", i),
+            _row("step-kernel-order", kernel_ok,
+                 f"recorded {step.kernel_order}, actual index {ratio}", i),
+            _row("step-quotient-order", step.quotient_order * lower == n,
+                 f"recorded {step.quotient_order}, expected {n // lower}", i),
+            # [N_i, G] inside N_{i+1} makes the layer central in G/N_{i+1}. S
+            # suffices: a derived S comes with every entry from 1 on a
+            # subgroup, so [N_{i+2}, S] inside N_{i+2} makes that entry
+            # normal, and then [x, gh] = [x, h] [x, g]^h
+            _row("chain-central-layer", not central_bits >> (i + 2) & 1,
+                 "layer commutators must land below", i),
+        ]
         if not (formed[i + 1] and formed[i + 2]):
-            for condition in ("step-witness-class", "step-forcing", "step-quaternion-flag"):
-                checks.append(CheckResult(condition, False, "quotients could not be formed",
-                                          step=i))
+            checks += [_row(condition, False, "quotients could not be formed", i) for condition
+                       in ("step-witness-class", "step-forcing", "step-quaternion-flag")]
             continue
-        flag_ok = step.quotient_is_quaternion is False and quotient_index[i + 2] is None
-        checks.append(CheckResult("step-quaternion-flag", flag_ok,
-                                  "recorded flag must be false and match recomputation",
-                                  step=i))
+        checks.append(_row("step-quaternion-flag",
+                           step.quotient_is_quaternion is False and quotient_index[i + 2] is None,
+                           "recorded flag must be false and match recomputation", i))
         witness = step.witness
         if i not in classes:
-            checks.append(CheckResult("step-witness-class", False,
-                                      f"representative {witness.class_rep} out of range",
-                                      step=i))
-            checks.append(CheckResult("step-forcing", False, "witness unusable", step=i))
+            checks += [_row("step-witness-class", False,
+                            f"representative {witness.class_rep} out of range", i),
+                       _row("step-forcing", False, "witness unusable", i)]
             continue
         rep, order, size, forcing = classes[i]
-        sizes = [order_of[i + 1] // meets[i]] * size
-        class_ok = (rep == witness.class_rep
-                    and order == witness.class_order
+        sizes = [upper // meets[i]] * size
+        class_ok = (rep == witness.class_rep and order == witness.class_order
                     and tuple(witness.checked_fiber_sizes) == tuple(sizes))
-        checks.append(CheckResult(
-            "step-witness-class", class_ok,
-            f"class of {witness.class_rep}: rep {rep}, order {order}, sizes {sizes}",
-            step=i))
-        checks.append(CheckResult(
-            "step-forcing", forcing,
-            "every fiber element over every class member must keep the class order",
-            step=i))
+        checks += [
+            _row("step-witness-class", class_ok,
+                 f"class of {witness.class_rep}: rep {rep}, order {order}, sizes {sizes}", i),
+            _row("step-forcing", forcing,
+                 "every fiber element over every class member must keep the class order", i),
+        ]
     return VerificationReport(checks=tuple(checks))

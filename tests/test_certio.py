@@ -3,12 +3,15 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from forcing_lab import (
     DigestMismatch,
+    ForcingLabError,
     Malformed,
     SchemaVersionUnknown,
     delta_for_nilpotent,
+    replay_trace,
 )
 from forcing_lab.certio import (
     CertificateDocument,
@@ -190,9 +193,94 @@ class TestParseErrors:
             except (Malformed, DigestMismatch):
                 pass
 
+    @pytest.mark.parametrize("field, text", [
+        ("delta", "1e-2000000"), ("delta", "1/0"), ("delta", " 1/2"), ("delta", "0.25"),
+        ("predicted", "1e-3000000"), ("predicted", "9" * 4301 + "/1"),
+    ])
+    def test_rational_outside_num_den_form_is_malformed(self, group_of, cert_of, field, text):
+        # a decimal exponent would build an integer of millions of digits
+        report = delta_for_nilpotent(group_of("preset:Heisenberg(3)"), 5)
+        body = json.loads(emit(_doc(cert_of, "preset:Heisenberg(3)", delta=report)))
+        owner = body["delta_report"]
+        if field == "predicted":
+            owner = owner["closed_form_check"]
+        owner[field] = text
+        where = "closed_form_check.predicted" if field == "predicted" else "delta_report.delta"
+        with pytest.raises(Malformed, match=rf"^{where}: .* is not a rational num/den"):
+            parse(_reforge(json.dumps(body).encode()))
+
     def test_integer_past_the_digit_limit_is_malformed(self):
         with pytest.raises(Malformed, match="invalid JSON: Exceeds the limit"):
             parse(b'{"a": ' + b"9" * 5000 + b"}")
 
     def test_version_constant_matches(self):
         assert SCHEMA_VERSION == "1"
+
+
+# values a field-level forgery puts in place of a document's own
+_HOSTILE = st.one_of(
+    st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70), st.floats(), st.text(max_size=6),
+    st.sampled_from(["1e-2000000", "1E999999", "0.5", "1/0", "-1/2", "+1/2", "1_0/3", " 1/2",
+                     "abc", "9" * 5000, "9" * 4300 + "/1", "1/" + "7" * 4300]),
+    st.lists(st.integers(-3, 300), max_size=3), st.dictionaries(st.text(max_size=3),
+                                                                st.text(max_size=3), max_size=2),
+)
+
+
+def _paths(obj, path=()):
+    """Every member and entry path under obj, containers first."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, path + (key,))
+
+
+def _parse_and_replay(data):
+    """Parse data and replay its report: ForcingLabError is the one
+    exception either may raise."""
+    try:
+        doc = parse(data)
+        if doc.delta_report is not None:
+            replay_trace(doc.delta_report)
+    except ForcingLabError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def genuine_documents(group_of, cert_of):
+    """An odd-p document and a p = 2 one with an override, with reports."""
+    heis = delta_for_nilpotent(group_of("preset:Heisenberg(3)"), 5)
+    ab = delta_for_nilpotent(group_of("preset:Abelian(2,4)"), 3, overrides={2: Fraction(1, 100)})
+    return [emit(_doc(cert_of, "preset:Heisenberg(3)", delta=heis)),
+            emit(_doc(cert_of, "preset:Abelian(2,4)", delta=ab))]
+
+
+class TestParseFuzz:
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(data=st.data())
+    def test_mutated_bytes_raise_only_library_errors(self, genuine_documents, data):
+        document = bytearray(data.draw(st.sampled_from(genuine_documents)))
+        for _ in range(data.draw(st.integers(1, 4))):
+            at = data.draw(st.integers(0, len(document) - 1))
+            edit = data.draw(st.sampled_from(["replace", "insert", "delete"]))
+            if edit == "delete":
+                del document[at]
+            else:
+                document[at:at + (edit == "replace")] = data.draw(st.binary(min_size=1, max_size=3))
+        _parse_and_replay(bytes(document))
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(data=st.data())
+    def test_forged_fields_raise_only_library_errors(self, genuine_documents, data):
+        # each forgery re-stamps the digest, so it reaches the field checks
+        body = json.loads(data.draw(st.sampled_from(genuine_documents)))
+        path = data.draw(st.sampled_from([p for p in _paths(body) if p != ("digest",)]))
+        owner = body
+        for key in path[:-1]:
+            owner = owner[key]
+        if data.draw(st.booleans()) and isinstance(owner, dict):
+            del owner[path[-1]]
+        else:
+            owner[path[-1]] = data.draw(_HOSTILE)
+        _parse_and_replay(_reforge(json.dumps(body).encode()))

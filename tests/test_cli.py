@@ -361,8 +361,17 @@ def _forge_base_rank(report):
 def _forge_base_beta(report):
     # well-formed, but its constants break beta > gamma + 1/2
     base = report.trace[0]
-    record = TraceRecord("base", {**base.inputs, "beta": "19"}, base.outputs)
+    record = TraceRecord("base", {**base.inputs, "beta": "19/1"}, base.outputs)
     return replace(report, trace=(record,) + report.trace[1:])
+
+
+def _forge_base_ell(text):
+    """The base record with its ell field replaced by text."""
+    def forge(report):
+        base = report.trace[0]
+        record = TraceRecord("base", {**base.inputs, "ell": text}, base.outputs)
+        return replace(report, trace=(record,) + report.trace[1:])
+    return forge
 
 
 def _forge_compositum(report):
@@ -386,7 +395,10 @@ class TestVerifyTiesReportToCertificate:
         (_forge_base_rank, "trace[0].inputs.rank is '3', expected '2'"),
         (_forge_compositum, "compositum exceeds available factors"),
         (_forge_base_beta, "constants invariant rejected: beta must exceed gamma + 1/2"),
-    ], ids=["other-group", "ell", "dropped-extension", "base-rank", "compositum", "base-beta"])
+        (_forge_base_ell("abc"), "record 0: ell: 'abc' is not an integer of at most 4300 digits"),
+        (_forge_base_ell("9" * 5000), "record 0: ell: '" + "9" * 36 + "... is not an integer"),
+    ], ids=["other-group", "ell", "dropped-extension", "base-rank", "compositum", "base-beta",
+            "base-ell-text", "base-ell-digits"])
     def test_forged_report_fails(self, capsys, tmp_path, forge, named):
         path = self._forged(capsys, tmp_path, forge)
         code, out, _ = run(capsys, "verify", str(path), "--no-header")

@@ -31,6 +31,7 @@ from forcing_lab import (
     parse_rational,
     replay_trace,
 )
+from forcing_lab.exponents import parse_int
 
 F = Fraction
 
@@ -42,8 +43,24 @@ class TestRationalText:
         assert format_rational(F(-3, 4)) == "-3/4"
 
     def test_parse_round_trip(self):
-        for q in [F(30), F(1, 1860), F(22, 7)]:
+        for q in [F(30), F(1, 1860), F(22, 7), F(-3, 4), F(0)]:
             assert parse_rational(format_rational(q)) == q
+        assert parse_rational("9" * 4300 + "/" + "7" * 4300) == F(int("9" * 4300), int("7" * 4300))
+
+    @pytest.mark.parametrize("text", [
+        "1e-2000000", "1E5", "0.5", "1", "+1/2", "1/-2", "1/0", "1/00", "1_000/3", " 1/2", "1/2 ",
+        "1//2", "", "abc", "9" * 4301 + "/1", "1/" + "9" * 4301, None, 5, F(1, 2),
+    ])
+    def test_parse_reads_only_the_num_den_form(self, text):
+        # Fraction() would read most of these, "1e-2000000" as a 2000001-digit integer
+        with pytest.raises(ValueError, match="is not a rational num/den"):
+            parse_rational(text)
+
+    @pytest.mark.parametrize("text", ["abc", "1/2", "+5", "5 ", "", "9" * 4301, None, 5])
+    def test_parse_int_reads_only_plain_integers(self, text):
+        with pytest.raises(ValueError, match="is not an integer of at most 4300 digits"):
+            parse_int(text)
+        assert parse_int("-" + "9" * 4300) == -int("9" * 4300)
 
 
 class TestConstants:
@@ -300,6 +317,27 @@ class TestReplay:
             with pytest.raises(ForcingLabError) as caught:
                 replay_trace(forged)
             assert str(caught.value).endswith(message)
+
+    @pytest.mark.parametrize("index, part, key, text, message", [
+        (0, "inputs", "ell", "abc", "record 0: ell: 'abc' is not an integer"),
+        (0, "inputs", "p", "9" * 5000, "record 0: p: '" + "9" * 36 + "... is not an integer"),
+        (0, "outputs", "delta", "1e-2000000",
+         "record 0: delta: '1e-2000000' is not a rational num/den"),
+        (1, "inputs", "eta0", "1/0", "record 1: eta0: '1/0' is not a rational num/den"),
+        (1, "inputs", "r", None, "record 1: r is missing"),
+        (1, "inputs", "gamma", 19, "record 1: gamma is 19"),
+    ])
+    def test_unreadable_field_fails_by_name(self, group_of, index, part, key, text, message):
+        report = delta_for_nilpotent(group_of("preset:Heisenberg(3)"), 5)
+        records = list(report.trace)
+        fields = {"inputs": dict(records[index].inputs), "outputs": dict(records[index].outputs)}
+        if text is None:
+            del fields[part][key]
+        else:
+            fields[part][key] = text
+        records[index] = TraceRecord(records[index].rule, **fields)
+        with pytest.raises(UnverifiedCertificate, match=f"^trace does not replay: {message}"):
+            replay_trace(DeltaReport(report.group_spec, report.ell, report.delta, tuple(records)))
 
     def test_missing_compositum_detected(self, group_of):
         G = group_of("product:preset:Heisenberg(3)|preset:ElemAbelian(5,2)")

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import inspect
+import random
 import tracemalloc
 from dataclasses import replace
 
@@ -867,6 +868,51 @@ def test_chain_derivation_is_sound(monkeypatch, group_of, spec):
         assert G.subgroup_closure(S).order == G.order
 
 
+def _non_nested_chains(G, own, p, rng, count):
+    """count index-p chains, seeded, each with an entry that does not hold
+    the next: own, the certificate's chain, with one member of one entry
+    swapped for an element outside the entry above, or G followed by drawn
+    entries of |G|/p^a, ..., p elements, 0 among them, and {1}."""
+    n = G.order
+    while count:
+        if len(own) > 3 and rng.random() < 0.5:
+            chain = [list(entry) for entry in own]
+            k = rng.randrange(2, len(chain) - 1)
+            chain[k][rng.randrange(1, len(chain[k]))] = rng.choice(
+                [x for x in range(1, n) if x not in chain[k - 1]])
+        else:
+            chain = [list(range(n))]
+            size = n // p ** rng.randrange(1, 3)
+            while size > 1:
+                chain.append([0] + rng.sample(range(1, n), size - 1))
+                size //= p
+            chain.append([0])
+        if any(not set(chain[k + 1]) <= set(chain[k]) for k in range(len(chain) - 1)):
+            count -= 1
+            yield tuple(tuple(sorted(entry)) for entry in chain)
+
+
+@pytest.mark.parametrize("spec", ["preset:Dihedral(8)", "preset:Abelian(4,2)",
+                                  "preset:Dihedral(16)", "preset:Abelian(2,2,2,2)",
+                                  "preset:Heisenberg(3)", "preset:Abelian(9,3)",
+                                  "preset:ModularMaximalCyclic(32)", "preset:Abelian(8,4)"])
+def test_non_nested_chains_report_as_underived(monkeypatch, group_of, cert_of, spec):
+    """A non-nested chain is not derived: its report is the one with nothing
+    proven and all of G as S, whatever shortcut the derived path takes."""
+    G = group_of(spec)
+    p = p_group_profile(G).p
+    rng = random.Random(f"non-nested:{spec}")
+    for chain in _non_nested_chains(G, cert_of(spec).chain, p, rng, 12):
+        steps = tuple(ForcingStep(i + 1, p, G.order // len(chain[i + 2]), False,
+                                  ForcingWitness(1, p, (p,))) for i in range(len(chain) - 2))
+        cert = ForcingCertificate(group_spec=G.spec, chain=chain, steps=steps)
+        monkeypatch.undo()
+        on = _report_text(G, cert)
+        monkeypatch.setattr(verify, "_derive",
+                            lambda G, inside, *rest: verify._underived(G, len(inside)))
+        assert _report_text(G, cert) == on, chain
+
+
 def _unit_step_coset_orders(G, members):
     """The order of xN for every x: the least k >= 1 with x^k in N, one
     product at a time."""
@@ -938,4 +984,26 @@ class TestVerifierMemory:
         finally:
             tracemalloc.stop()
         assert report.all_passed
+        assert peak <= G.mul_table.nbytes // 4
+
+    def test_fallback_peak_within_a_quarter_table(self, monkeypatch, group_of, cert_of):
+        # entry 2 with a member outside entry 1 is not nested in it, so S is
+        # all of G: its n x n commutators are formed in row blocks, never kept
+        G, cert = group_of("preset:Dihedral(1024)"), cert_of("preset:Dihedral(1024)")
+        entry = list(cert.chain[2])
+        entry[-1] = next(x for x in range(G.order) if x not in cert.chain[1])
+        forged = replace(cert, chain=cert.chain[:2] + (tuple(sorted(entry)),) + cert.chain[3:])
+        derived = []
+        original = verify._derive
+        monkeypatch.setattr(verify, "_derive",
+                            lambda *args: derived.append(original(*args)) or derived[-1])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            report = verify_certificate(G, forged)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(derived[0][2]) == G.order
+        assert not report.all_passed
         assert peak <= G.mul_table.nbytes // 4
