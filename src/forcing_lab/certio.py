@@ -58,17 +58,16 @@ def _digest_of(body: dict[str, Any]) -> str:
 
 
 def _joined(members: dict[str, bytes]) -> bytes:
-    """The canonical bytes of an object, from the canonical bytes of each of
-    its members: the same bytes _canonical_bytes gives for the object."""
-    return b"{" + b",".join(_canonical_bytes(key) + b":" + value
-                            for key, value in sorted(members.items())) + b"}"
+    """The canonical bytes of an object, from the canonical "key":value bytes
+    of each of its members: the same bytes _canonical_bytes gives for it."""
+    return b"{" + b",".join(members[key] for key in sorted(members)) + b"}"
 
 
 def _witness_obj(w: ForcingWitness) -> dict[str, Any]:
     return {
         "class_rep": w.class_rep,
         "class_order": w.class_order,
-        "checked_fiber_sizes": list(w.checked_fiber_sizes),
+        "checked_fiber_sizes": w.checked_fiber_sizes,
     }
 
 
@@ -86,7 +85,7 @@ def _certificate_obj(cert: ForcingCertificate) -> dict[str, Any]:
     return {
         "group_spec": cert.group_spec,
         "builder_version": cert.builder_version,
-        "chain": [list(entry) for entry in cert.chain],
+        "chain": cert.chain,
         "steps": [_step_obj(s) for s in cert.steps],
     }
 
@@ -135,8 +134,10 @@ def emit(doc: CertificateDocument) -> bytes:
     """The document's canonical bytes. Each top-level member is encoded
     once, and the members are joined in key order twice: without the digest,
     to compute it, and then with it."""
-    members = {key: _canonical_bytes(value) for key, value in _undigested_obj(doc).items()}
-    members["digest"] = _canonical_bytes(hashlib.sha256(_joined(members)).hexdigest())
+    members = {key: _canonical_bytes(key) + b":" + _canonical_bytes(value)
+               for key, value in _undigested_obj(doc).items()}
+    digest = hashlib.sha256(_joined(members)).hexdigest()
+    members["digest"] = b'"digest":' + _canonical_bytes(digest)
     return _joined(members)
 
 
@@ -209,9 +210,9 @@ def _parse_trace_record(obj: Any, where: str) -> TraceRecord:
     rule = _expect(obj.get("rule"), str, where, "rule")
     inputs = _expect(obj.get("inputs"), dict, where, "inputs")
     outputs = _expect(obj.get("outputs"), dict, where, "outputs")
-    for name, mapping in (("inputs", inputs), ("outputs", outputs)):
-        # JSON object keys are str; a value is named only if one is not
-        if not set(map(type, mapping.values())) <= {str}:
+    # JSON object keys are str; a value is named only if one is not
+    if not {*map(type, inputs.values()), *map(type, outputs.values())} <= {str}:
+        for name, mapping in (("inputs", inputs), ("outputs", outputs)):
             for k, v in mapping.items():
                 _expect(v, str, f"{where}.{name}[{k}]")
     return TraceRecord(rule=rule, inputs=inputs, outputs=outputs)

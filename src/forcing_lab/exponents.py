@@ -36,6 +36,10 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+# the upper end of every delta's range (0, 1/2), made once
+_HALF = Fraction(1, 2)
+
+
 # the most digits of an integer in a document: str() of a longer int raises
 # under Python's default int-to-str limit, so no document holds one, and the
 # bound caps what reading a value can cost
@@ -85,10 +89,15 @@ class AnalyticConstants:
         object.__setattr__(self, "epsilon_delta", Fraction(self.epsilon_delta))
         if self.beta <= 0 or self.gamma <= 0:
             raise InvalidConstants("beta and gamma must be positive")
-        if self.beta <= self.gamma + Fraction(1, 2):
+        if self.beta <= self.gamma + _HALF:
             raise InvalidConstants("constants invariant rejected: beta must exceed gamma + 1/2")
         if not 0 <= self.epsilon_delta < 1:
             raise InvalidConstants("epsilon_delta must lie in [0, 1)")
+        # hashed once: eta0 and the base rule are cached on keys that hold it
+        object.__setattr__(self, "_hash", hash((self.beta, self.gamma, self.epsilon_delta)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 DEFAULT_CONSTANTS = AnalyticConstants()
@@ -145,7 +154,7 @@ def eta0(ell: int, m: int, r: int,
 
 
 def extend_delta(delta: Fraction, eta: Fraction) -> Fraction:
-    if not 0 < delta < Fraction(1, 2):
+    if not 0 < delta < _HALF:
         raise PreconditionViolated("delta must lie in (0, 1/2)")
     if not 0 < eta < 1:
         raise PreconditionViolated("eta must lie in (0, 1)")
@@ -158,7 +167,7 @@ def compositum_delta(d1: Fraction, n: int, d2: Fraction, m: int) -> Fraction:
     if n < 2 or m < 2:
         raise DegenerateDegree("compositum needs both degrees at least 2")
     for d in (d1, d2):
-        if not 0 < d < Fraction(1, 2):
+        if not 0 < d < _HALF:
             raise PreconditionViolated("compositum inputs must lie in (0, 1/2)")
     return (d1 * d2) / (n * d1 + m * d2)
 
@@ -204,7 +213,7 @@ class DeltaReport:
     closed_form_check: ClosedFormCheck | None = None
 
     def __post_init__(self) -> None:
-        if not 0 < self.delta < Fraction(1, 2):
+        if not 0 < self.delta < _HALF:
             raise PreconditionViolated("delta must lie in (0, 1/2)")
 
 
@@ -243,36 +252,35 @@ def delta_for_p_group(profile: PGroupProfile, cert: ForcingCertificate, ell: int
             raise UnverifiedCertificate(f"step {i} lacks a usable witness")
         if step.quotient_is_quaternion:
             raise UnverifiedCertificate(f"step {i} admits a quaternion quotient")
-    trace: list[TraceRecord] = []
+    constants = _consts_fields(consts)
     if base_override is not None:
         base = Fraction(base_override)
-        if not 0 < base < Fraction(1, 2):
+        if not 0 < base < _HALF:
             raise PreconditionViolated("base override must lie in (0, 1/2)")
-        trace.append(TraceRecord(
-            rule="base",
-            inputs={"p": str(p), "rank": str(r), "ell": str(ell), "source": "override"},
-            outputs={"delta": format_rational(base)},
-        ))
+        source = {"source": "override"}
     else:
         base = base_delta_elementary_abelian(p, r, ell, consts)
-        trace.append(TraceRecord(
-            rule="base",
-            inputs={"p": str(p), "rank": str(r), "ell": str(ell), **_consts_fields(consts)},
-            outputs={"delta": format_rational(base)},
-        ))
-    delta = base
-    fields = _consts_fields(consts)
+        source = constants
+    delta, text = base, format_rational(base)
+    trace = [TraceRecord(rule="base", outputs={"delta": text},
+                         inputs={"p": str(p), "rank": str(r), "ell": str(ell), **source})]
+    fields = {"ell": str(ell), "m": str(p)}
+    # eta0 and its text, once per distinct witness class order
+    etas: dict[int, tuple[Fraction, str]] = {}
     for step in cert.steps:
         rw = step.witness.class_order
-        eta = eta0(ell, p, rw, consts)
-        new = extend_delta(delta, eta)
+        if rw not in etas:
+            eta = eta0(ell, p, rw, consts)
+            etas[rw] = eta, format_rational(eta)
+        eta, eta_text = etas[rw]
+        delta = extend_delta(delta, eta)
+        new_text = format_rational(delta)
         trace.append(TraceRecord(
             rule="extension",
-            inputs={"delta": format_rational(delta), "ell": str(ell), "m": str(p),
-                    "r": str(rw), "eta0": format_rational(eta), **fields},
-            outputs={"delta": format_rational(new)},
+            inputs={"delta": text, **fields, "r": str(rw), "eta0": eta_text, **constants},
+            outputs={"delta": new_text},
         ))
-        delta = new
+        text = new_text
     check = None
     if all(step.witness.class_order == p for step in cert.steps):
         predicted = base * eta0(ell, p, p, consts) ** (n - r)
@@ -355,7 +363,8 @@ def replay_trace(report: DeltaReport) -> Fraction:
     a field that is missing or does not read as its int or num/den rational
     among them. Each distinct text is read once: record k's output delta is
     record k + 1's input, and the eta0 and constants texts recur on every
-    step."""
+    step. A delta or eta0 text is first compared with the num/den text of
+    the value it should read as, and read only when the two differ."""
 
     def fail(message: str) -> None:
         raise UnverifiedCertificate(f"trace does not replay: {message}")
@@ -377,8 +386,13 @@ def replay_trace(report: DeltaReport) -> Fraction:
                 fail(f"record {k}: {key}: {exc}")
         return known[text]
 
+    def reads_as(k: int, fields: Mapping[str, str], key: str, value: Fraction, text: str
+                 ) -> bool:
+        """Whether fields[key] of record k reads as value, whose text is text."""
+        return fields.get(key) == text or field(k, fields, key) == value
+
     constants: dict[tuple[str, ...], AnalyticConstants] = {}
-    etas: dict[tuple[str, ...], Fraction] = {}
+    etas: dict[tuple[str, ...], tuple[Fraction, str]] = {}
 
     def consts_of(k: int, inputs: Mapping[str, str]) -> AnalyticConstants:
         """The record's constants, read once per distinct text."""
@@ -398,7 +412,7 @@ def replay_trace(report: DeltaReport) -> Fraction:
                 segments.append(current)
             declared = field(k, outputs, "delta")
             if inputs.get("source") == "override":
-                if not 0 < declared < Fraction(1, 2):
+                if not 0 < declared < _HALF:
                     fail(f"record {k}: override outside (0, 1/2)")
             else:
                 consts = consts_of(k, inputs)
@@ -406,21 +420,22 @@ def replay_trace(report: DeltaReport) -> Fraction:
                     *(field(k, inputs, name, False) for name in ("p", "rank", "ell")), consts)
                 if recomputed != declared:
                     fail(f"record {k}: base recomputes to {recomputed}")
-            current = declared
+            current, current_text = declared, format_rational(declared)
         elif record.rule == "extension":
-            if current is None or field(k, inputs, "delta") != current:
+            if current is None or not reads_as(k, inputs, "delta", current, current_text):
                 fail(f"record {k}: extension input does not continue the chain")
             key = tuple(map(inputs.get, _ETA_FIELDS))
             if key not in etas:
-                etas[key] = eta0(*(field(k, inputs, name, False) for name in _ETA_FIELDS[:3]),
-                                 consts_of(k, inputs))
-            eta = etas[key]
-            if eta != field(k, inputs, "eta0"):
+                eta = eta0(*(field(k, inputs, name, False) for name in _ETA_FIELDS[:3]),
+                           consts_of(k, inputs))
+                etas[key] = eta, format_rational(eta)
+            eta, eta_text = etas[key]
+            if not reads_as(k, inputs, "eta0", eta, eta_text):
                 fail(f"record {k}: eta0 recomputes to {eta}")
-            new = current * eta
-            if new != field(k, outputs, "delta"):
+            current *= eta
+            current_text = format_rational(current)
+            if not reads_as(k, outputs, "delta", current, current_text):
                 fail(f"record {k}: extension output mismatch")
-            current = new
         elif record.rule == "compositum":
             if folded is None:
                 if current is not None:
@@ -476,7 +491,7 @@ def crossover_report(delta: Fraction, ell: int, m: int, r: int,
     delta_b(eta) = delta*eta, both at eta = eta0; consistent means
     delta_s(eta0) >= delta_b(eta0), guaranteed whenever
     max(beta, gamma) - gamma >= delta."""
-    if not 0 < delta < Fraction(1, 2):
+    if not 0 < delta < _HALF:
         raise PreconditionViolated("delta must lie in (0, 1/2)")
     eta = eta0(ell, m, r, consts)
     cap = delta_cap(ell, m, consts)

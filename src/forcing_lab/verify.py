@@ -23,9 +23,9 @@ the same either way.
 Each fact is formed once, for the whole chain: the (|S| x n) table of
 commutators [x, s], whence normality, central layers and the exponent-p
 series (x^s = x [x, s], and [x, gh] = [x, h] [x, g]^h); coset orders from
-one table of p-power maps; labels bottom up; the witnesses of all steps on
-(steps x n) arrays; and each report row, once while cached. Every gather of
-n x |N| products or more is one flat take per row block of _BLOCK_ITEMS.
+one table of p-power maps, element orders with them; labels bottom up; all
+steps' witnesses on (steps x n) arrays; each report row once while cached.
+Gathers of n x |N| products or more run in row blocks of _BLOCK_ITEMS.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ def _structural_check(G: FiniteGroup, cert: ForcingCertificate) -> np.ndarray:
         if values is not None and values.min() >= 0 and values.max() < n:
             inside = np.zeros((len(chain), n), dtype=bool)
             inside[np.repeat(np.arange(len(chain)), sizes), values] = True
-            if inside.sum() != len(indices):
+            if np.count_nonzero(inside) != len(indices):
                 inside = None
     if inside is None:
         for k, entry in enumerate(chain):
@@ -225,13 +225,13 @@ def _derive(G: FiniteGroup, inside: np.ndarray, sizes: list[int], nested: bool,
     if not proven[1]:
         return proven, t_powers, _underived(G, L)[2]
     # each s^j reached lies in <S>, so S generates G once reached is all of it
-    reached = inside[1].copy()
+    reached = inside[1]
     for _ in range(m - (L - 2)):
         s = int(reached.argmin())
-        grown, power = reached.copy(), s
+        grown, power = reached, 0
         for _ in range(p - 1):
-            grown |= reached.take(mul[inv[power]])
             power = mul[power, s]
+            grown = grown | reached.take(mul[inv[power]])
         reached = grown
         S.append(s)
     return proven, t_powers, np.array(S) if reached.all() else _underived(G, L)[2]
@@ -285,26 +285,24 @@ def _series(G: FiniteGroup, S: np.ndarray, pth: np.ndarray | None,
 
 
 def _power_map(G: FiniteGroup, e: int) -> np.ndarray:
-    """x^e for every element x, by square-and-multiply over whole columns."""
+    """x^e for every element x, e >= 1, by square-and-multiply over columns."""
     mul = G.mul_table
-    result = np.zeros(G.order, dtype=np.int32)
-    square = np.arange(G.order, dtype=np.int32)
+    result, square = None, np.arange(G.order)
     while e:
         if e & 1:
-            result = mul[result, square]
+            result = square if result is None else mul[result, square]
         e >>= 1
         if e:
             square = mul[square, square]
     return result
 
 
-def _p_coset_orders(pth: np.ndarray, inside: np.ndarray, p: int, m: int
-                    ) -> tuple[np.ndarray, np.ndarray]:
+def _p_coset_orders(pth: np.ndarray, inside: np.ndarray, p: int, m: int) -> np.ndarray:
     """Row k, for entry k a subgroup of G of order p^m: the order of xN_k
     for every x, p to the count of j <= m with x^(p^j) outside N_k (once
-    inside, it stays). Second, every element's order. Row j of the ladder
-    is x -> x^(p^j): with rows 0..h-1 known, row h - 1 + j is row h - 1
-    applied to row j, so each take nearly doubles them."""
+    inside, it stays). Row j of the ladder is x -> x^(p^j): with rows
+    0..h-1 known, row h - 1 + j is row h - 1 applied to row j, so each take
+    nearly doubles them."""
     n = len(pth)
     ladder = np.empty((m + 1, n), dtype=np.intp)
     ladder[0], ladder[1] = np.arange(n), pth
@@ -318,7 +316,7 @@ def _p_coset_orders(pth: np.ndarray, inside: np.ndarray, p: int, m: int
     for rows in _row_blocks(np.arange(len(inside)), (ladder.size + 8 * n) // 4):
         outside = m + 1 - inside[rows].T.take(ladder, axis=0).sum(axis=0, dtype=np.int32)
         orders[rows] = p_powers.take(outside.T)
-    return orders, p_powers.take(m + 1 - (ladder == 0).sum(axis=0))
+    return orders
 
 
 def _labels(G: FiniteGroup, arrays: list[np.ndarray], proven: list[bool],
@@ -383,21 +381,19 @@ def _witness_classes(G: FiniteGroup, labels_up: np.ndarray, orders_up: np.ndarra
     least its representative. Forcing asks every y labelled in the class to
     keep the order of x N_{i+1} modulo N_{i+2}."""
     steps, n = labels_up.shape
-    rows = np.arange(steps)
+    rows = np.arange(steps)[:, None]
     everything = np.arange(n)
     # rank[i, y]: the labels up to y, so x is where rank first passes the rep
     rank = np.cumsum(labels_up == everything, axis=1, dtype=np.int32)
     x = (rank <= class_reps[:, None]).sum(axis=1, dtype=np.int32)
-    conjugates = _gather(G, _gather(G, G.inv_table[None, :], x[:, None]), everything)
-    # labels as flat indices of (steps x n) arrays, row i's offset by i n
-    flat = labels_up + n * rows[:, None]
-    in_class = np.zeros(steps * n, dtype=bool)
-    in_class[flat.take(conjugates + n * rows[:, None])] = True
-    reps = rank[rows, in_class.reshape(steps, n).argmax(axis=1)] - 1
-    orders = orders_up[rows, x]
-    forcing = ~(in_class[flat] & (orders_low != orders[:, None])).any(axis=1)
-    return list(zip(reps.tolist(), orders.tolist(),
-                    in_class.reshape(steps, n).sum(axis=1).tolist(), forcing.tolist()))
+    # row i: g^-1 x_i g for every g
+    conjugates = G.mul_table[G.mul_table[G.inv_table[:, None], x].T, everything]
+    in_class = np.zeros((steps, n), dtype=bool)
+    in_class[rows, labels_up[rows, conjugates]] = True
+    reps = rank[rows[:, 0], in_class.argmax(axis=1)] - 1
+    orders = orders_up[rows[:, 0], x]
+    forcing = ~(in_class[rows, labels_up] & (orders_low != orders[:, None])).any(axis=1)
+    return list(zip(*(col.tolist() for col in (reps, orders, in_class.sum(axis=1), forcing))))
 
 
 def _quaternion_index(order: int, top: int, involutions: int) -> int | None:
@@ -443,8 +439,12 @@ def verify_certificate(G: FiniteGroup, cert: ForcingCertificate) -> Verification
     coset_orders = np.zeros((L, n), dtype=np.int32)
     pth = None
     if pp is not None:
-        pth = _power_map(G, p).astype(np.intp)
-        coset_orders, orders = _p_coset_orders(pth, inside, p, pp[1])
+        pth = _power_map(G, p).astype(np.intp, copy=False)
+        # element orders are the coset orders of {1}, a terminating chain's last entry
+        entries = inside if terminates else np.vstack((inside, np.arange(n) == 0))
+        coset_orders = _p_coset_orders(pth, entries, p, pp[1])
+        orders = coset_orders[-1]
+        coset_orders = coset_orders[:L]
 
     proven, t_powers, S = _derive(G, inside, order_of, nested, pp, pth)
     # bit k of codes[x] when x lies in entry k

@@ -96,6 +96,12 @@ class TestConstants:
         c = AnalyticConstants(beta=40, gamma=20)
         assert c.beta == F(40)
 
+    def test_equal_constants_hash_alike(self):
+        # the hash is computed once, from the coerced fields
+        same = AnalyticConstants(beta=F(70, 2), gamma=19, epsilon_delta=0)
+        assert same == DEFAULT_CONSTANTS and hash(same) == hash(DEFAULT_CONSTANTS)
+        assert eta0(5, 3, 3, same) == eta0(5, 3, 3) == F(1, 2103)
+
 
 class TestFrozenValues:
     """Hand-evaluated oracle values; these must never drift."""
@@ -338,6 +344,23 @@ class TestReplay:
         records[index] = TraceRecord(records[index].rule, **fields)
         with pytest.raises(UnverifiedCertificate, match=f"^trace does not replay: {message}"):
             replay_trace(DeltaReport(report.group_spec, report.ell, report.delta, tuple(records)))
+
+    def test_unnormalised_texts_still_replay(self, group_of):
+        """Replay compares a delta or eta0 text with the value's own num/den
+        text first; an equal value written otherwise is read and accepted."""
+        report = delta_for_nilpotent(group_of("preset:Heisenberg(3)"), 5)
+        tripled = {}
+        for rec in report.trace:
+            for key, text in (*rec.inputs.items(), *rec.outputs.items()):
+                if key in ("delta", "eta0"):
+                    num, den = text.split("/")
+                    tripled[text] = f"{3 * int(num)}/{3 * int(den)}"
+        records = tuple(TraceRecord(rec.rule, *({k: tripled.get(v, v) for k, v in fields.items()}
+                                                for fields in (rec.inputs, rec.outputs)))
+                        for rec in report.trace)
+        assert records != report.trace
+        assert replay_trace(DeltaReport(report.group_spec, report.ell, report.delta,
+                                        records)) == report.delta
 
     def test_missing_compositum_detected(self, group_of):
         G = group_of("product:preset:Heisenberg(3)|preset:ElemAbelian(5,2)")
