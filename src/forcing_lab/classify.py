@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NotNilpotent, PNotDividing, PreconditionViolated
 from .groups import FiniteGroup, Subgroup, factorize, prime_power
 

@@ -6,19 +6,19 @@ Of G it reads only mul_table, order and inv_table, whose inverses it checks,
 and of groups.py it runs only prime_power and is_prime (tests/test_verify.py
 holds it to that).
 
-The chain N_0 > N_1 > ... > N_{L-1} is proven bottom up when |G| = p^m, each
-entry holds the next, from entry 1 on each has p times the elements of the
-next, and the last is {1}. With t_k the least member of N_k outside N_{k+1},
-N_k is a subgroup once N_{k+1} is one, t_k^p lies in N_{k+1}, t_k normalises
-N_{k+1} (checked on its generators t_{k+1}, ..., t_{L-2}), and t_k^j N_{k+1},
-then N_{k+1} t_k^j, lies in N_k for j < p: those p cosets are distinct, so
-they fill it. The t_k and the least elements s that take N_1's running union
-M <- U_j s^j M to all of G within log_p [G:N_1] steps make a set S of
-log_p |G| elements that provably generates G. _derive is the one place that
-reads the chain this way. What it does not prove falls back, condition by
-condition, to all of G (closure by squaring, commutators with every element,
-labels as the least product over a coset), so every verdict and detail is
-the same either way.
+The chain N_0 > N_1 > ... > N_{L-1} is proven bottom up when |G| = p^m, from
+entry 1 on each entry has p times the elements of the next, and the last is
+{1}. With t_k the least member of N_k outside N_{k+1}, N_k is a subgroup once
+N_{k+1} is one, t_k^p lies in N_{k+1}, t_k normalises N_{k+1} (checked on its
+generators t_{k+1}, ..., t_{L-2}), and t_k^j N_{k+1} lies in N_k for j < p:
+those p cosets are distinct, so they fill it. N_k is read as the elements of
+k + 1 entries or more; t_k^j N_{k+1} meets no entry below N_k, so a proven
+entry lies in all above it: nesting is proven, not assumed. The t_k and the
+least s that take N_1's running union M <- U_j s^j M to all of G within
+log_p [G:N_1] steps make a set S of log_p |G| elements that provably
+generates G. What _derive does not prove falls back, condition by condition,
+to all of G (closure by squaring, commutators with every element, labels as
+the least product over a coset), so every verdict and detail is the same.
 
 Each fact is formed once, for the whole chain: the (|S| x n) table of
 commutators [x, s], whence normality, central layers and the exponent-p
@@ -187,7 +187,7 @@ def _underived(G: FiniteGroup, length: int) -> tuple[list[bool], None, np.ndarra
     return [False] * length, None, np.arange(G.order)
 
 
-def _derive(G: FiniteGroup, inside: np.ndarray, sizes: list[int], nested: bool,
+def _derive(G: FiniteGroup, inside: np.ndarray, sizes: list[int],
             pp: tuple[int, int] | None, pth: np.ndarray | None
             ) -> tuple[list[bool], np.ndarray | None, np.ndarray]:
     """(proven, t_powers, S) for the chain of membership masks inside:
@@ -195,7 +195,7 @@ def _derive(G: FiniteGroup, inside: np.ndarray, sizes: list[int], nested: bool,
     t_powers the t_k^j for j < p, and S the chain's generating set of G, or
     all of G when the induction does not reach entry 1 or S falls short."""
     L = len(inside)
-    if (pp is None or not nested or sizes[-1] != 1 or not inside[-1, 0]
+    if (pp is None or sizes[-1] != 1 or not inside[-1, 0]
             or any(sizes[k] != pp[0] * sizes[k + 1] for k in range(1, L - 1))):
         return _underived(G, L)
     p, m = pp
@@ -204,7 +204,7 @@ def _derive(G: FiniteGroup, inside: np.ndarray, sizes: list[int], nested: bool,
     proven = [False] * (L - 1) + [True]
     S = []
     if L > 2:
-        # x lies in N_k exactly when depth[x] >= k
+        # N_k read as the x with depth[x] >= k, exact for each proven entry
         depth = inside.sum(axis=0) - 1
         ks = np.arange(1, L - 1)
         t = (inside[1:-1] > inside[2:]).argmax(axis=1)
@@ -446,7 +446,7 @@ def verify_certificate(G: FiniteGroup, cert: ForcingCertificate) -> Verification
         orders = coset_orders[-1]
         coset_orders = coset_orders[:L]
 
-    proven, t_powers, S = _derive(G, inside, order_of, nested, pp, pth)
+    proven, t_powers, S = _derive(G, inside, order_of, pp, pth)
     # bit k of codes[x] when x lies in entry k
     weights = np.array([1 << k for k in range(L)], dtype=np.int64 if L < 62 else object)
     normal_bits, central_bits, commutators, table = _escapes(G, S, weights @ inside)

@@ -898,19 +898,30 @@ def _non_nested_chains(G, own, p, rng, count):
                                   "preset:ModularMaximalCyclic(32)", "preset:Abelian(8,4)"])
 def test_non_nested_chains_report_as_underived(monkeypatch, group_of, cert_of, spec):
     """A non-nested chain is not derived: its report is the one with nothing
-    proven and all of G as S, whatever shortcut the derived path takes."""
+    proven and all of G as S, whatever shortcut the derived path takes. The
+    induction may prove a lower part of it, and every entry it proves is a
+    subgroup inside every entry above it: nesting is not one of its premises."""
     G = group_of(spec)
     p = p_group_profile(G).p
     rng = random.Random(f"non-nested:{spec}")
+    original = verify._derive
     for chain in _non_nested_chains(G, cert_of(spec).chain, p, rng, 12):
         steps = tuple(ForcingStep(i + 1, p, G.order // len(chain[i + 2]), False,
                                   ForcingWitness(1, p, (p,))) for i in range(len(chain) - 2))
         cert = ForcingCertificate(group_spec=G.spec, chain=chain, steps=steps)
-        monkeypatch.undo()
+        derived = []
+        monkeypatch.setattr(verify, "_derive",
+                            lambda *args: derived.append(original(*args)) or derived[-1])
         on = _report_text(G, cert)
         monkeypatch.setattr(verify, "_derive",
                             lambda G, inside, *rest: verify._underived(G, len(inside)))
         assert _report_text(G, cert) == on, chain
+        proven, _, S = derived[0]
+        assert not proven[1] and len(S) == G.order, chain
+        for k in np.flatnonzero(proven[:-1]):
+            members = np.array(chain[k])
+            assert np.array_equal(G.subgroup_closure(members).members, members), chain
+            assert all(set(chain[k]) <= set(chain[j]) for j in range(k)), chain
 
 
 def _unit_step_coset_orders(G, members):
