@@ -391,15 +391,11 @@ def replay_trace(report: DeltaReport) -> Fraction:
         """Whether fields[key] of record k reads as value, whose text is text."""
         return fields.get(key) == text or field(k, fields, key) == value
 
-    constants: dict[tuple[str, ...], AnalyticConstants] = {}
     etas: dict[tuple[str, ...], tuple[Fraction, str]] = {}
 
     def consts_of(k: int, inputs: Mapping[str, str]) -> AnalyticConstants:
-        """The record's constants, read once per distinct text."""
-        key = tuple(map(inputs.get, _CONSTANT_FIELDS))
-        if key not in constants:
-            constants[key] = _constants(*(field(k, inputs, name) for name in _CONSTANT_FIELDS))
-        return constants[key]
+        """The record's constants."""
+        return _constants(*(field(k, inputs, name) for name in _CONSTANT_FIELDS))
 
     segments: list[Fraction] = []
     current: Fraction | None = None
