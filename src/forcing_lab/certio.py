@@ -141,50 +141,43 @@ def emit(doc: CertificateDocument) -> bytes:
     return _joined(members)
 
 
-def _name(where: str, key: str | int | None) -> str:
-    """where, or its member .key or entry [key]."""
-    return where if key is None else f"{where}[{key}]" if type(key) is int else f"{where}.{key}"
-
-
-def _expect(obj: Any, typ: type, where: str, key: str | int | None = None) -> Any:
-    """obj, once it has type typ; Malformed names where, or its member or
-    entry key, otherwise (the name is formatted only then)."""
+def _expect(obj: Any, typ: type, where: str) -> Any:
     # JSON decodes to exact types; bool is an int subclass, so reject it
     # anywhere an int is required
     if type(obj) is typ:
         return obj
     if not isinstance(obj, typ) or (typ is int and isinstance(obj, bool)):
-        raise Malformed(f"{_name(where, key)}: expected {typ.__name__}, got {type(obj).__name__}")
+        raise Malformed(f"{where}: expected {typ.__name__}, got {type(obj).__name__}")
     return obj
 
 
-def _int_list(obj: Any, where: str, key: str | int | None = None) -> list[int]:
-    _expect(obj, list, where, key)
+def _int_list(obj: Any, where: str) -> list[int]:
+    _expect(obj, list, where)
     # JSON decodes integers as exact ints; entry locations are formatted only
     # for a list holding something else
     if set(map(type, obj)) <= {int}:
         return obj
-    return [_expect(v, int, _name(where, key), i) for i, v in enumerate(obj)]
+    return [_expect(v, int, f"{where}[{i}]") for i, v in enumerate(obj)]
 
 
 def _parse_witness(obj: Any, where: str) -> ForcingWitness:
     _expect(obj, dict, where)
     return ForcingWitness(
-        class_rep=_expect(obj.get("class_rep"), int, where, "class_rep"),
-        class_order=_expect(obj.get("class_order"), int, where, "class_order"),
-        checked_fiber_sizes=tuple(_int_list(obj.get("checked_fiber_sizes"), where,
-                                            "checked_fiber_sizes")),
+        class_rep=_expect(obj.get("class_rep"), int, f"{where}.class_rep"),
+        class_order=_expect(obj.get("class_order"), int, f"{where}.class_order"),
+        checked_fiber_sizes=tuple(_int_list(obj.get("checked_fiber_sizes"),
+                                            f"{where}.checked_fiber_sizes")),
     )
 
 
 def _parse_step(obj: Any, where: str) -> ForcingStep:
     _expect(obj, dict, where)
     return ForcingStep(
-        index_in_chain=_expect(obj.get("index_in_chain"), int, where, "index_in_chain"),
-        kernel_order=_expect(obj.get("kernel_order"), int, where, "kernel_order"),
-        quotient_order=_expect(obj.get("quotient_order"), int, where, "quotient_order"),
-        quotient_is_quaternion=_expect(obj.get("quotient_is_quaternion"), bool, where,
-                                       "quotient_is_quaternion"),
+        index_in_chain=_expect(obj.get("index_in_chain"), int, f"{where}.index_in_chain"),
+        kernel_order=_expect(obj.get("kernel_order"), int, f"{where}.kernel_order"),
+        quotient_order=_expect(obj.get("quotient_order"), int, f"{where}.quotient_order"),
+        quotient_is_quaternion=_expect(obj.get("quotient_is_quaternion"), bool,
+                                       f"{where}.quotient_is_quaternion"),
         witness=_parse_witness(obj.get("witness"), f"{where}.witness"),
     )
 
@@ -192,7 +185,7 @@ def _parse_step(obj: Any, where: str) -> ForcingStep:
 def _parse_certificate(obj: Any) -> ForcingCertificate:
     _expect(obj, dict, "certificate")
     chain_obj = _expect(obj.get("chain"), list, "certificate.chain")
-    chain = tuple(tuple(_int_list(entry, "certificate.chain", i))
+    chain = tuple(tuple(_int_list(entry, f"certificate.chain[{i}]"))
                   for i, entry in enumerate(chain_obj))
     steps_obj = _expect(obj.get("steps"), list, "certificate.steps")
     return ForcingCertificate(
@@ -207,9 +200,9 @@ def _parse_certificate(obj: Any) -> ForcingCertificate:
 
 def _parse_trace_record(obj: Any, where: str) -> TraceRecord:
     _expect(obj, dict, where)
-    rule = _expect(obj.get("rule"), str, where, "rule")
-    inputs = _expect(obj.get("inputs"), dict, where, "inputs")
-    outputs = _expect(obj.get("outputs"), dict, where, "outputs")
+    rule = _expect(obj.get("rule"), str, f"{where}.rule")
+    inputs = _expect(obj.get("inputs"), dict, f"{where}.inputs")
+    outputs = _expect(obj.get("outputs"), dict, f"{where}.outputs")
     # JSON object keys are str; a value is named only if one is not
     if not {*map(type, inputs.values()), *map(type, outputs.values())} <= {str}:
         for name, mapping in (("inputs", inputs), ("outputs", outputs)):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NotNilpotent, PNotDividing, PreconditionViolated
 from .groups import FiniteGroup, Subgroup, factorize, prime_power
 
@@ -80,7 +82,7 @@ def sylow_decomposition(G: FiniteGroup) -> dict[int, Subgroup]:
     factors: dict[int, Subgroup] = {}
     for p, k in sorted(factorize(G.order).items()):
         # an element order divides |G|, so it is a power of p exactly when it divides p^k
-        members = (p ** k % orders == 0).nonzero()[0]
+        members = np.flatnonzero(p ** k % orders == 0)
         if len(members) != p ** k:
             raise NotNilpotent(
                 f"{len(members)} elements of {p}-power order, expected {p ** k}")

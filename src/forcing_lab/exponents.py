@@ -36,10 +36,6 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-# the upper end of every delta's range (0, 1/2), made once
-_HALF = Fraction(1, 2)
-
-
 # the most digits of an integer in a document: str() of a longer int raises
 # under Python's default int-to-str limit, so no document holds one, and the
 # bound caps what reading a value can cost
@@ -89,7 +85,7 @@ class AnalyticConstants:
         object.__setattr__(self, "epsilon_delta", Fraction(self.epsilon_delta))
         if self.beta <= 0 or self.gamma <= 0:
             raise InvalidConstants("beta and gamma must be positive")
-        if self.beta <= self.gamma + _HALF:
+        if self.beta <= self.gamma + Fraction(1, 2):
             raise InvalidConstants("constants invariant rejected: beta must exceed gamma + 1/2")
         if not 0 <= self.epsilon_delta < 1:
             raise InvalidConstants("epsilon_delta must lie in [0, 1)")
@@ -154,7 +150,7 @@ def eta0(ell: int, m: int, r: int,
 
 
 def extend_delta(delta: Fraction, eta: Fraction) -> Fraction:
-    if not 0 < delta < _HALF:
+    if not 0 < delta < Fraction(1, 2):
         raise PreconditionViolated("delta must lie in (0, 1/2)")
     if not 0 < eta < 1:
         raise PreconditionViolated("eta must lie in (0, 1)")
@@ -167,7 +163,7 @@ def compositum_delta(d1: Fraction, n: int, d2: Fraction, m: int) -> Fraction:
     if n < 2 or m < 2:
         raise DegenerateDegree("compositum needs both degrees at least 2")
     for d in (d1, d2):
-        if not 0 < d < _HALF:
+        if not 0 < d < Fraction(1, 2):
             raise PreconditionViolated("compositum inputs must lie in (0, 1/2)")
     return (d1 * d2) / (n * d1 + m * d2)
 
@@ -213,7 +209,7 @@ class DeltaReport:
     closed_form_check: ClosedFormCheck | None = None
 
     def __post_init__(self) -> None:
-        if not 0 < self.delta < _HALF:
+        if not 0 < self.delta < Fraction(1, 2):
             raise PreconditionViolated("delta must lie in (0, 1/2)")
 
 
@@ -255,7 +251,7 @@ def delta_for_p_group(profile: PGroupProfile, cert: ForcingCertificate, ell: int
     constants = _consts_fields(consts)
     if base_override is not None:
         base = Fraction(base_override)
-        if not 0 < base < _HALF:
+        if not 0 < base < Fraction(1, 2):
             raise PreconditionViolated("base override must lie in (0, 1/2)")
         source = {"source": "override"}
     else:
@@ -265,19 +261,15 @@ def delta_for_p_group(profile: PGroupProfile, cert: ForcingCertificate, ell: int
     trace = [TraceRecord(rule="base", outputs={"delta": text},
                          inputs={"p": str(p), "rank": str(r), "ell": str(ell), **source})]
     fields = {"ell": str(ell), "m": str(p)}
-    # eta0 and its text, once per distinct witness class order
-    etas: dict[int, tuple[Fraction, str]] = {}
     for step in cert.steps:
         rw = step.witness.class_order
-        if rw not in etas:
-            eta = eta0(ell, p, rw, consts)
-            etas[rw] = eta, format_rational(eta)
-        eta, eta_text = etas[rw]
+        eta = eta0(ell, p, rw, consts)
         delta = extend_delta(delta, eta)
         new_text = format_rational(delta)
         trace.append(TraceRecord(
             rule="extension",
-            inputs={"delta": text, **fields, "r": str(rw), "eta0": eta_text, **constants},
+            inputs={"delta": text, **fields, "r": str(rw), "eta0": format_rational(eta),
+                    **constants},
             outputs={"delta": new_text},
         ))
         text = new_text
@@ -351,12 +343,6 @@ _CONSTANT_FIELDS = ("beta", "gamma", "epsilon_delta")
 _ETA_FIELDS = ("ell", "m", "r", *_CONSTANT_FIELDS)
 
 
-# constants recur across the documents of a corpus; they are immutable
-@functools.lru_cache(maxsize=64)
-def _constants(beta: Fraction, gamma: Fraction, epsilon_delta: Fraction) -> AnalyticConstants:
-    return AnalyticConstants(beta, gamma, epsilon_delta)
-
-
 def replay_trace(report: DeltaReport) -> Fraction:
     """Recompute every trace record from its recorded inputs and check the
     chain reproduces report.delta exactly; UnverifiedCertificate otherwise,
@@ -391,11 +377,17 @@ def replay_trace(report: DeltaReport) -> Fraction:
         """Whether fields[key] of record k reads as value, whose text is text."""
         return fields.get(key) == text or field(k, fields, key) == value
 
+    constants: dict[tuple[str, ...], AnalyticConstants] = {}
+    # eta0 and its text, once per distinct text of its inputs
     etas: dict[tuple[str, ...], tuple[Fraction, str]] = {}
 
     def consts_of(k: int, inputs: Mapping[str, str]) -> AnalyticConstants:
-        """The record's constants."""
-        return _constants(*(field(k, inputs, name) for name in _CONSTANT_FIELDS))
+        """The record's constants, built once per distinct text."""
+        values = [field(k, inputs, name) for name in _CONSTANT_FIELDS]
+        key = tuple(map(inputs.get, _CONSTANT_FIELDS))
+        if key not in constants:
+            constants[key] = AnalyticConstants(*values)
+        return constants[key]
 
     segments: list[Fraction] = []
     current: Fraction | None = None
@@ -408,7 +400,7 @@ def replay_trace(report: DeltaReport) -> Fraction:
                 segments.append(current)
             declared = field(k, outputs, "delta")
             if inputs.get("source") == "override":
-                if not 0 < declared < _HALF:
+                if not 0 < declared < Fraction(1, 2):
                     fail(f"record {k}: override outside (0, 1/2)")
             else:
                 consts = consts_of(k, inputs)
@@ -487,7 +479,7 @@ def crossover_report(delta: Fraction, ell: int, m: int, r: int,
     delta_b(eta) = delta*eta, both at eta = eta0; consistent means
     delta_s(eta0) >= delta_b(eta0), guaranteed whenever
     max(beta, gamma) - gamma >= delta."""
-    if not 0 < delta < _HALF:
+    if not 0 < delta < Fraction(1, 2):
         raise PreconditionViolated("delta must lie in (0, 1/2)")
     eta = eta0(ell, m, r, consts)
     cap = delta_cap(ell, m, consts)

@@ -85,7 +85,7 @@ def is_forcing(quotient: QuotientMap) -> ForcingWitness | None:
     label, orders = target.conjugacy_classes(), target.orders()
     src_orders = quotient.source.orders()
     src_label = label[quotient.project]
-    reps = (label == np.arange(target.order)).nonzero()[0][1:].tolist()
+    reps = np.flatnonzero(label == np.arange(target.order))[1:].tolist()
     for rep in sorted(reps, key=lambda r: (int(orders[r]), r)):
         order = int(orders[rep])
         if (src_orders[src_label == rep] == order).all():
@@ -118,11 +118,11 @@ def central_step_witness(G: FiniteGroup, upper: Subgroup,
     gens = np.array(G.generators, dtype=np.int32)
     if not in_lower[G._commutators(upper.members, gens)].all():
         raise PreconditionViolated("layer is not central: [upper, G] is not inside lower")
-    found = (in_lower[G.power_map(p)] & ~in_upper).nonzero()[0]
+    found = np.flatnonzero(in_lower[G.power_map(p)] & ~in_upper)
     if not len(found):
         return None
     label = G.conjugacy_classes()
-    images = _image_class(G.quotient(upper).project, (label == label[found[0]]).nonzero()[0])
+    images = _image_class(G.quotient(upper).project, np.flatnonzero(label == label[found[0]]))
     return ForcingWitness(class_rep=int(images[0]), class_order=p,
                           checked_fiber_sizes=(p,) * len(images))
 
@@ -130,7 +130,7 @@ def central_step_witness(G: FiniteGroup, upper: Subgroup,
 def _image_class(project: np.ndarray, members: np.ndarray) -> np.ndarray:
     """The class of the quotient that is the image of a class of the source:
     its members' distinct images, sorted, so the least comes first."""
-    return np.bincount(project[members]).nonzero()[0]
+    return np.flatnonzero(np.bincount(project[members]))
 
 
 def _quaternion_quotient(G: FiniteGroup, S: Subgroup) -> bool:

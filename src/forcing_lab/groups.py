@@ -35,7 +35,6 @@ its index-p subgroups are read off that one span (``Refinements``).
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from math import lcm, prod
@@ -84,12 +83,9 @@ def _distinct(indices: np.ndarray, n: int) -> np.ndarray:
     on their first call, which costs a fresh interpreter about 14 ms."""
     mask = np.zeros(n, dtype=bool)
     mask[indices] = True
-    return mask.nonzero()[0]
+    return np.flatnonzero(mask)
 
 
-# is_prime and prime_power are pure, and every layer asks them about the
-# same few group orders and indices: each answer is computed once, while cached
-@functools.lru_cache(maxsize=256)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for n below PRIME_TEST_LIMIT; a
     larger n raises PreconditionViolated before any test."""
@@ -118,7 +114,6 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-@functools.lru_cache(maxsize=256)
 def prime_power(n: int) -> tuple[int, int] | None:
     """Return (p, k) with n = p**k and k >= 1, or None. Callers pass group
     orders, at most MAX_ORDER_CAP, so trial division is cheap."""
@@ -150,7 +145,7 @@ class Subgroup:
             raise PreconditionViolated(f"member index {given.max()} out of range")
         allowed = np.zeros(self.parent.order, dtype=bool)
         allowed[given] = True
-        members = allowed.nonzero()[0].astype(_IDX)
+        members = np.flatnonzero(allowed).astype(_IDX)
         members.setflags(write=False)
         object.__setattr__(self, "members", members)
         if self.parent._closure(members, allowed) is None:
@@ -345,7 +340,7 @@ class FiniteGroup:
                 block = mul[members[:, None], reps]
                 _, first = np.unique(block.min(axis=0), return_index=True)
                 frontier, block = reps[first], block[:, first]
-            members = reached.nonzero()[0]
+            members = np.flatnonzero(reached)
         return members, gens
 
     def subgroup_closure(self, seed: Sequence[int] | np.ndarray) -> Subgroup:
@@ -370,7 +365,7 @@ class FiniteGroup:
         mask = np.ones(self.order, dtype=bool)
         for g in self.generators:
             mask &= self._mul[:, g] == self._mul[g, :]
-        return Subgroup._checked(self, mask.nonzero()[0])
+        return Subgroup._checked(self, np.flatnonzero(mask))
 
     def _commutators(self, a: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """The table of [x, y] = x^-1 y^-1 x y, rows x in a, columns y in ys."""
@@ -396,7 +391,7 @@ class FiniteGroup:
             new[members] = False
             if not new.any():
                 return Subgroup._checked(self, members)
-            seed = np.concatenate([g, new.nonzero()[0]])
+            seed = np.concatenate([g, np.flatnonzero(new)])
 
     def frattini(self) -> Subgroup:
         """G^p [G,G] for a p-group: the Frattini subgroup, which is the second
@@ -629,7 +624,7 @@ def _dimino(gen_rows: list[np.ndarray], degree: int, cap: int
                     b = b[:len(block) - filled]
                     block[filled:filled + len(b)] = power[b]
                     filled += len(b)
-                hit = (block == ident).all(axis=1).nonzero()[0]
+                hit = np.flatnonzero((block == ident).all(axis=1))
                 if len(hit):
                     block = block[:hit[0]]
                 elif n + len(block) > cap:

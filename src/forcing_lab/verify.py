@@ -24,7 +24,7 @@ Each fact is formed once, for the whole chain: the (|S| x n) table of
 commutators [x, s], whence normality, central layers and the exponent-p
 series (x^s = x [x, s], and [x, gh] = [x, h] [x, g]^h); coset orders from
 one table of p-power maps, element orders with them; labels bottom up; all
-steps' witnesses on (steps x n) arrays; each report row once while cached.
+steps' witnesses on (steps x n) arrays.
 Gathers of n x |N| products or more run in row blocks of _BLOCK_ITEMS.
 """
 
@@ -68,11 +68,6 @@ class VerificationReport:
 
     def failures(self) -> tuple[CheckResult, ...]:
         return tuple(c for c in self.checks if not c.passed)
-
-
-# a report row is an immutable value, and most rows recur from one
-# certificate to the next, details and all
-_row = functools.lru_cache(maxsize=1024)(CheckResult)
 
 
 def _structural_check(G: FiniteGroup, cert: ForcingCertificate) -> np.ndarray:
@@ -490,7 +485,7 @@ def verify_certificate(G: FiniteGroup, cert: ForcingCertificate) -> Verification
             np.array([cert.steps[i].witness.class_rep for i in block]))))
     # a coset y N_{i+1} meets |N_{i+1}| / |N_{i+1} & N_{i+2}| cosets of N_{i+2}:
     # y a and y b share one exactly when a^-1 b lies in both
-    meets = order_of[2:] if nested else (inside[1:-1] & inside[2:]).sum(axis=1).tolist()
+    meets = (inside[1:-1] & inside[2:]).sum(axis=1).tolist()
 
     detail = f"order {n} is not a prime power"
     if pp is not None:
@@ -498,25 +493,25 @@ def verify_certificate(G: FiniteGroup, cert: ForcingCertificate) -> Verification
         detail = ("group is cyclic" if top == n else "group is generalized quaternion"
                   if _quaternion_index(n, top, int((orders == 2).sum())) is not None else "")
     checks = [
-        _row("group-hypotheses", not detail, detail, None),
-        _row("chain-full-group", order_of[0] == n, "chain must start at the whole group", None),
-        _row("chain-terminates", terminates, "chain must end at the trivial subgroup", None),
-        _row("chain-descending", nested and all(a > b for a, b in zip(order_of, order_of[1:])),
+        CheckResult("group-hypotheses", not detail, detail, None),
+        CheckResult("chain-full-group", order_of[0] == n, "chain must start at the whole group", None),
+        CheckResult("chain-terminates", terminates, "chain must end at the trivial subgroup", None),
+        CheckResult("chain-descending", nested and all(a > b for a, b in zip(order_of, order_of[1:])),
              "entries must strictly decrease", None),
     ]
     for k in range(L):
-        checks.append(_row("chain-closed", closed[k], f"entry of size {order_of[k]}", k))
-        checks.append(_row("chain-normal", formed[k], f"entry {k}" + (
+        checks.append(CheckResult("chain-closed", closed[k], f"entry of size {order_of[k]}", k))
+        checks.append(CheckResult("chain-normal", formed[k], f"entry {k}" + (
             "" if closed[k] else " is not even a subgroup"), k))
-    checks.append(_row("chain-frattini", *frattini, None))
-    checks.append(_row(
+    checks.append(CheckResult("chain-frattini", *frattini, None))
+    checks.append(CheckResult(
         "chain-index-p", p is not None and all(order_of[k] == p * order_of[k + 1]
                                                for k in range(1, L - 1)),
         "no p: order is not a prime power" if p is None else
         f"consecutive indices must all be {p}", None))
-    checks.append(_row("chain-refines-series", *refines, None))
+    checks.append(CheckResult("chain-refines-series", *refines, None))
     for k, idx in enumerate(quotient_index):
-        checks.append(_row("quotient-non-quaternion", formed[k] and idx is None,
+        checks.append(CheckResult("quotient-non-quaternion", formed[k] and idx is None,
                            f"entry {k}: quotient could not be formed" if not formed[k] else
                            f"entry {k}" + ("" if idx is None else f": quotient is Q({idx})"), k))
 
@@ -526,40 +521,40 @@ def verify_certificate(G: FiniteGroup, cert: ForcingCertificate) -> Verification
         kernel_ok = (ratio == step.kernel_order == p if p is not None else
                      ratio >= 2 and is_prime(ratio) and step.kernel_order == ratio)
         checks += [
-            _row("step-chain-index", step.index_in_chain == i + 1,
+            CheckResult("step-chain-index", step.index_in_chain == i + 1,
                  f"recorded {step.index_in_chain}, expected {i + 1}", i),
-            _row("step-kernel-order", kernel_ok,
+            CheckResult("step-kernel-order", kernel_ok,
                  f"recorded {step.kernel_order}, actual index {ratio}", i),
-            _row("step-quotient-order", step.quotient_order * lower == n,
+            CheckResult("step-quotient-order", step.quotient_order * lower == n,
                  f"recorded {step.quotient_order}, expected {n // lower}", i),
             # [N_i, G] inside N_{i+1} makes the layer central in G/N_{i+1}. S
             # suffices: a derived S comes with every entry from 1 on a
             # subgroup, so [N_{i+2}, S] inside N_{i+2} makes that entry
             # normal, and then [x, gh] = [x, h] [x, g]^h
-            _row("chain-central-layer", not central_bits >> (i + 2) & 1,
+            CheckResult("chain-central-layer", not central_bits >> (i + 2) & 1,
                  "layer commutators must land below", i),
         ]
         if not (formed[i + 1] and formed[i + 2]):
-            checks += [_row(condition, False, "quotients could not be formed", i) for condition
+            checks += [CheckResult(condition, False, "quotients could not be formed", i) for condition
                        in ("step-witness-class", "step-forcing", "step-quaternion-flag")]
             continue
-        checks.append(_row("step-quaternion-flag",
+        checks.append(CheckResult("step-quaternion-flag",
                            step.quotient_is_quaternion is False and quotient_index[i + 2] is None,
                            "recorded flag must be false and match recomputation", i))
         witness = step.witness
         if i not in classes:
-            checks += [_row("step-witness-class", False,
+            checks += [CheckResult("step-witness-class", False,
                             f"representative {witness.class_rep} out of range", i),
-                       _row("step-forcing", False, "witness unusable", i)]
+                       CheckResult("step-forcing", False, "witness unusable", i)]
             continue
         rep, order, size, forcing = classes[i]
         sizes = [upper // meets[i]] * size
         class_ok = (rep == witness.class_rep and order == witness.class_order
                     and tuple(witness.checked_fiber_sizes) == tuple(sizes))
         checks += [
-            _row("step-witness-class", class_ok,
+            CheckResult("step-witness-class", class_ok,
                  f"class of {witness.class_rep}: rep {rep}, order {order}, sizes {sizes}", i),
-            _row("step-forcing", forcing,
+            CheckResult("step-forcing", forcing,
                  "every fiber element over every class member must keep the class order", i),
         ]
     return VerificationReport(checks=tuple(checks))
