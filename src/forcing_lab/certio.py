@@ -141,6 +141,14 @@ def emit(doc: CertificateDocument) -> bytes:
     return _joined(members)
 
 
+def emitted_digest(data: bytes) -> str:
+    """The digest member of emit's bytes, read without decoding them: the
+    members after it in key order are strings, whose quotes are escaped, so
+    the last '"digest":"' in the bytes starts it."""
+    start = data.rindex(b'"digest":"') + len(b'"digest":"')
+    return data[start:data.index(b'"', start)].decode()
+
+
 def _expect(obj: Any, typ: type, where: str) -> Any:
     # JSON decodes to exact types; bool is an int subclass, so reject it
     # anywhere an int is required

@@ -8,6 +8,8 @@ Output is deterministic up to one timestamped header line (drop it with
     1 other error        5 a Sylow factor is cyclic or quaternion
     2 cyclic input       6 p = 2 base exponent required but not supplied
     3 quaternion input
+
+A usage error (bad or missing arguments) is an other error, 1; --help is 0.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import re
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
+from pathlib import Path
 from typing import Any
 
 import numpy as np
@@ -263,11 +266,12 @@ def cmd_forcing_seq(args: argparse.Namespace) -> int:
         prof = p_group_profile(G)
         delta_report = delta_for_p_group(prof, cert, args.ell, consts,
                                          base_override=overrides.get(prof.p))
-    doc = certio.CertificateDocument(certificate=cert, delta_report=delta_report)
-    path = certio.write_document(doc, args.out)
-    digest = certio.document_digest(doc)
+    # one encoding for the file, the digest and --json
+    data = certio.emit(certio.CertificateDocument(certificate=cert, delta_report=delta_report))
+    path = Path(args.out)
+    path.write_bytes(data + b"\n")
     if args.as_json:
-        _print_json(certio.document_obj(doc))
+        sys.stdout.write(data.decode() + "\n")
         return 0
     _header(args)
     print(f"spec: {cert.group_spec}")
@@ -278,7 +282,7 @@ def cmd_forcing_seq(args: argparse.Namespace) -> int:
     if delta_report is not None:
         print(f"delta (ell={delta_report.ell}): {format_rational(delta_report.delta)}")
     print(f"wrote: {path}")
-    print(f"digest: {digest}")
+    print(f"digest: {certio.emitted_digest(data)}")
     return 0
 
 
@@ -586,8 +590,11 @@ _EXIT_CODES: tuple[tuple[type[ForcingLabError], int], ...] = (
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # a usage error, its text on stderr, is not cyclic input (2); --help is 0
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except ForcingLabError as exc:

@@ -22,15 +22,16 @@ the least product over a coset), so every verdict and detail is the same.
 
 Each fact is formed once, for the whole chain: the (|S| x n) table of
 commutators [x, s], whence normality, central layers and the exponent-p
-series (x^s = x [x, s], and [x, gh] = [x, h] [x, g]^h); coset orders from
-one table of p-power maps, element orders with them; labels bottom up; all
-steps' witnesses on (steps x n) arrays.
+series (x^s = x [x, s], and [x, gh] = [x, h] [x, g]^h), each term closed
+once; coset orders for every |G| by their prime-power parts, one doubling
+ladder of q-power maps for each prime q dividing |G| (for a p-group, one, on
+the p-th power map), element orders with them; labels bottom up; all steps'
+witnesses on (steps x n) arrays.
 Gathers of n x |N| products or more run in row blocks of _BLOCK_ITEMS.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -41,7 +42,7 @@ from .errors import MalformedCertificate, NotAPGroup, PreconditionViolated
 from .groups import is_prime, prime_power
 
 if TYPE_CHECKING:
-    from collections.abc import Callable, Container, Iterator
+    from collections.abc import Container, Iterator
 
     from .forcing import ForcingCertificate
     from .groups import FiniteGroup
@@ -233,48 +234,33 @@ def _derive(G: FiniteGroup, inside: np.ndarray, sizes: list[int],
 
 
 def _series(G: FiniteGroup, S: np.ndarray, pth: np.ndarray | None,
-            known: dict[bytes, bool], commutators: np.ndarray,
+            known: Container[bytes], commutators: np.ndarray,
             table: np.ndarray | None) -> list[np.ndarray]:
     """The lower exponent-p series G_j = G_{j-1}^p [G_{j-1}, G], for S a
     generating set of G: the closure of the p-th powers of G_{j-1} (pth, None
-    when |G| is not a prime power) and its commutators with S (for G_0,
-    the mask commutators; else from _escapes' table, if it kept one),
-    closed again under conjugation by S until it stops growing. known maps
-    the member bytes of subgroups proven closed to whether proven normal."""
+    when |G| is not a prime power) and its commutators with S (for G_0, the
+    mask commutators; else from _escapes' table, if it kept one), closed
+    once. That closure H lies in G_{j-1}, normal by induction, so for x in H
+    and s in S, [x, s] is one of H's generators and x^s = x [x, s] lies in
+    H: H is normal, and then [x, gh] = [x, h] [x, g]^h puts [G_{j-1}, G] in
+    it. known holds the member bytes of subgroups proven closed."""
     if pth is None:
         raise NotAPGroup(f"order {G.order} is not a prime power")
-    # the table with the p-th powers as one more row, which closing a term
-    # under conjugation may mark again: the term holds them
     images = None if table is None else np.concatenate((table, pth[None, :]))
-
-    def grow(found: np.ndarray, xs: np.ndarray) -> None:
-        """Mark x^p and [x, s] in found for every x in xs and s in S."""
-        if images is not None:
-            found[images.take(xs, axis=1)] = True
-            return
-        found[pth[xs]] = True
-        for image in _commutators(G, S, xs):
-            found[image] = True
-
     series = [np.arange(G.order)]
     found = commutators.copy()
     found[pth] = True
     while len(series[-1]) > 1:
-        current = series[-1]
         if len(series) > 1:
             found = np.zeros(G.order, dtype=bool)
-            grow(found, current)
-        while True:
-            term = _square_until_closed(G, found.nonzero()[0], known)
-            if known.get(term.tobytes()):
-                break
-            found[term] = True
-            # x^s = x [x, s]
-            grow(found, term)
-            if found.sum() == len(term):
-                break
-        series.append(term)
-        if len(term) >= len(current):
+            if images is None:
+                found[pth[series[-1]]] = True
+                for image in _commutators(G, S, series[-1]):
+                    found[image] = True
+            else:
+                found[images.take(series[-1], axis=1)] = True
+        series.append(_square_until_closed(G, found.nonzero()[0], known))
+        if len(series[-1]) >= len(series[-2]):
             raise NotAPGroup("series failed to descend")
     return series
 
@@ -292,25 +278,42 @@ def _power_map(G: FiniteGroup, e: int) -> np.ndarray:
     return result
 
 
-def _p_coset_orders(pth: np.ndarray, inside: np.ndarray, p: int, m: int) -> np.ndarray:
-    """Row k, for entry k a subgroup of G of order p^m: the order of xN_k
-    for every x, p to the count of j <= m with x^(p^j) outside N_k (once
-    inside, it stays). Row j of the ladder is x -> x^(p^j): with rows
-    0..h-1 known, row h - 1 + j is row h - 1 applied to row j, so each take
-    nearly doubles them."""
-    n = len(pth)
-    ladder = np.empty((m + 1, n), dtype=np.intp)
-    ladder[0], ladder[1] = np.arange(n), pth
-    known = 2
-    while known <= m:
-        ladder[known:2 * known - 1] = ladder[known - 1].take(ladder[1:min(known, m + 2 - known)])
-        known = 2 * known - 1
-    p_powers = p ** np.arange(m + 1, dtype=np.int32)
-    orders = np.zeros(inside.shape, dtype=np.int32)
-    # a row takes (m + 1) n bools and two n int32 counts: (m + 9) n / 4 int32s
-    for rows in _row_blocks(np.arange(len(inside)), (ladder.size + 8 * n) // 4):
-        outside = m + 1 - inside[rows].T.take(ladder, axis=0).sum(axis=0, dtype=np.int32)
-        orders[rows] = p_powers.take(outside.T)
+def _prime_powers(n: int) -> list[tuple[int, int]]:
+    """(q, a) for each prime q with q^a exactly dividing n, by trial division."""
+    parts, q = [], 2
+    while n > 1:
+        a = 0
+        while n % q == 0:
+            n, a = n // q, a + 1
+        if a:
+            parts.append((q, a))
+        q = n if q * q > n else q + 1
+    return parts
+
+
+def _coset_orders(G: FiniteGroup, inside: np.ndarray, pth: np.ndarray | None) -> np.ndarray:
+    """Row k, for entry k a normal subgroup of G: the order of xN_k for every
+    x, the product of its q-parts over each q^a exactly dividing |G|. With
+    y = x^(|G|/q^a), yN_k has order the q-part, q to the count of j <= a
+    with y^(q^j) outside N_k (once inside, it stays). Row j of q's ladder is
+    x -> x^(q^j), row 1 pth when |G| = q^a: with rows 0..h-1 known, row
+    h - 1 + j is row h - 1 applied to row j, so each take nearly doubles them."""
+    n = G.order
+    orders = np.ones(inside.shape, dtype=np.int32)
+    for q, a in _prime_powers(n):
+        ladder = np.empty((a + 1, n), dtype=np.intp)
+        ladder[0], ladder[1] = np.arange(n), _power_map(G, q) if pth is None else pth
+        known = 2
+        while known <= a:
+            ladder[known:2 * known - 1] = ladder[known - 1].take(ladder[1:min(known, a + 2 - known)])
+            known = 2 * known - 1
+        if q ** a < n:
+            ladder = ladder.take(_power_map(G, n // q ** a), axis=1)
+        q_powers = q ** np.arange(a + 1, dtype=np.int32)
+        # a row takes (a + 1) n bools and two n int32 counts: (a + 9) n / 4 int32s
+        for rows in _row_blocks(np.arange(len(inside)), (ladder.size + 8 * n) // 4):
+            outside = a + 1 - inside[rows].T.take(ladder, axis=0).sum(axis=0, dtype=np.int32)
+            orders[rows] *= q_powers.take(outside.T)
     return orders
 
 
@@ -338,31 +341,6 @@ def _labels(G: FiniteGroup, arrays: list[np.ndarray], proven: list[bool],
                 np.minimum(labels[j], labels[j + 1].take(G.mul_table[:, t]), out=labels[j])
         labelled[k:below + 1] = [True] * (below + 1 - k)
     return labels
-
-
-def _coset_orders(G: FiniteGroup, inside: np.ndarray,
-                  power_map: Callable[[int], np.ndarray]) -> np.ndarray:
-    """The order of xN for every element x of G, from N's membership mask (N
-    normal). It divides [G:N], so when [G:N] = q^m it is the least q^j with
-    x^(q^j) in N, reached in at most m steps of power_map(q); otherwise it is
-    the least k >= 1 with x^k in N, by unit power steps."""
-    orders = inside.astype(np.int32)
-    todo = np.flatnonzero(~inside)
-    pp = prime_power(G.order // int(inside.sum()))
-    qth = None if pp is None else power_map(pp[0])
-    power = np.arange(G.order, dtype=np.int32)
-    k = 1
-    while len(todo):
-        if qth is None:
-            power[todo] = G.mul_table[power[todo], todo]
-            k += 1
-        else:
-            power[todo] = qth[power[todo]]
-            k *= pp[0]
-        landed = inside[power[todo]]
-        orders[todo[landed]] = k
-        todo = todo[~landed]
-    return orders
 
 
 def _witness_classes(G: FiniteGroup, labels_up: np.ndarray, orders_up: np.ndarray,
@@ -430,16 +408,12 @@ def verify_certificate(G: FiniteGroup, cert: ForcingCertificate) -> Verification
     terminates = order_of[-1] == 1 and bool(inside[-1, 0])
     nested = not (inside[1:] > inside[:-1]).any()
 
-    # row k, for formed entry k: the order of xN_k for each element x
-    coset_orders = np.zeros((L, n), dtype=np.int32)
-    pth = None
-    if pp is not None:
-        pth = _power_map(G, p).astype(np.intp, copy=False)
-        # element orders are the coset orders of {1}, a terminating chain's last entry
-        entries = inside if terminates else np.vstack((inside, np.arange(n) == 0))
-        coset_orders = _p_coset_orders(pth, entries, p, pp[1])
-        orders = coset_orders[-1]
-        coset_orders = coset_orders[:L]
+    pth = None if pp is None else _power_map(G, p).astype(np.intp, copy=False)
+    # row k, for formed entry k: the order of xN_k for each element x; element
+    # orders are the coset orders of {1}, a terminating chain's last entry
+    entries = inside if terminates else np.vstack((inside, np.arange(n) == 0))
+    coset_orders = _coset_orders(G, entries, pth)
+    orders, coset_orders = coset_orders[-1], coset_orders[:L]
 
     proven, t_powers, S = _derive(G, inside, order_of, pp, pth)
     # bit k of codes[x] when x lies in entry k
@@ -453,20 +427,17 @@ def verify_certificate(G: FiniteGroup, cert: ForcingCertificate) -> Verification
         for k, has_identity in enumerate(inside[:, 0].tolist())]
     formed = [closed[k] and not normal_bits >> k & 1 for k in range(L)]
     try:
-        series = _series(G, S, pth, {arrays[k].tobytes(): formed[k] for k in range(L)
-                                     if closed[k]}, commutators, table)
+        # the terms are subgroups, so a term in the chain is a closed entry
+        known = {arrays[k].tobytes() for k in range(L) if closed[k]}
+        series = _series(G, S, pth, known, commutators, table)
         frattini = (arrays[1].tobytes() == series[1].tobytes(),
                     "second entry must be the Frattini subgroup")
-        chain_bytes = {members.tobytes() for members in arrays}
-        refines = (all(term.tobytes() in chain_bytes for term in series),
+        refines = (all(term.tobytes() in known for term in series),
                    "every series term must appear in the chain")
     except NotAPGroup as exc:
         frattini = refines = (False, str(exc))
     del table  # the largest array the verifier keeps, of no further use
 
-    if pp is None:
-        for k in np.flatnonzero(formed):
-            coset_orders[k] = _coset_orders(G, inside[k], functools.partial(_power_map, G))
     # each coset of N_k holds |N_k| elements of its order
     tops = coset_orders.max(axis=1).tolist()
     involutions = (coset_orders == 2).sum(axis=1).tolist()
@@ -487,11 +458,10 @@ def verify_certificate(G: FiniteGroup, cert: ForcingCertificate) -> Verification
     # y a and y b share one exactly when a^-1 b lies in both
     meets = (inside[1:-1] & inside[2:]).sum(axis=1).tolist()
 
-    detail = f"order {n} is not a prime power"
-    if pp is not None:
-        top = int(orders.max())
-        detail = ("group is cyclic" if top == n else "group is generalized quaternion"
-                  if _quaternion_index(n, top, int((orders == 2).sum())) is not None else "")
+    top = int(orders.max())
+    detail = (f"order {n} is not a prime power" if pp is None else "group is cyclic" if top == n
+              else "group is generalized quaternion"
+              if _quaternion_index(n, top, int((orders == 2).sum())) is not None else "")
     checks = [
         CheckResult("group-hypotheses", not detail, detail, None),
         CheckResult("chain-full-group", order_of[0] == n, "chain must start at the whole group", None),

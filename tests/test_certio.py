@@ -1,5 +1,6 @@
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from forcing_lab.certio import (
     document_digest,
     document_obj,
     emit,
+    emitted_digest,
     parse,
     read_document,
     write_document,
@@ -88,6 +90,13 @@ class TestDigests:
     def test_digest_stable_across_emits(self, cert_of):
         doc = _doc(cert_of, "preset:Heisenberg(3)")
         assert emit(doc) == emit(doc)
+
+    @pytest.mark.parametrize("spec", [spec for spec, _ in GOLDEN_DIGESTS])
+    def test_emitted_digest_is_the_digest_member(self, cert_of, spec):
+        doc = _doc(cert_of, spec)
+        # a spec text that holds the member's own text, escaped, comes after it
+        for doc in (doc, replace(doc, group_spec='x","digest":"' + "0" * 64)):
+            assert emitted_digest(emit(doc)) == document_digest(doc)
 
     def test_digest_covers_content_not_formatting(self, cert_of):
         # pretty-printing the same object must still parse (digest is over

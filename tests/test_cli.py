@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,8 +10,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from forcing_lab import certio
+from forcing_lab import FiniteGroup, certio
 from forcing_lab.cli import main
 from forcing_lab.exponents import (
     AnalyticConstants,
@@ -139,6 +142,23 @@ class TestForcingSeq:
         obj = json.loads(out)
         assert obj["group_spec"] == "preset:ElemAbelian(2,2)"
         assert out_path.read_bytes().rstrip(b"\n") == out.strip().encode()
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_encodes_the_document_once(self, capsys, tmp_path, monkeypatch, flags):
+        emitted, objects = [], []
+        emit, document_obj = certio.emit, certio.document_obj
+        monkeypatch.setattr(certio, "emit", lambda doc: emitted.append(doc) or emit(doc))
+        monkeypatch.setattr(certio, "document_obj",
+                            lambda doc: objects.append(doc) or document_obj(doc))
+        out_path = tmp_path / "heis.fcert.json"
+        code, out, _ = run(capsys, "forcing-seq", "preset:Heisenberg(3)", "--out",
+                           str(out_path), "--ell", "5", "--no-header", *flags)
+        assert code == 0 and len(emitted) == 1 and objects == []
+        digest = certio.document_digest(certio.read_document(out_path))
+        if flags:
+            assert json.loads(out)["digest"] == digest
+        else:
+            assert f"digest: {digest}\n" in out
 
     @pytest.mark.parametrize("spec,expected", [
         ("preset:Cyclic(8)", 2),
@@ -542,6 +562,124 @@ class TestHeaderAndCap:
                            str(MAX_ORDER_CAP), "--no-header")
         assert code == 0
         assert "order: 27" in out
+
+
+class TestUsageErrors:
+    """A usage error exits 1, not 2, the code of cyclic input, and argparse's
+    usage text stays on stderr."""
+
+    @pytest.mark.parametrize("argv", [
+        ["delta", "preset:Heisenberg(3)", "--ell", "abc"],
+        ["delta", "preset:Heisenberg(3)", "--ell", "5" * 5000],
+        ["analyze", "preset:Heisenberg(3)", "--cap", "abc"],
+        ["nope"],
+        [],
+    ])
+    def test_usage_error_exits_1(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("usage: forcing-lab") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["delta", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out.startswith("usage: forcing-lab") and err == ""
+
+
+# the grammar of TestMainFuzz, each a (valid, invalid) pair: every table it
+# can build has order at most 64, as every cap it passes is at most 64 or
+# refused before a table is built
+_FUZZ_SPECS = (
+    ["preset:Dihedral(8)", "preset:Heisenberg(3)", "preset:Abelian(2,4)", "preset:Cyclic(4)",
+     "preset:GenQuaternion(1)", "product:preset:Dihedral(8)|preset:Cyclic(3)",
+     "product:preset:GenQuaternion(1)|preset:Cyclic(3)", "perm:4:(0 1 2 3),(1 3)",
+     "perm:99999999999:(0 1)"],
+    ["preset:Dihedral(128)", "perm:3:(0 1 2),(0 1)", "preset:Nope(1)", "preset:Dihedral(",
+     "product:|", "", "perm:3:(0 1 2", "perm:2:(0 5)", "perm:x:()"],
+)
+_FUZZ_CAPS = (["8", "64"], ["-3", "0", "abc", "1.5", str(MAX_ORDER_CAP + 1), "9" * 40])
+_FUZZ_ELLS = (["2", "3", "5"], ["0", "1", "-7", "abc", "5" * 5000])
+_FUZZ_BAD_RATIONALS = ["1e99", "nan", "inf", "1/0", "-2", "1e-70", "", "3/2"]
+_FUZZ_CONSTANTS = {"--beta": ["35", "40"], "--gamma": ["19", "1/2"], "--eps-delta": ["0", "1/100"]}
+# input files besides "cert", a genuine certificate the fixture writes
+_FUZZ_FILES = {
+    "override": b'{"2": "1/100"}',
+    "garbage": b"\x00not json",
+    "bad-override": b'{"x": "1e99"}',
+    "list": b"[1, 2]",
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, data in _FUZZ_FILES.items():
+        (root / name).write_bytes(data)
+    assert main(["forcing-seq", "preset:Heisenberg(3)", "--out", str(root / "cert"),
+                 "--ell", "3", "--no-header"]) == 0
+    return root
+
+
+@st.composite
+def _argv(draw, root):
+    # half the argvs take valid values only; the rest draw half and half
+    valid = draw(st.booleans())
+
+    def pick(pair):
+        good = st.sampled_from(pair[0])
+        return good if valid else good | st.sampled_from(pair[1])
+
+    command = draw(st.sampled_from(["catalog", "analyze", "forcing-seq", "delta", "verify",
+                                    "paper-checks", "nope"]))
+    files = pick(([str(root / "cert"), str(root / "override")],
+                  [str(root / name) for name in ["garbage", "bad-override", "list", "missing"]]))
+    argv = [command]
+    if command in ("analyze", "forcing-seq", "delta"):
+        argv.append(draw(pick(_FUZZ_SPECS)))
+    if command == "forcing-seq":
+        argv += ["--out", draw(pick(([str(root / "out.fcert.json")],
+                                     [str(root), str(root / "missing" / "out")])))]
+    if command == "verify":
+        argv.append(draw(files))
+    # one in four optional flags given, one in eight argvs with an unknown one
+    sometimes = st.sampled_from([False, False, False, True])
+    if command in ("forcing-seq", "delta") and not draw(sometimes):
+        argv += ["--ell", draw(pick(_FUZZ_ELLS))]
+    if command in ("forcing-seq", "delta", "paper-checks"):
+        for flag, values in _FUZZ_CONSTANTS.items():
+            if draw(sometimes):
+                argv += [flag, draw(pick((values, _FUZZ_BAD_RATIONALS)))]
+    if command in ("forcing-seq", "delta") and draw(st.booleans()):
+        argv += ["--base-override", draw(files)]
+    if draw(st.booleans()):
+        argv += ["--cap", draw(pick(_FUZZ_CAPS))]
+    argv += draw(st.lists(st.sampled_from(["--json", "--no-header"]), max_size=2))
+    argv += draw(st.sampled_from([[]] * 7 + [["--bogus"]]))
+    return argv
+
+
+class TestMainFuzz:
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(data=st.data())
+    def test_main_returns_a_documented_code(self, fuzz_dir, data):
+        argv = data.draw(_argv(fuzz_dir))
+        orders = []
+        init = FiniteGroup.__init__
+
+        def recording(self, mul_table, *args, **kwargs):
+            orders.append(len(mul_table))
+            init(self, mul_table, *args, **kwargs)
+
+        out, err = io.StringIO(), io.StringIO()
+        # without --cap, the cap is 64
+        with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            patch.setenv("FORCING_LAB_CAP", "64")
+            patch.setattr(FiniteGroup, "__init__", recording)
+            code = main(argv)
+        assert code in range(7), argv
+        assert "Traceback" not in err.getvalue(), argv
+        assert max(orders, default=1) <= 64, argv
 
 
 def test_huge_perm_degree_is_spec_text_only(tmp_path):

@@ -35,6 +35,7 @@ from forcing_lab import (
 from forcing_lab import certio, forcing, verify
 from forcing_lab.errors import Malformed
 from forcing_lab.forcing import _quaternion_quotient
+from forcing_lab.groups import factorize
 from forcing_lab.verify import _BLOCK_ITEMS, _coset_orders, _power_map, _row_blocks
 
 BUILDABLE = [
@@ -809,6 +810,32 @@ def test_genuine_chains_are_proven_bottom_up(monkeypatch, group_of, cert_of):
         assert derived.pop(), spec
 
 
+def test_series_equals_the_builders_on_both_paths(monkeypatch, group_of, cert_of):
+    """verify._series closes each term once. With a certificate's derived S
+    and its closed entries, and with all of G as S and nothing known, every
+    term is the builder's lower exponent-p series term."""
+    calls = []
+    original = verify._series
+    monkeypatch.setattr(verify, "_series", lambda *args: calls.append(args) or original(*args))
+    for name, spec in p_group_specs(256):
+        G = group_of(spec)
+        want = [term.members.tolist() for term in G.lower_exponent_p_series()]
+        pth = _power_map(G, p_group_profile(G).p).astype(np.intp)
+        everything = np.arange(G.order)
+        commutators = np.zeros(G.order, dtype=bool)
+        for image in verify._commutators(G, everything, everything):
+            commutators[image] = True
+        series = original(G, everything, pth, set(), commutators, None)
+        assert [term.tolist() for term in series] == want, spec
+        if name.startswith(("Cyclic", "GenQuaternion")):
+            continue
+        assert verify_certificate(G, cert_of(spec)).all_passed
+        (args,) = calls
+        calls.clear()
+        assert len(args[1]) < G.order and args[3], spec
+        assert [term.tolist() for term in original(*args)] == want, spec
+
+
 def _premise_chains(G, p):
     """Chains that meet the derivation's premises or miss one, most of them
     not chains of subgroups: G > 1; G > {a^j} > 1 for every a; G > a set of
@@ -945,33 +972,37 @@ def _normal_subgroups(G):
 
 
 class TestCosetOrders:
-    def _check(self, G, members):
-        """Compare with unit steps; return the q of each q-th power map used."""
-        inside = np.zeros(G.order, dtype=bool)
-        inside[list(members)] = True
+    def _check(self, monkeypatch, G, entries):
+        """Compare every entry's row with unit steps, all entries in one call;
+        return the exponent of each power map the kernel formed itself."""
+        inside = np.zeros((len(entries), G.order), dtype=bool)
+        for k, members in enumerate(entries):
+            inside[k, list(members)] = True
+        factors = sorted(factorize(G.order).items())
+        pth = _power_map(G, factors[0][0]) if len(factors) == 1 else None
         asked = []
-
-        def power_map(q):
-            asked.append(q)
-            return _power_map(G, q)
-
-        assert _coset_orders(G, inside, power_map).tolist() == _unit_step_coset_orders(G, members)
+        monkeypatch.setattr(verify, "_power_map",
+                            lambda G, e: asked.append(e) or _power_map(G, e))
+        rows = _coset_orders(G, inside, pth).tolist()
+        assert rows == [_unit_step_coset_orders(G, members) for members in entries]
         return asked
 
     @pytest.mark.parametrize("spec", CERTIFIED_64)
-    def test_chain_entries_match_unit_steps(self, group_of, cert_of, spec):
+    def test_chain_entries_match_unit_steps(self, monkeypatch, group_of, cert_of, spec):
         G = group_of(spec)
-        for entry in cert_of(spec).chain:
-            self._check(G, entry)
+        # a p-group's one ladder starts from the caller's p-th power map
+        assert self._check(monkeypatch, G, cert_of(spec).chain) == []
 
     @pytest.mark.parametrize("spec", ["preset:Cyclic(6)",
-                                      "product:perm:3:(0 1 2),(0 1)|preset:Cyclic(3)"])
-    def test_index_not_a_prime_power(self, group_of, spec):
+                                      "product:perm:3:(0 1 2),(0 1)|preset:Cyclic(3)",
+                                      "product:preset:Dihedral(8)|preset:Cyclic(9)"])
+    def test_index_not_a_prime_power(self, monkeypatch, group_of, spec):
         G = group_of(spec)
         normal = _normal_subgroups(G)
-        used = {G.order // H.order: self._check(G, H.members) for H in normal}
-        # q-th power steps for a prime index, unit steps for index 6
-        assert used[2] == [2] and used[3] == [3] and used[6] == []
+        asked = self._check(monkeypatch, G, [H.members for H in normal])
+        # for each q^a exactly dividing |G|: the q-th power map, then x^(|G|/q^a)
+        assert asked == [e for q, a in sorted(factorize(G.order).items())
+                         for e in (q, G.order // q ** a)]
 
 
 class TestVerifierMemory:
