@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotNilpotent, PNotDividing, PreconditionViolated
-from .groups import FiniteGroup, Subgroup, factorize, prime_power
+from .groups import FiniteGroup, Subgroup, factorize, prime_power, subgroup_as_group
 
 
 @dataclass(frozen=True)
@@ -21,12 +21,6 @@ class PGroupProfile:
     rank: int
     is_cyclic: bool
     quaternion_index: int | None
-
-
-def is_p_group(G: FiniteGroup) -> int | None:
-    """The prime p with |G| = p**n (n >= 1), or None; trivial group gives None."""
-    pp = prime_power(G.order)
-    return None if pp is None else pp[0]
 
 
 def is_cyclic(G: FiniteGroup) -> bool:
@@ -47,10 +41,6 @@ def is_elementary_abelian(G: FiniteGroup) -> tuple[int, int] | None:
     return (p, n)
 
 
-def count_involutions(G: FiniteGroup) -> int:
-    return int((G.orders() == 2).sum())
-
-
 def is_generalized_quaternion(G: FiniteGroup) -> int | None:
     """The index n with G isomorphic to the order-2**(n+2) generalized
     quaternion group, or None. Uses the unique-involution characterization:
@@ -60,7 +50,7 @@ def is_generalized_quaternion(G: FiniteGroup) -> int | None:
         return None
     if is_cyclic(G):
         return None
-    if count_involutions(G) != 1:
+    if count_order_p_subgroups(G, 2) != 1:
         return None
     return pp[1] - 2
 
@@ -94,6 +84,16 @@ def sylow_decomposition(G: FiniteGroup) -> dict[int, Subgroup]:
             raise NotNilpotent(f"Sylow {p}-subgroup is not normal")
         factors[p] = sub
     return factors
+
+
+def sylow_factors(G: FiniteGroup) -> list[tuple[int, FiniteGroup]]:
+    """(p, P) for each prime p dividing |G|, in order of p, with P the Sylow
+    p-subgroup as a group: G itself when G is a p-group, none when G is
+    trivial. NotNilpotent when G is not nilpotent."""
+    pp = prime_power(G.order)
+    if pp is not None:
+        return [(pp[0], G)]
+    return [(p, subgroup_as_group(sub)) for p, sub in sorted(sylow_decomposition(G).items())]
 
 
 def is_nilpotent(G: FiniteGroup) -> bool:

@@ -20,6 +20,7 @@ import json
 import os
 import re
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -29,13 +30,7 @@ import numpy as np
 
 from . import certio
 from .catalog import catalog_entries, two_group_specs
-from .classify import (
-    PGroupProfile,
-    count_order_p_subgroups,
-    is_p_group,
-    p_group_profile,
-    sylow_decomposition,
-)
+from .classify import PGroupProfile, count_order_p_subgroups, p_group_profile, sylow_factors
 from .errors import (
     CyclicGroup,
     EvenPrimeBase,
@@ -67,7 +62,6 @@ from .groups import (
     FiniteGroup,
     factorize,
     prime_power,
-    subgroup_as_group,
 )
 from .groupspec import parse_group_spec, spec_text
 from .verify import verify_certificate
@@ -162,14 +156,6 @@ def _overrides_from(args: argparse.Namespace) -> dict[int, Fraction]:
         raise ForcingLabError('base override keys must be integers like "2"') from None
 
 
-def _profile_obj(G: FiniteGroup) -> dict[str, Any]:
-    prof = p_group_profile(G)
-    return {
-        "p": prof.p, "n": prof.n, "p_class": prof.p_class, "rank": prof.rank,
-        "is_cyclic": prof.is_cyclic, "quaternion_index": prof.quaternion_index,
-    }
-
-
 def _class_size_histogram(G: FiniteGroup) -> list[tuple[int, int]]:
     """(class size, number of classes of that size), by size."""
     label = G.conjugacy_classes()
@@ -182,7 +168,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
     rows = []
     for entry in catalog_entries():
         G = parse_group_spec(entry.spec, cap=cap)
-        if is_p_group(G) is not None:
+        if prime_power(G.order) is not None:
             prof = p_group_profile(G)
             structure = f"p={prof.p} n={prof.n} class={prof.p_class} rank={prof.rank}"
         else:
@@ -206,13 +192,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     cap = _resolve_cap(args)
     G = parse_group_spec(args.spec, cap=cap)
     hist = _class_size_histogram(G)
-    if is_p_group(G) is not None:
-        prof = p_group_profile(G)
+    profiles = [p_group_profile(P) for _, P in sylow_factors(G)]
+    if prime_power(G.order) is not None:
+        prof, = profiles
         series = G.lower_exponent_p_series()
         orders = [term.order for term in series]
         if args.as_json:
             _print_json({"spec": spec_text(G), "order": G.order,
-                         "profile": _profile_obj(G), "series_orders": orders,
+                         "profile": asdict(prof), "series_orders": orders,
                          "class_sizes": [list(h) for h in hist]})
             return 0
         _header(args)
@@ -227,25 +214,20 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"quaternion: {quat}")
         print("series orders: " + " > ".join(str(o) for o in orders))
     else:
-        factors = []
-        for p, sub in sorted(sylow_decomposition(G).items()):
-            Gp = subgroup_as_group(sub)
-            factors.append((p, _profile_obj(Gp)))
         if args.as_json:
             _print_json({"spec": spec_text(G), "order": G.order,
-                         "sylow": [{"p": p, **prof} for p, prof in factors],
+                         "sylow": [asdict(prof) for prof in profiles],
                          "class_sizes": [list(h) for h in hist]})
             return 0
         _header(args)
         print(f"spec: {spec_text(G)}")
         print(f"order: {G.order}")
         print("nilpotent: yes")
-        for p, prof in factors:
-            quat = (f"quaternion n={prof['quaternion_index']}"
-                    if prof["quaternion_index"] is not None
-                    else "cyclic" if prof["is_cyclic"] else "ok")
-            print(f"sylow p={p}: order={p ** prof['n']} class={prof['p_class']} "
-                  f"rank={prof['rank']} [{quat}]")
+        for prof in profiles:
+            quat = (f"quaternion n={prof.quaternion_index}" if prof.quaternion_index is not None
+                    else "cyclic" if prof.is_cyclic else "ok")
+            print(f"sylow p={prof.p}: order={prof.p ** prof.n} class={prof.p_class} "
+                  f"rank={prof.rank} [{quat}]")
     print("class sizes: " + ", ".join(f"{size} (x{count})" for size, count in hist))
     return 0
 
@@ -333,7 +315,8 @@ def _tie_report(report: DeltaReport, cert: ForcingCertificate, order: int) -> No
     delta_for_p_group folds from its verified certificate, with p from |G|,
     rank = log_p [G : chain[1]] (chain-frattini checked chain[1]), and ell,
     the constants and any base override from the report. The first field
-    that differs is named: group_spec, ell, each trace record, then delta."""
+    that differs is named: group_spec, ell, each trace record, delta, then
+    the closed-form check's predicted and matched (None when absent)."""
     p, n = prime_power(order)
     base = report.trace[0]  # replay_trace accepts no trace that starts otherwise
     override = (parse_rational(base.outputs["delta"]) if base.inputs.get("source") == "override"
@@ -354,6 +337,10 @@ def _tie_report(report: DeltaReport, cert: ForcingCertificate, order: int) -> No
         diffs += [(f"trace[{k}].{key}", want.get(key), got.get(key))
                   for key in sorted(want.keys() | got.keys(), key=lambda key: (key != "rule", key))]
     diffs.append(("delta", format_rational(expected.delta), format_rational(report.delta)))
+    checks = expected.closed_form_check, report.closed_form_check
+    predicted = [None if check is None else format_rational(check.predicted) for check in checks]
+    matched = [None if check is None else check.matched for check in checks]
+    diffs += [("closed_form_check.predicted", *predicted), ("closed_form_check.matched", *matched)]
     for field, want, got in diffs:
         if want != got:
             raise UnverifiedCertificate(f"report does not match its certificate: {field} "

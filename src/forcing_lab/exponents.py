@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .classify import PGroupProfile, p_group_profile, sylow_decomposition
+from .classify import PGroupProfile, p_group_profile, sylow_factors
 from .errors import (
     DegenerateDegree,
     EvenPrimeBase,
@@ -27,13 +27,9 @@ from .errors import (
     UnverifiedCertificate,
 )
 from .forcing import ForcingCertificate, build_forcing_sequence
-from .groups import FiniteGroup, is_prime, prime_power, subgroup_as_group
+from .groups import FiniteGroup, is_prime
 from .groupspec import spec_text
 from .verify import verify_certificate
-
-
-def format_rational(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
 
 
 # the most digits of an integer in a document: str() of a longer int raises
@@ -42,6 +38,16 @@ def format_rational(q: Fraction) -> str:
 MAX_DIGITS = 4300
 _INTEGER = re.compile(rf"-?[0-9]{{1,{MAX_DIGITS}}}")
 _RATIONAL = re.compile(rf"(-?[0-9]{{1,{MAX_DIGITS}}})/([0-9]{{1,{MAX_DIGITS}}})")
+
+
+def format_rational(q: Fraction) -> str:
+    """q as num/den; PreconditionViolated when a part has more than
+    MAX_DIGITS digits, which str() cannot write."""
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        raise PreconditionViolated(f"a rational with a part of more than {MAX_DIGITS} "
+                                   "digits cannot be written") from None
 
 
 def _shown(text: object) -> str:
@@ -294,12 +300,7 @@ def delta_for_nilpotent(G: FiniteGroup, ell: int,
     if G.order == 1:
         raise PreconditionViolated("the trivial group has no saving exponent")
     overrides = dict(overrides or {})
-    pp = prime_power(G.order)
-    if pp is not None:
-        factors: list[tuple[int, FiniteGroup]] = [(pp[0], G)]
-    else:
-        factors = [(p, subgroup_as_group(sub))
-                   for p, sub in sorted(sylow_decomposition(G).items())]
+    factors = sylow_factors(G)
     profiles = []
     for p, Gp in factors:
         profile = p_group_profile(Gp)
@@ -395,6 +396,8 @@ def replay_trace(report: DeltaReport) -> Fraction:
     fold_index = 0
     for k, record in enumerate(report.trace):
         inputs, outputs = record.inputs, record.outputs
+        if folded is not None and record.rule in ("base", "extension"):
+            fail(f"record {k}: {record.rule} after the compositum fold")
         if record.rule == "base":
             if current is not None:
                 segments.append(current)
@@ -407,7 +410,7 @@ def replay_trace(report: DeltaReport) -> Fraction:
                 recomputed = base_delta_elementary_abelian(
                     *(field(k, inputs, name, False) for name in ("p", "rank", "ell")), consts)
                 if recomputed != declared:
-                    fail(f"record {k}: base recomputes to {recomputed}")
+                    fail(f"record {k}: base recomputes to {format_rational(recomputed)}")
             current, current_text = declared, format_rational(declared)
         elif record.rule == "extension":
             if current is None or not reads_as(k, inputs, "delta", current, current_text):

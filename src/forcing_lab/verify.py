@@ -3,8 +3,8 @@
 verify_certificate re-checks every condition a certificate claims from
 scratch, and the forcing property over every class member by brute force.
 Of G it reads only mul_table, order and inv_table, whose inverses it checks,
-and of groups.py it runs only prime_power and is_prime (tests/test_verify.py
-holds it to that).
+and it imports only numpy, the standard library and the error classes
+(tests/test_verify.py holds it to that): it factors integers itself.
 
 The chain N_0 > N_1 > ... > N_{L-1} is proven bottom up when |G| = p^m, from
 entry 1 on each entry has p times the elements of the next, and the last is
@@ -39,7 +39,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import MalformedCertificate, NotAPGroup, PreconditionViolated
-from .groups import is_prime, prime_power
 
 if TYPE_CHECKING:
     from collections.abc import Container, Iterator
@@ -376,10 +375,10 @@ def _quaternion_index(order: int, top: int, involutions: int) -> int | None:
     2-group of order at least 8 is one exactly when it has one involution."""
     if involutions != 1 or top == order:
         return None
-    pp = prime_power(order)
-    if pp is None or pp[0] != 2 or pp[1] < 3:
+    parts = _prime_powers(order)
+    if len(parts) != 1 or parts[0][0] != 2 or parts[0][1] < 3:
         return None
-    return pp[1] - 2
+    return parts[0][1] - 2
 
 
 def verify_certificate(G: FiniteGroup, cert: ForcingCertificate) -> VerificationReport:
@@ -403,7 +402,8 @@ def verify_certificate(G: FiniteGroup, cert: ForcingCertificate) -> Verification
     order_of = [len(entry) for entry in cert.chain]  # distinct indices
     flat = inside.nonzero()[1]
     arrays = [flat[end - size:end] for end, size in zip(itertools.accumulate(order_of), order_of)]
-    pp = prime_power(n)
+    parts = _prime_powers(n)
+    pp = parts[0] if len(parts) == 1 else None
     p = pp[0] if pp else None
     terminates = order_of[-1] == 1 and bool(inside[-1, 0])
     nested = not (inside[1:] > inside[:-1]).any()
@@ -489,7 +489,7 @@ def verify_certificate(G: FiniteGroup, cert: ForcingCertificate) -> Verification
         upper, lower = order_of[i + 1], order_of[i + 2]
         ratio = upper // lower if upper % lower == 0 else 0
         kernel_ok = (ratio == step.kernel_order == p if p is not None else
-                     ratio >= 2 and is_prime(ratio) and step.kernel_order == ratio)
+                     _prime_powers(ratio) == [(ratio, 1)] and step.kernel_order == ratio)
         checks += [
             CheckResult("step-chain-index", step.index_in_chain == i + 1,
                  f"recorded {step.index_in_chain}, expected {i + 1}", i),

@@ -4,17 +4,17 @@ from forcing_lab import (
     NotAPGroup,
     NotNilpotent,
     PNotDividing,
-    count_involutions,
     count_order_p_subgroups,
     is_cyclic,
     is_elementary_abelian,
     is_generalized_quaternion,
     is_nilpotent,
-    is_p_group,
     p_group_profile,
     subgroup_as_group,
     sylow_decomposition,
+    sylow_factors,
 )
+from forcing_lab.groups import prime_power
 
 
 class TestQuaternionDetector:
@@ -29,11 +29,11 @@ class TestQuaternionDetector:
         assert not prof.is_cyclic
         assert prof.quaternion_index == n
         assert len(G.center().members) == 2
-        assert count_involutions(G) == 1
+        assert count_order_p_subgroups(G, 2) == 1
 
     def test_dihedral_is_not_quaternion(self, group_of):
         assert is_generalized_quaternion(group_of("preset:Dihedral(8)")) is None
-        assert count_involutions(group_of("preset:Dihedral(8)")) == 5
+        assert count_order_p_subgroups(group_of("preset:Dihedral(8)"), 2) == 5
 
     def test_semidihedral_and_modular_are_not_quaternion(self, group_of):
         assert is_generalized_quaternion(group_of("preset:SemiDihedral(16)")) is None
@@ -89,11 +89,11 @@ class TestProfiles:
 
 
 class TestPredicates:
-    def test_is_p_group(self, group_of):
-        assert is_p_group(group_of("preset:Cyclic(8)")) == 2
-        assert is_p_group(group_of("preset:Heisenberg(3)")) == 3
-        assert is_p_group(group_of("preset:Cyclic(6)")) is None
-        assert is_p_group(group_of("perm:3:()")) is None
+    def test_prime_power_of_the_order(self, group_of):
+        assert prime_power(group_of("preset:Cyclic(8)").order) == (2, 3)
+        assert prime_power(group_of("preset:Heisenberg(3)").order) == (3, 3)
+        assert prime_power(group_of("preset:Cyclic(6)").order) is None
+        assert prime_power(group_of("perm:3:()").order) is None
 
     def test_is_cyclic(self, group_of):
         assert is_cyclic(group_of("preset:Cyclic(12)"))
@@ -141,6 +141,28 @@ class TestSylow:
         assert not is_nilpotent(G)
         with pytest.raises(NotNilpotent):
             sylow_decomposition(G)
+
+    def test_factors_of_a_p_group_are_the_group_itself(self, group_of):
+        G = group_of("preset:Heisenberg(3)")
+        [(p, P)] = sylow_factors(G)
+        assert p == 3 and P is G
+
+    def test_factors_of_c6(self, group_of):
+        factors = sylow_factors(group_of("preset:Cyclic(6)"))
+        assert [(p, P.order) for p, P in factors] == [(2, 2), (3, 3)]
+
+    def test_factors_of_q8_x_c3(self, group_of):
+        (two, Q), (three, C) = sylow_factors(
+            group_of("product:preset:GenQuaternion(1)|preset:Cyclic(3)"))
+        assert (two, Q.order, is_generalized_quaternion(Q)) == (2, 8, 1)
+        assert (three, C.order, is_cyclic(C)) == (3, 3, True)
+
+    def test_trivial_group_has_no_factors(self, group_of):
+        assert sylow_factors(group_of("perm:3:()")) == []
+
+    def test_factors_of_s3_are_refused(self, group_of):
+        with pytest.raises(NotNilpotent):
+            sylow_factors(group_of("perm:3:(0 1 2),(0 1)"))
 
     def test_p_group_is_nilpotent(self, group_of):
         assert is_nilpotent(group_of("preset:Dihedral(8)"))

@@ -16,6 +16,7 @@ from forcing_lab import FiniteGroup, certio
 from forcing_lab.cli import main
 from forcing_lab.exponents import (
     AnalyticConstants,
+    ClosedFormCheck,
     TraceRecord,
     base_delta_elementary_abelian,
     delta_for_nilpotent,
@@ -289,6 +290,16 @@ class TestDelta:
         _, out2, _ = run(capsys, "delta", "preset:Heisenberg(3)", "--ell", "5", "--json")
         assert out1 == out2
 
+    @pytest.mark.parametrize("digits", [2200, 4000])
+    def test_delta_past_what_a_rational_can_write(self, capsys, digits):
+        # argparse reads the ell, but the base delta's denominator is about
+        # twice as long, past MAX_DIGITS
+        code, out, err = run(capsys, "delta", "preset:Heisenberg(3)", "--ell", "9" * digits,
+                             "--no-header")
+        assert (code, out) == (1, "")
+        assert err == ("error: PreconditionViolated: a rational with a part of more than "
+                       "4300 digits cannot be written\n")
+
 
 class TestVerify:
     def test_tampered_file_fails_digest(self, capsys, tmp_path):
@@ -394,6 +405,15 @@ def _forge_base_ell(text):
     return forge
 
 
+def _forge_long_override(report):
+    # an override base of 4300 digits, which its extension takes past MAX_DIGITS
+    base, extension = report.trace
+    text = f"1/{10 ** 4299 + 1}"
+    records = (TraceRecord("base", {**base.inputs, "source": "override"}, {"delta": text}),
+               TraceRecord("extension", {**extension.inputs, "delta": text}, extension.outputs))
+    return replace(report, trace=records)
+
+
 def _forge_compositum(report):
     delta = format_rational(report.delta)
     record = TraceRecord("compositum", {"delta1": delta, "degree1": "27", "delta2": delta,
@@ -417,8 +437,15 @@ class TestVerifyTiesReportToCertificate:
         (_forge_base_beta, "constants invariant rejected: beta must exceed gamma + 1/2"),
         (_forge_base_ell("abc"), "record 0: ell: 'abc' is not an integer of at most 4300 digits"),
         (_forge_base_ell("9" * 5000), "record 0: ell: '" + "9" * 36 + "... is not an integer"),
+        (lambda report: replace(report, closed_form_check=ClosedFormCheck(Fraction(1, 7), True)),
+         "closed_form_check.predicted is '1/7', expected '1/3911580'"),
+        (lambda report: replace(report, closed_form_check=None),
+         "closed_form_check.predicted is None, expected '1/3911580'"),
+        (_forge_long_override,
+         "a rational with a part of more than 4300 digits cannot be written"),
     ], ids=["other-group", "ell", "dropped-extension", "base-rank", "compositum", "base-beta",
-            "base-ell-text", "base-ell-digits"])
+            "base-ell-text", "base-ell-digits", "closed-form-forged", "closed-form-dropped",
+            "override-digits"])
     def test_forged_report_fails(self, capsys, tmp_path, forge, named):
         path = self._forged(capsys, tmp_path, forge)
         code, out, _ = run(capsys, "verify", str(path), "--no-header")

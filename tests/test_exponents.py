@@ -373,6 +373,22 @@ class TestReplay:
         with pytest.raises(UnverifiedCertificate):
             replay_trace(truncated)
 
+    @pytest.mark.parametrize("appended, message", [
+        (slice(0, 1), "record 4: base after the compositum fold"),
+        (slice(0, 2), "record 4: base after the compositum fold"),
+        (slice(1, 2), "record 4: extension after the compositum fold"),
+    ])
+    def test_records_after_the_fold_detected(self, group_of, appended, message):
+        """The trace is base, extension, base, compositum; a run appended
+        after the fold would otherwise never be checked."""
+        G = group_of("product:preset:Heisenberg(3)|preset:ElemAbelian(5,2)")
+        report = delta_for_nilpotent(G, 5)
+        assert [r.rule for r in report.trace] == ["base", "extension", "base", "compositum"]
+        trailing = DeltaReport(report.group_spec, report.ell, report.delta,
+                               report.trace + report.trace[appended])
+        with pytest.raises(UnverifiedCertificate, match=f"^trace does not replay: {message}$"):
+            replay_trace(trailing)
+
     def test_final_delta_mismatch_detected(self, group_of):
         report = delta_for_nilpotent(group_of("preset:ElemAbelian(3,2)"), 5)
         lied = DeltaReport(group_spec=report.group_spec, ell=report.ell,

@@ -32,7 +32,7 @@ def _annotation_nodes():
     return {id(node) for root in roots for node in ast.walk(root)}
 
 
-def test_imports_only_numpy_errors_and_integer_arithmetic():
+def test_imports_only_numpy_the_standard_library_and_errors():
     guarded = _guarded_nodes()
     for node in ast.walk(TREE):
         if id(node) in guarded:
@@ -43,10 +43,7 @@ def test_imports_only_numpy_errors_and_integer_arithmetic():
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             assert node.module.split(".")[0] in sys.stdlib_module_names, node.module
         elif isinstance(node, ast.ImportFrom):
-            names = {alias.name for alias in node.names}
-            assert (node.level, node.module) in ((1, "errors"), (1, "groups")), node.module
-            if node.module == "groups":
-                assert names <= {"prime_power", "is_prime"}, names
+            assert (node.level, node.module) == (1, "errors"), node.module
 
 
 def test_names_imported_for_type_checking_appear_only_in_annotations():
