@@ -72,7 +72,7 @@ def sylow_decomposition(G: FiniteGroup) -> dict[int, Subgroup]:
     factors: dict[int, Subgroup] = {}
     for p, k in sorted(factorize(G.order).items()):
         # an element order divides |G|, so it is a power of p exactly when it divides p^k
-        members = np.flatnonzero(p ** k % orders == 0)
+        members = (p ** k % orders == 0).nonzero()[0]
         if len(members) != p ** k:
             raise NotNilpotent(
                 f"{len(members)} elements of {p}-power order, expected {p ** k}")

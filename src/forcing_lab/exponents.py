@@ -42,12 +42,15 @@ _RATIONAL = re.compile(rf"(-?[0-9]{{1,{MAX_DIGITS}}})/([0-9]{{1,{MAX_DIGITS}}})"
 
 def format_rational(q: Fraction) -> str:
     """q as num/den; PreconditionViolated when a part has more than
-    MAX_DIGITS digits, which str() cannot write."""
+    MAX_DIGITS digits, whatever the interpreter's own int-to-str limit."""
     try:
-        return f"{q.numerator}/{q.denominator}"
+        text = f"{q.numerator}/{q.denominator}"
     except ValueError:
+        text = None
+    if text is None or _RATIONAL.fullmatch(text) is None:
         raise PreconditionViolated(f"a rational with a part of more than {MAX_DIGITS} "
-                                   "digits cannot be written") from None
+                                   "digits cannot be written")
+    return text
 
 
 def _shown(text: object) -> str:

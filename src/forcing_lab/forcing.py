@@ -85,7 +85,7 @@ def is_forcing(quotient: QuotientMap) -> ForcingWitness | None:
     label, orders = target.conjugacy_classes(), target.orders()
     src_orders = quotient.source.orders()
     src_label = label[quotient.project]
-    reps = np.flatnonzero(label == np.arange(target.order))[1:].tolist()
+    reps = (label == np.arange(target.order)).nonzero()[0][1:].tolist()
     for rep in sorted(reps, key=lambda r: (int(orders[r]), r)):
         order = int(orders[rep])
         if (src_orders[src_label == rep] == order).all():
@@ -115,14 +115,13 @@ def central_step_witness(G: FiniteGroup, upper: Subgroup,
     in_upper, in_lower = (np.bincount(S.members, minlength=G.order) > 0
                           for S in (upper, lower))
     # generators suffice, as lower is normal
-    gens = np.array(G.generators, dtype=np.int32)
-    if not in_lower[G._commutators(upper.members, gens)].all():
+    if not in_lower[G.commutator_table()[upper.members]].all():
         raise PreconditionViolated("layer is not central: [upper, G] is not inside lower")
-    found = np.flatnonzero(in_lower[G.power_map(p)] & ~in_upper)
+    found = (in_lower[G.power_map(p)] & ~in_upper).nonzero()[0]
     if not len(found):
         return None
     label = G.conjugacy_classes()
-    images = _image_class(G.quotient(upper).project, np.flatnonzero(label == label[found[0]]))
+    images = _image_class(G.quotient(upper).project, (label == label[found[0]]).nonzero()[0])
     return ForcingWitness(class_rep=int(images[0]), class_order=p,
                           checked_fiber_sizes=(p,) * len(images))
 
@@ -130,7 +129,7 @@ def central_step_witness(G: FiniteGroup, upper: Subgroup,
 def _image_class(project: np.ndarray, members: np.ndarray) -> np.ndarray:
     """The class of the quotient that is the image of a class of the source:
     its members' distinct images, sorted, so the least comes first."""
-    return np.flatnonzero(np.bincount(project[members]))
+    return np.bincount(project[members]).nonzero()[0]
 
 
 def _quaternion_quotient(G: FiniteGroup, S: Subgroup) -> bool:

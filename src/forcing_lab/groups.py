@@ -22,7 +22,10 @@ the closure check of ``Subgroup``. What the kernels produce becomes a
 ``Subgroup`` unchecked, through ``Subgroup._checked``; members a caller
 supplies, any sequence or array, are sorted and checked closed. Element
 orders, power maps x -> x^e, conjugacy classes and the lower exponent-p
-series are derived once per group and cached on it. Element orders come in
+series are derived once per group and cached on it, and so is one (n x d)
+table of the commutators [x, g] with the d generators g: normality, the
+centre, centrality, the commutator subgroups [A, G] and the conjugates
+x^g = x [x, g] are all read from it. Element orders come in
 prime-power steps: the q-part of x's order is read from x^(|G|/q^k) by at
 most k steps of the q-th power map, for q^k exactly dividing |G|. A class
 is a label, as a coset is: one int32 array gives each element the least
@@ -35,6 +38,7 @@ its index-p subgroups are read off that one span (``Refinements``).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import lcm, prod
@@ -83,9 +87,10 @@ def _distinct(indices: np.ndarray, n: int) -> np.ndarray:
     on their first call, which costs a fresh interpreter about 14 ms."""
     mask = np.zeros(n, dtype=bool)
     mask[indices] = True
-    return np.flatnonzero(mask)
+    return mask.nonzero()[0]
 
 
+@functools.lru_cache(maxsize=256)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for n below PRIME_TEST_LIMIT; a
     larger n raises PreconditionViolated before any test."""
@@ -114,6 +119,7 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+@functools.lru_cache(maxsize=256)
 def prime_power(n: int) -> tuple[int, int] | None:
     """Return (p, k) with n = p**k and k >= 1, or None. Callers pass group
     orders, at most MAX_ORDER_CAP, so trial division is cheap."""
@@ -145,7 +151,7 @@ class Subgroup:
             raise PreconditionViolated(f"member index {given.max()} out of range")
         allowed = np.zeros(self.parent.order, dtype=bool)
         allowed[given] = True
-        members = np.flatnonzero(allowed).astype(_IDX)
+        members = allowed.nonzero()[0].astype(_IDX)
         members.setflags(write=False)
         object.__setattr__(self, "members", members)
         if self.parent._closure(members, allowed) is None:
@@ -156,9 +162,11 @@ class Subgroup:
     @classmethod
     def _checked(cls, parent: "FiniteGroup", members: np.ndarray) -> Subgroup:
         """A subgroup whose sorted members are known to be closed in this
-        parent: the closure kernel's own output, or members checked before."""
-        members = np.ascontiguousarray(members, dtype=_IDX)
-        members.setflags(write=False)
+        parent: the closure kernel's own output, or members checked before.
+        A read-only, C-contiguous int32 array is taken as it is."""
+        if members.flags.writeable or not members.flags.c_contiguous or members.dtype != _IDX:
+            members = np.ascontiguousarray(members, dtype=_IDX)
+            members.setflags(write=False)
         sub = object.__new__(cls)
         object.__setattr__(sub, "parent", parent)
         object.__setattr__(sub, "members", members)
@@ -227,6 +235,7 @@ class FiniteGroup:
         self._orders: np.ndarray | None = None
         self._powers: dict[int, np.ndarray] = {}
         self._classes: np.ndarray | None = None
+        self._comm: np.ndarray | None = None
         self._series: tuple[np.ndarray, ...] | None = None
 
     @property
@@ -257,10 +266,11 @@ class FiniteGroup:
             for q, k in factorize(self.order).items():
                 qth = self.power_map(q)
                 power = self.power_map(self.order // q ** k)
-                for _ in range(k):
-                    moving = power != 0
-                    orders[moving] *= q
+                steps = np.zeros(self.order, dtype=_IDX)
+                while (moving := power != 0).any():
+                    steps += moving
                     power = qth[power]
+                orders *= q ** steps
             orders.setflags(write=False)
             self._orders = orders
         return self._orders
@@ -318,7 +328,7 @@ class FiniteGroup:
         reached[0] = True
         members = np.zeros(1, dtype=_IDX)
         gens: list[int] = []
-        for x in seed:
+        for x in seed.tolist():
             if reached[x]:
                 continue
             gens.append(int(x))
@@ -332,15 +342,15 @@ class FiniteGroup:
                 if allowed is not None and not allowed[block].all():
                     return None
                 reached[block] = True
-                reps = mul[frontier[:, None], gens].ravel()
-                reps = reps[~reached[reps]]
-                if not len(reps):
+                reps = mul[frontier[:, None], gens]
+                if reached[reps].all():
                     break
+                reps = reps[~reached[reps]]
                 # two representatives share a coset exactly when they share its least member
                 block = mul[members[:, None], reps]
                 _, first = np.unique(block.min(axis=0), return_index=True)
                 frontier, block = reps[first], block[:, first]
-            members = np.flatnonzero(reached)
+            members = reached.nonzero()[0]
         return members, gens
 
     def subgroup_closure(self, seed: Sequence[int] | np.ndarray) -> Subgroup:
@@ -350,28 +360,35 @@ class FiniteGroup:
             raise PreconditionViolated("seed index out of range")
         return Subgroup._checked(self, self._closure(seed)[0])
 
-    def is_normal(self, H: Subgroup) -> bool:
-        """Whether gHg^-1 = H for all g: conjugation is one-to-one, so it is
-        enough that g^-1 H g lies in H for every generator g."""
-        if H.parent is not self:
-            raise PreconditionViolated("subgroup belongs to a different group")
-        inside = np.zeros(self.order, dtype=bool)
-        inside[H.members] = True
-        gens = np.array(self.generators, dtype=_IDX)
-        conj = self._mul[self._mul[self._inv[gens][:, None], H.members], gens[:, None]]
-        return bool(inside[conj].all())
-
-    def center(self) -> Subgroup:
-        mask = np.ones(self.order, dtype=bool)
-        for g in self.generators:
-            mask &= self._mul[:, g] == self._mul[g, :]
-        return Subgroup._checked(self, np.flatnonzero(mask))
-
     def _commutators(self, a: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """The table of [x, y] = x^-1 y^-1 x y, rows x in a, columns y in ys."""
         t = self._mul[self._inv[a][:, None], self._inv[ys]]
         t = self._mul[t, a[:, None]]
         return self._mul[t, ys[None, :]]
+
+    def commutator_table(self) -> np.ndarray:
+        """[x, g_j] for every element x (rows) and generator g_j (columns);
+        derived once, read-only. x^g = x [x, g], so it holds every fact of
+        conjugation by generators."""
+        if self._comm is None:
+            comm = self._commutators(np.arange(self.order, dtype=_IDX),
+                                     np.array(self.generators, dtype=_IDX))
+            comm.setflags(write=False)
+            self._comm = comm
+        return self._comm
+
+    def is_normal(self, H: Subgroup) -> bool:
+        """Whether gHg^-1 = H for all g: conjugation is one-to-one, so it is
+        enough that h^g = h [h, g] lies in H for h in H and generators g."""
+        if H.parent is not self:
+            raise PreconditionViolated("subgroup belongs to a different group")
+        inside = np.zeros(self.order, dtype=bool)
+        inside[H.members] = True
+        return bool(inside[self.commutator_table()[H.members]].all())
+
+    def center(self) -> Subgroup:
+        """The x that commute with every generator: rows of identities."""
+        return Subgroup._checked(self, (~self.commutator_table().any(axis=1)).nonzero()[0])
 
     def commutator_subgroup(self, A: Subgroup, B: Subgroup) -> Subgroup:
         """Subgroup generated by all [a, b] = a^-1 b^-1 a b: the closure of the
@@ -379,28 +396,35 @@ class FiniteGroup:
         is exact, since [a, yz] = [a, z] [a, y]^z."""
         if A.parent is not self or B.parent is not self:
             raise PreconditionViolated("subgroup belongs to a different group")
-        gens = self.generators if B.order == self.order else self._closure(B.members)[1]
-        ys = np.array(gens, dtype=_IDX)
-        seed = _distinct(self._commutators(A.members, ys), self.order)
+        if B.order == self.order:
+            commutators = self.commutator_table().__getitem__
+        else:
+            ys = np.array(self._closure(B.members)[1], dtype=_IDX)
+            commutators = functools.partial(self._commutators, ys=ys)
+        seed = _distinct(commutators(A.members), self.order)
         while True:
             members, gens = self._closure(seed)
             g = np.array(gens, dtype=_IDX)
             # y normalises H once [g, y] = g^-1 g^y lies in H for each generator g of H
             new = np.zeros(self.order, dtype=bool)
-            new[self._commutators(g, ys)] = True
+            new[commutators(g)] = True
             new[members] = False
             if not new.any():
                 return Subgroup._checked(self, members)
-            seed = np.concatenate([g, np.flatnonzero(new)])
+            seed = np.concatenate([g, new.nonzero()[0]])
 
     def frattini(self) -> Subgroup:
         """G^p [G,G] for a p-group: the Frattini subgroup, which is the second
         term of the lower exponent-p series."""
-        return self.lower_exponent_p_series()[1]
+        return Subgroup._checked(self, self._series_members()[1])
 
     def lower_exponent_p_series(self) -> list[Subgroup]:
         """Descending series G = G_0 > G_1 > ... > 1 with G_j = G_{j-1}^p [G_{j-1}, G];
-        derived once per group, each call returns a fresh list. One closure
+        derived once per group, each call returns a fresh list."""
+        return [Subgroup._checked(self, members) for members in self._series_members()]
+
+    def _series_members(self) -> tuple[np.ndarray, ...]:
+        """The member arrays of the series' terms, derived once. One closure
         per term: closing the p-th powers together with [G_{j-1}, G] gives
         the same group as closing the powers first."""
         if self._series is None:
@@ -416,27 +440,30 @@ class FiniteGroup:
                 if nxt.order >= current.order:
                     raise NotAPGroup("series failed to descend")
                 series.append(nxt)
+            # member arrays: a cached Subgroup would point back at this group,
+            # and the cycle would keep a dropped group's table alive until the
+            # cycle collector runs
             self._series = tuple(sub.members for sub in series)
-        # the cache holds member arrays: a cached Subgroup would point back at
-        # this group, and the cycle would keep a dropped group's table alive
-        # until the cycle collector runs
-        return [Subgroup._checked(self, members) for members in self._series]
+        return self._series
 
     def p_class(self) -> int:
-        return len(self.lower_exponent_p_series()) - 1
+        return len(self._series_members()) - 1
 
     def generator_rank(self) -> int:
         """log_p of the index of the Frattini subgroup."""
         return prime_power(self.order // self.frattini().order)[1]
 
     def quotient(self, N: Subgroup) -> QuotientMap:
-        """Quotient by a normal subgroup, cosets labeled by least member index."""
+        """Quotient by a normal subgroup, cosets labeled by least member index.
+        As N is normal, xN = Nx: the least member of x's coset is the least of
+        column x over N's rows, and the least members are those it fixes."""
         if not self.is_normal(N):
             raise NotNormal(f"subgroup of order {N.order} is not normal")
         rep = np.empty(self.order, dtype=_IDX)
-        for rows in _slabs(self.order, N.order):
-            rep[rows] = self._mul[rows][:, N.members].min(axis=1)
-        return QuotientMap(self, N, np.searchsorted(_distinct(rep, self.order), rep))
+        for cols in _slabs(self.order, N.order):
+            rep[cols] = self._mul[N.members, cols].min(axis=0)
+        return QuotientMap(self, N, np.searchsorted(
+            (rep == np.arange(self.order)).nonzero()[0], rep))
 
     def conjugacy_classes(self) -> np.ndarray:
         """label[x], the least member of x's class, for every element x;
@@ -447,13 +474,13 @@ class FiniteGroup:
         Labels fall to the least member of each class: each takes the minimum
         over its generator conjugates, then jumps (label[label]), until stable."""
         if self._classes is None:
-            gens = np.array(self.generators, dtype=_IDX)
-            conj = self._mul[self._mul[self._inv[gens][:, None], np.arange(self.order)], gens[:, None]]
             label = np.arange(self.order, dtype=_IDX)
+            # x^g = x [x, g], one column per generator g
+            conj = self._mul[label[:, None], self.commutator_table()]
             while True:
-                nxt = np.minimum(label, label[conj].min(axis=0, initial=self.order))
+                nxt = np.minimum(label, label[conj].min(axis=1, initial=self.order))
                 nxt = nxt[nxt]
-                if np.array_equal(nxt, label):
+                if (nxt == label).all():
                     break
                 label = nxt
             orders = self.orders()
@@ -497,16 +524,16 @@ class FiniteGroup:
         if not len(outside):
             raise PreconditionViolated("A/B is trivial")
         # consecutive terms of G's own lower exponent-p series, once derived,
-        # make a normal, central layer of exponent p by their definition
+        # make a normal, central layer of exponent p by their definition; a
+        # layer is known by its cached arrays themselves, and copies are checked
         series = self._series or ()
         if (A.order // B.order) % p or not any(
-                np.array_equal(upper, a) and np.array_equal(lower, b)
-                for upper, lower in zip(series, series[1:]) if len(upper) == A.order):
+                upper is a and lower is b for upper, lower in zip(series, series[1:])):
             if not self.is_normal(A) or not self.is_normal(B):
                 raise PreconditionViolated("A and B must both be normal")
             # [a, g] in B for every a in A, g in G makes A/B central in G/B,
             # so abelian; as B is normal, generators g suffice
-            if not in_b[self._commutators(a, np.array(self.generators, dtype=_IDX))].all():
+            if not in_b[self.commutator_table()[a]].all():
                 raise PreconditionViolated("A/B is not central in G/B")
             if not in_b[self.power_map(p)[a]].all():
                 raise PreconditionViolated("A/B has exponent larger than p")
@@ -624,7 +651,7 @@ def _dimino(gen_rows: list[np.ndarray], degree: int, cap: int
                     b = b[:len(block) - filled]
                     block[filled:filled + len(b)] = power[b]
                     filled += len(b)
-                hit = np.flatnonzero((block == ident).all(axis=1))
+                hit = (block == ident).all(axis=1).nonzero()[0]
                 if len(hit):
                     block = block[:hit[0]]
                 elif n + len(block) > cap:

@@ -131,7 +131,7 @@ def _cycle_string(row: np.ndarray, points: Sequence[int] | None = None) -> str:
     """The nontrivial cycles of an image row, each from its least point and
     in order of it, point i written as points[i] (as i without points).
     Only the moved points are read."""
-    moved = np.flatnonzero(row != np.arange(len(row), dtype=row.dtype)).tolist()
+    moved = (row != np.arange(len(row), dtype=row.dtype)).nonzero()[0].tolist()
     image = dict(zip(moved, row[moved].tolist()))
     out = []
     for point in moved:

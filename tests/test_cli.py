@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from forcing_lab import FiniteGroup, certio
+from forcing_lab import FiniteGroup, PreconditionViolated, certio
 from forcing_lab.cli import main
 from forcing_lab.exponents import (
     AnalyticConstants,
@@ -299,6 +299,24 @@ class TestDelta:
         assert (code, out) == (1, "")
         assert err == ("error: PreconditionViolated: a rational with a part of more than "
                        "4300 digits cannot be written\n")
+
+    def test_no_int_to_str_limit_still_refuses_past_max_digits(self, capsys, tmp_path):
+        # without the interpreter's limit, str() writes the part; MAX_DIGITS
+        # must still refuse it, or the tool writes a certificate it cannot read
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            with pytest.raises(PreconditionViolated):
+                format_rational(Fraction(1, 10 ** 4300))
+            out_path = tmp_path / "h3.fcert.json"
+            code, out, err = run(capsys, "forcing-seq", "preset:Heisenberg(3)", "--ell",
+                                 "9" * 2200, "--out", str(out_path), "--no-header")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: PreconditionViolated: a rational with a part of more")
+        assert not out_path.exists()
+        assert format_rational(Fraction(-10 ** 4299, 3)) == f"-{10 ** 4299}/3"
 
 
 class TestVerify:

@@ -822,3 +822,77 @@ def test_is_abelian_from_generator_pairs_matches_the_whole_table(group_of):
         G = group_of(spec)
         for H in (G, G.quotient(G.center()).target):
             assert H.is_abelian() == np.array_equal(H.mul_table, H.mul_table.T), spec
+
+
+def _table_cases(group_of):
+    for _, spec in p_group_specs(64):
+        yield spec, group_of(spec)
+    spec = "product:preset:GenQuaternion(1)|preset:Cyclic(3)"
+    yield spec, group_of(spec)
+
+
+def test_commutator_table_matches_the_definition(group_of):
+    for name, G in _table_cases(group_of):
+        mul, inv = G.mul_table, G.inv_table
+        table = G.commutator_table()
+        assert table.shape == (G.order, len(G.generators)) and not table.flags.writeable, name
+        for x in range(G.order):
+            for j, g in enumerate(G.generators):
+                assert table[x, j] == mul[mul[mul[inv[x], inv[g]], x], g], (name, x, g)
+        whole = G.whole_subgroup()
+        assert tuple(G.center().members.tolist()) == tuple(
+            x for x in range(G.order) if np.array_equal(mul[x], mul[:, x])), name
+        assert _classes(G) == _orbit_classes(G), name
+        for H in [G.subgroup_closure([g]) for g in G.generators] + [G.center(), whole]:
+            conjugates = {int(mul[mul[inv[g], h], g]) for h in H.members.tolist()
+                          for g in range(G.order)}
+            assert G.is_normal(H) == conjugates.issubset(H.members.tolist()), name
+            expected = _fixpoint_closure(G, _all_commutators(G, H.members, np.arange(G.order)))
+            assert tuple(G.commutator_subgroup(H, whole).members.tolist()) == expected, name
+
+
+def test_profile_and_build_derive_each_structure_once(monkeypatch):
+    from forcing_lab import build_forcing_sequence, p_group_profile
+
+    counts = {"table": 0, "terms": 0}
+    commutators, commutator_subgroup = FiniteGroup._commutators, FiniteGroup.commutator_subgroup
+
+    def counted_table(self, a, ys):
+        counts["table"] += 1
+        return commutators(self, a, ys)
+
+    def counted_term(self, A, B):
+        counts["terms"] += 1
+        return commutator_subgroup(self, A, B)
+
+    monkeypatch.setattr(FiniteGroup, "_commutators", counted_table)
+    monkeypatch.setattr(FiniteGroup, "commutator_subgroup", counted_term)
+    G = parse_group_spec("preset:Dihedral(256)")
+    profile = p_group_profile(G)
+    build_forcing_sequence(G)
+    # the table once, and one commutator subgroup per term of the series, once
+    assert counts == {"table": 1, "terms": profile.p_class}
+    series = G.lower_exponent_p_series()
+    series.pop()
+    assert len(G.lower_exponent_p_series()) == profile.p_class + 1
+    assert G.lower_exponent_p_series()[1].members is G.frattini().members
+
+
+def test_copied_layers_are_checked_and_yield_the_same_candidates(group_of):
+    from forcing_lab.forcing import central_step_witness
+
+    G = parse_group_spec("product:preset:Heisenberg(3)|preset:Abelian(3,3)")
+    A, B = G.lower_exponent_p_series()[:2]
+    cached = [S.members.tolist() for S in G.intermediate_index_p_subgroups(A, B, 3)]
+    copies = [Subgroup(G, S.members.copy()) for S in (A, B)]
+    assert [S.members.tolist() for S in G.intermediate_index_p_subgroups(*copies, 3)] == cached
+    # forged layers of a group whose series is cached are still refused
+    D = parse_group_spec("preset:Dihedral(8)")
+    D.lower_exponent_p_series()
+    with pytest.raises(PreconditionViolated):
+        D.intermediate_index_p_subgroups(D.whole_subgroup(), D.trivial_subgroup(), 2)
+    rotations = [x for x in range(D.order) if int(D.orders()[x]) == 4]
+    r, s = rotations[0], D.generators[0] if D.generators[0] not in rotations else D.generators[1]
+    upper, lower = D.subgroup_closure([D.mul(r, r), s]), D.subgroup_closure([s])
+    with pytest.raises(PreconditionViolated, match="not central"):
+        central_step_witness(D, upper, lower)
