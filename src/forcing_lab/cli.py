@@ -15,7 +15,6 @@ A usage error (bad or missing arguments) is an other error, 1; --help is 0.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import re
@@ -30,7 +29,7 @@ import numpy as np
 
 from . import certio
 from .catalog import catalog_entries, two_group_specs
-from .classify import PGroupProfile, count_order_p_subgroups, p_group_profile, sylow_factors
+from .classify import count_order_p_subgroups, p_group_profile, sylow_factors
 from .errors import (
     CyclicGroup,
     EvenPrimeBase,
@@ -38,13 +37,10 @@ from .errors import (
     NotAPGroup,
     QuaternionGroup,
     SylowHypothesisViolated,
-    UnverifiedCertificate,
 )
 from .exponents import (
     AnalyticConstants,
     DEFAULT_CONSTANTS,
-    DeltaReport,
-    TraceRecord,
     base_delta_elementary_abelian,
     closed_form_lower_bound,
     crossover_report,
@@ -52,10 +48,10 @@ from .exponents import (
     delta_for_p_group,
     eta0,
     format_rational,
-    parse_rational,
     replay_trace,
+    tie_report,
 )
-from .forcing import ForcingCertificate, build_forcing_sequence
+from .forcing import build_forcing_sequence
 from .groups import (
     DEFAULT_ORDER_CAP,
     MAX_ORDER_CAP,
@@ -303,50 +299,6 @@ def cmd_delta(args: argparse.Namespace) -> int:
     return 0
 
 
-def _record_fields(record: TraceRecord | None) -> dict[str, str]:
-    if record is None:
-        return {}
-    return {"rule": record.rule, **{f"inputs.{k}": v for k, v in record.inputs.items()},
-            **{f"outputs.{k}": v for k, v in record.outputs.items()}}
-
-
-def _tie_report(report: DeltaReport, cert: ForcingCertificate, order: int) -> None:
-    """Raise UnverifiedCertificate unless a replayed delta report is the one
-    delta_for_p_group folds from its verified certificate, with p from |G|,
-    rank = log_p [G : chain[1]] (chain-frattini checked chain[1]), and ell,
-    the constants and any base override from the report. The first field
-    that differs is named: group_spec, ell, each trace record, delta, then
-    the closed-form check's predicted and matched (None when absent)."""
-    p, n = prime_power(order)
-    base = report.trace[0]  # replay_trace accepts no trace that starts otherwise
-    override = (parse_rational(base.outputs["delta"]) if base.inputs.get("source") == "override"
-                else None)
-    # the constants of a record whose constants replay_trace has read
-    source = base if override is None else next(
-        (record for record in report.trace if record.rule == "extension"), None)
-    consts = DEFAULT_CONSTANTS if source is None else AnalyticConstants(
-        *(parse_rational(source.inputs[key]) for key in ("beta", "gamma", "epsilon_delta")))
-    # delta_for_p_group reads no p-class from the profile
-    profile = PGroupProfile(p=p, n=n, p_class=0, rank=prime_power(order // len(cert.chain[1]))[1],
-                            is_cyclic=False, quaternion_index=None)
-    expected = delta_for_p_group(profile, cert, report.ell, consts, base_override=override)
-    diffs = [("group_spec", expected.group_spec, report.group_spec),
-             ("ell", expected.ell, report.ell)]
-    for k, records in enumerate(itertools.zip_longest(expected.trace, report.trace)):
-        want, got = map(_record_fields, records)
-        diffs += [(f"trace[{k}].{key}", want.get(key), got.get(key))
-                  for key in sorted(want.keys() | got.keys(), key=lambda key: (key != "rule", key))]
-    diffs.append(("delta", format_rational(expected.delta), format_rational(report.delta)))
-    checks = expected.closed_form_check, report.closed_form_check
-    predicted = [None if check is None else format_rational(check.predicted) for check in checks]
-    matched = [None if check is None else check.matched for check in checks]
-    diffs += [("closed_form_check.predicted", *predicted), ("closed_form_check.matched", *matched)]
-    for field, want, got in diffs:
-        if want != got:
-            raise UnverifiedCertificate(f"report does not match its certificate: {field} "
-                                        f"is {got!r}, expected {want!r}")
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     cap = _resolve_cap(args)
     doc = certio.read_document(args.path)
@@ -363,7 +315,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         try:
             value = replay_trace(doc.delta_report)
             if ok:
-                _tie_report(doc.delta_report, doc.certificate, G.order)
+                tie_report(doc.delta_report, doc.certificate, G.order)
             lines.append(("delta-replay", True, f"delta = {format_rational(value)}"))
         except ForcingLabError as exc:
             lines.append(("delta-replay", False, str(exc)))
@@ -590,10 +542,7 @@ def main(argv: list[str] | None = None) -> int:
             if isinstance(exc, klass):
                 return code
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

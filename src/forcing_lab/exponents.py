@@ -11,6 +11,7 @@ independently, and replay_trace does exactly that.
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,7 +28,7 @@ from .errors import (
     UnverifiedCertificate,
 )
 from .forcing import ForcingCertificate, build_forcing_sequence
-from .groups import FiniteGroup, is_prime
+from .groups import FiniteGroup, is_prime, prime_power
 from .groupspec import spec_text
 from .verify import verify_certificate
 
@@ -222,12 +223,12 @@ class DeltaReport:
             raise PreconditionViolated("delta must lie in (0, 1/2)")
 
 
+# the constants' fields, in every record that carries them
+_CONSTANT_FIELDS = ("beta", "gamma", "epsilon_delta")
+
+
 def _consts_fields(consts: AnalyticConstants) -> dict[str, str]:
-    return {
-        "beta": format_rational(consts.beta),
-        "gamma": format_rational(consts.gamma),
-        "epsilon_delta": format_rational(consts.epsilon_delta),
-    }
+    return {name: format_rational(getattr(consts, name)) for name in _CONSTANT_FIELDS}
 
 
 def delta_for_p_group(profile: PGroupProfile, cert: ForcingCertificate, ell: int,
@@ -290,6 +291,51 @@ def delta_for_p_group(profile: PGroupProfile, cert: ForcingCertificate, ell: int
                        trace=tuple(trace), closed_form_check=check)
 
 
+def _record_fields(record: TraceRecord | None) -> dict[str, str]:
+    if record is None:
+        return {}
+    return {"rule": record.rule, **{f"inputs.{k}": v for k, v in record.inputs.items()},
+            **{f"outputs.{k}": v for k, v in record.outputs.items()}}
+
+
+def tie_report(report: DeltaReport, cert: ForcingCertificate, order: int) -> None:
+    """Raise UnverifiedCertificate unless a report that replay_trace accepted
+    is the one delta_for_p_group folds from its verified certificate on a
+    group of the given order: p from the order, rank = log_p [G : chain[1]]
+    (chain-frattini checked chain[1]), and ell, the constants and any base
+    override from the report. The first field that differs is named:
+    group_spec, ell, each trace record, delta, then the closed-form check's
+    predicted and matched (None when absent)."""
+    p, n = prime_power(order)
+    base = report.trace[0]  # replay_trace accepts no trace that starts otherwise
+    override = (parse_rational(base.outputs["delta"]) if base.inputs.get("source") == "override"
+                else None)
+    # the constants of a record whose constants replay_trace has read
+    source = base if override is None else next(
+        (record for record in report.trace if record.rule == "extension"), None)
+    consts = DEFAULT_CONSTANTS if source is None else AnalyticConstants(
+        *(parse_rational(source.inputs[name]) for name in _CONSTANT_FIELDS))
+    # delta_for_p_group reads no p-class from the profile
+    profile = PGroupProfile(p=p, n=n, p_class=0, rank=prime_power(order // len(cert.chain[1]))[1],
+                            is_cyclic=False, quaternion_index=None)
+    expected = delta_for_p_group(profile, cert, report.ell, consts, base_override=override)
+    diffs = [("group_spec", expected.group_spec, report.group_spec),
+             ("ell", expected.ell, report.ell)]
+    for k, records in enumerate(itertools.zip_longest(expected.trace, report.trace)):
+        want, got = map(_record_fields, records)
+        diffs += [(f"trace[{k}].{key}", want.get(key), got.get(key))
+                  for key in sorted(want.keys() | got.keys(), key=lambda key: (key != "rule", key))]
+    diffs.append(("delta", format_rational(expected.delta), format_rational(report.delta)))
+    checks = expected.closed_form_check, report.closed_form_check
+    predicted = [None if check is None else format_rational(check.predicted) for check in checks]
+    matched = [None if check is None else check.matched for check in checks]
+    diffs += [("closed_form_check.predicted", *predicted), ("closed_form_check.matched", *matched)]
+    for name, want, got in diffs:
+        if want != got:
+            raise UnverifiedCertificate(f"report does not match its certificate: {name} "
+                                        f"is {got!r}, expected {want!r}")
+
+
 def delta_for_nilpotent(G: FiniteGroup, ell: int,
                         consts: AnalyticConstants = DEFAULT_CONSTANTS,
                         overrides: Mapping[int, Fraction] | None = None) -> DeltaReport:
@@ -343,7 +389,6 @@ def delta_for_nilpotent(G: FiniteGroup, ell: int,
                        trace=tuple(trace), closed_form_check=None)
 
 
-_CONSTANT_FIELDS = ("beta", "gamma", "epsilon_delta")
 _ETA_FIELDS = ("ell", "m", "r", *_CONSTANT_FIELDS)
 
 
@@ -351,10 +396,13 @@ def replay_trace(report: DeltaReport) -> Fraction:
     """Recompute every trace record from its recorded inputs and check the
     chain reproduces report.delta exactly; UnverifiedCertificate otherwise,
     a field that is missing or does not read as its int or num/den rational
-    among them. Each distinct text is read once: record k's output delta is
-    record k + 1's input, and the eta0 and constants texts recur on every
-    step. A delta or eta0 text is first compared with the num/den text of
-    the value it should read as, and read only when the two differ."""
+    among them. It replays in two passes: the base and extension records,
+    up to the first compositum record, into one value per factor, and then
+    the compositum records' fold of those values. Each distinct text is read
+    once: record k's output delta is record k + 1's input, and the eta0 and
+    constants texts recur on every step. A delta or eta0 text is first
+    compared with the num/den text of the value it should read as, and read
+    only when the two differ."""
 
     def fail(message: str) -> None:
         raise UnverifiedCertificate(f"trace does not replay: {message}")
@@ -393,17 +441,31 @@ def replay_trace(report: DeltaReport) -> Fraction:
             constants[key] = AnalyticConstants(*values)
         return constants[key]
 
-    segments: list[Fraction] = []
-    current: Fraction | None = None
-    folded: Fraction | None = None
-    fold_index = 0
-    for k, record in enumerate(report.trace):
+    # the factor pass: each base record starts a factor, its extensions carry
+    # it on; most records are extensions, so their rule is tested first
+    trace = report.trace
+    factors: list[Fraction] = []
+    fold_at = len(trace)
+    for k, record in enumerate(trace):
         inputs, outputs = record.inputs, record.outputs
-        if folded is not None and record.rule in ("base", "extension"):
-            fail(f"record {k}: {record.rule} after the compositum fold")
-        if record.rule == "base":
-            if current is not None:
-                segments.append(current)
+        if record.rule == "extension":
+            if not factors or not reads_as(k, inputs, "delta", current, current_text):
+                fail(f"record {k}: extension input does not continue the chain")
+            key = tuple(map(inputs.get, _ETA_FIELDS))
+            known = etas.get(key)
+            if known is None:
+                eta = eta0(*(field(k, inputs, name, False) for name in _ETA_FIELDS[:3]),
+                           consts_of(k, inputs))
+                known = etas[key] = eta, format_rational(eta)
+            eta, eta_text = known
+            if not reads_as(k, inputs, "eta0", eta, eta_text):
+                fail(f"record {k}: eta0 recomputes to {eta}")
+            current *= eta
+            current_text = format_rational(current)
+            if not reads_as(k, outputs, "delta", current, current_text):
+                fail(f"record {k}: extension output mismatch")
+            factors[-1] = current
+        elif record.rule == "base":
             declared = field(k, outputs, "delta")
             if inputs.get("source") == "override":
                 if not 0 < declared < Fraction(1, 2):
@@ -415,58 +477,41 @@ def replay_trace(report: DeltaReport) -> Fraction:
                 if recomputed != declared:
                     fail(f"record {k}: base recomputes to {format_rational(recomputed)}")
             current, current_text = declared, format_rational(declared)
-        elif record.rule == "extension":
-            if current is None or not reads_as(k, inputs, "delta", current, current_text):
-                fail(f"record {k}: extension input does not continue the chain")
-            key = tuple(map(inputs.get, _ETA_FIELDS))
-            if key not in etas:
-                eta = eta0(*(field(k, inputs, name, False) for name in _ETA_FIELDS[:3]),
-                           consts_of(k, inputs))
-                etas[key] = eta, format_rational(eta)
-            eta, eta_text = etas[key]
-            if not reads_as(k, inputs, "eta0", eta, eta_text):
-                fail(f"record {k}: eta0 recomputes to {eta}")
-            current *= eta
-            current_text = format_rational(current)
-            if not reads_as(k, outputs, "delta", current, current_text):
-                fail(f"record {k}: extension output mismatch")
+            factors.append(current)
         elif record.rule == "compositum":
-            if folded is None:
-                if current is not None:
-                    segments.append(current)
-                    current = None
-                if not segments:
-                    fail(f"record {k}: compositum before any factor")
-                folded = segments[0]
-                fold_index = 1
-            if fold_index >= len(segments):
-                fail(f"record {k}: compositum exceeds available factors")
-            if field(k, inputs, "delta1") != folded:
-                fail(f"record {k}: left input does not continue the fold")
-            if field(k, inputs, "delta2") != segments[fold_index]:
-                fail(f"record {k}: right input is not the next factor")
-            recomputed = compositum_delta(
-                folded, field(k, inputs, "degree1", False),
-                segments[fold_index], field(k, inputs, "degree2", False))
-            if recomputed != field(k, outputs, "delta"):
-                fail(f"record {k}: compositum output mismatch")
-            folded = recomputed
-            fold_index += 1
+            fold_at = k
+            break
         else:
             fail(f"record {k}: unknown rule {record.rule!r}")
-    if folded is not None:
-        if fold_index != len(segments):
-            fail("unfolded factors remain")
-        result = folded
-    elif current is not None:
-        if segments:
-            fail("multiple factors but no compositum records")
-        result = current
-    else:
-        fail("empty trace")
-    if result != report.delta:
-        fail(f"final value {result} differs from reported delta")
-    return result
+
+    # the fold pass: record fold_at + j folds factor j + 1 into factors 0..j
+    if not factors:
+        fail("empty trace" if fold_at == len(trace) else
+             f"record {fold_at}: compositum before any factor")
+    folded = factors[0]
+    for k, record in enumerate(trace[fold_at:], fold_at):
+        if record.rule in ("base", "extension"):
+            fail(f"record {k}: {record.rule} after the compositum fold")
+        if record.rule != "compositum":
+            fail(f"record {k}: unknown rule {record.rule!r}")
+        right = k - fold_at + 1
+        if right == len(factors):
+            fail(f"record {k}: compositum exceeds available factors")
+        inputs = record.inputs
+        if field(k, inputs, "delta1") != folded:
+            fail(f"record {k}: left input does not continue the fold")
+        if field(k, inputs, "delta2") != factors[right]:
+            fail(f"record {k}: right input is not the next factor")
+        folded = compositum_delta(folded, field(k, inputs, "degree1", False),
+                                  factors[right], field(k, inputs, "degree2", False))
+        if folded != field(k, record.outputs, "delta"):
+            fail(f"record {k}: compositum output mismatch")
+    if len(trace) - fold_at != len(factors) - 1:
+        fail("multiple factors but no compositum records" if fold_at == len(trace) else
+             "unfolded factors remain")
+    if folded != report.delta:
+        fail(f"final value {folded} differs from reported delta")
+    return folded
 
 
 @dataclass(frozen=True)

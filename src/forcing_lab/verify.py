@@ -70,12 +70,25 @@ class VerificationReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
+# the most chain entries read, so that an element's entry bits, shifted left
+# once, fit an int64; a genuine chain at order 2^13 has 14 entries
+MAX_CHAIN_ENTRIES = 61
+
+
 def _structural_check(G: FiniteGroup, cert: ForcingCertificate) -> np.ndarray:
-    """The chain's membership masks, one row per entry, once every entry is
-    a non-empty set of in-range int indices and the steps fit the chain."""
+    """The chain's membership masks, one row per entry, once the chain has
+    2 to MAX_CHAIN_ENTRIES entries, the steps fit it (both checked before the
+    masks are allocated), and every entry is a non-empty set of in-range int
+    indices."""
     chain = cert.chain
     if len(chain) < 2:
         raise MalformedCertificate("chain needs at least the whole group and the trivial subgroup")
+    if len(cert.steps) != len(chain) - 2:
+        raise MalformedCertificate(
+            f"{len(cert.steps)} steps do not match a chain of {len(chain)} entries")
+    if len(chain) > MAX_CHAIN_ENTRIES:
+        raise MalformedCertificate(
+            f"chain has {len(chain)} entries; a chain may have at most {MAX_CHAIN_ENTRIES}")
     n = G.order
     sizes = [len(entry) for entry in chain]
     indices = list(itertools.chain.from_iterable(chain))
@@ -101,9 +114,6 @@ def _structural_check(G: FiniteGroup, cert: ForcingCertificate) -> np.ndarray:
             for idx in entry:
                 if type(idx) is not int or not 0 <= idx < n:
                     raise MalformedCertificate(f"chain entry {k} has bad element index {idx!r}")
-    if len(cert.steps) != len(chain) - 2:
-        raise MalformedCertificate(
-            f"{len(cert.steps)} steps do not match a chain of {len(chain)} entries")
     for i, step in enumerate(cert.steps):
         if step.witness is None:
             raise MalformedCertificate(f"step {i} lacks a witness")
@@ -158,23 +168,21 @@ def _commutators(G: FiniteGroup, S: np.ndarray, xs: np.ndarray) -> Iterator[np.n
 
 
 def _escapes(G: FiniteGroup, S: np.ndarray, codes: np.ndarray
-             ) -> tuple[int, int, np.ndarray, np.ndarray | None]:
+             ) -> tuple[int, int, np.ndarray | None]:
     """Which entries S's commutators leave, with codes[x] the entries that
     hold x as bits: bit k of the first when some x in N_k has [x, s] outside
     N_k, bit i + 2 of the second when some x in N_{i+1} has [x, s] outside
-    N_{i+2}. Third, the mask of every [x, s]. Fourth, their intp table, row
-    s and column x, kept for a derived S (log_p n < n rows) but not all of G."""
+    N_{i+2}. Third, the intp table of every [x, s], row s and column x, kept
+    for a derived S (log_p n < n rows) but not all of G."""
     images = _commutators(G, S, np.arange(G.order))
     table = np.concatenate(list(images), dtype=np.intp) if len(S) < G.order else None
     normal = central = 0
-    reached = np.zeros(G.order, dtype=bool)
     for image in images if table is None else (table,):
-        reached[image] = True
         # the entries some [x, s] of the block leaves, for each x
         left = np.bitwise_or.reduce(np.invert(codes.take(image)), axis=0)
         normal |= int(np.bitwise_or.reduce(codes & left))
         central |= int(np.bitwise_or.reduce((codes << 1) & left))
-    return normal, central, reached, table
+    return normal, central, table
 
 
 def _underived(G: FiniteGroup, length: int) -> tuple[list[bool], None, np.ndarray]:
@@ -233,31 +241,27 @@ def _derive(G: FiniteGroup, inside: np.ndarray, sizes: list[int],
 
 
 def _series(G: FiniteGroup, S: np.ndarray, pth: np.ndarray | None,
-            known: Container[bytes], commutators: np.ndarray,
-            table: np.ndarray | None) -> list[np.ndarray]:
+            known: Container[bytes], table: np.ndarray | None) -> list[np.ndarray]:
     """The lower exponent-p series G_j = G_{j-1}^p [G_{j-1}, G], for S a
     generating set of G: the closure of the p-th powers of G_{j-1} (pth, None
-    when |G| is not a prime power) and its commutators with S (for G_0, the
-    mask commutators; else from _escapes' table, if it kept one), closed
-    once. That closure H lies in G_{j-1}, normal by induction, so for x in H
-    and s in S, [x, s] is one of H's generators and x^s = x [x, s] lies in
-    H: H is normal, and then [x, gh] = [x, h] [x, g]^h puts [G_{j-1}, G] in
-    it. known holds the member bytes of subgroups proven closed."""
+    when |G| is not a prime power) and its commutators with S (from _escapes'
+    table, if it kept one), closed once. That closure H lies in G_{j-1},
+    normal by induction, so for x in H and s in S, [x, s] is one of H's
+    generators and x^s = x [x, s] lies in H: H is normal, and then
+    [x, gh] = [x, h] [x, g]^h puts [G_{j-1}, G] in it. known holds the
+    member bytes of subgroups proven closed."""
     if pth is None:
         raise NotAPGroup(f"order {G.order} is not a prime power")
     images = None if table is None else np.concatenate((table, pth[None, :]))
     series = [np.arange(G.order)]
-    found = commutators.copy()
-    found[pth] = True
     while len(series[-1]) > 1:
-        if len(series) > 1:
-            found = np.zeros(G.order, dtype=bool)
-            if images is None:
-                found[pth[series[-1]]] = True
-                for image in _commutators(G, S, series[-1]):
-                    found[image] = True
-            else:
-                found[images.take(series[-1], axis=1)] = True
+        found = np.zeros(G.order, dtype=bool)
+        if images is None:
+            found[pth[series[-1]]] = True
+            for image in _commutators(G, S, series[-1]):
+                found[image] = True
+        else:
+            found[images.take(series[-1], axis=1)] = True
         series.append(_square_until_closed(G, found.nonzero()[0], known))
         if len(series[-1]) >= len(series[-2]):
             raise NotAPGroup("series failed to descend")
@@ -417,8 +421,8 @@ def verify_certificate(G: FiniteGroup, cert: ForcingCertificate) -> Verification
 
     proven, t_powers, S = _derive(G, inside, order_of, pp, pth)
     # bit k of codes[x] when x lies in entry k
-    weights = np.array([1 << k for k in range(L)], dtype=np.int64 if L < 62 else object)
-    normal_bits, central_bits, commutators, table = _escapes(G, S, weights @ inside)
+    weights = np.array([1 << k for k in range(L)], dtype=np.int64)
+    normal_bits, central_bits, table = _escapes(G, S, weights @ inside)
     # an entry is formed, so that its cosets make a quotient, once it is a
     # normal subgroup (x^s = x [x, s], and S generates G); |G| distinct
     # in-range indices are G itself
@@ -429,7 +433,7 @@ def verify_certificate(G: FiniteGroup, cert: ForcingCertificate) -> Verification
     try:
         # the terms are subgroups, so a term in the chain is a closed entry
         known = {arrays[k].tobytes() for k in range(L) if closed[k]}
-        series = _series(G, S, pth, known, commutators, table)
+        series = _series(G, S, pth, known, table)
         frattini = (arrays[1].tobytes() == series[1].tobytes(),
                     "second entry must be the Frattini subgroup")
         refines = (all(term.tobytes() in known for term in series),

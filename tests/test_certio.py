@@ -1,3 +1,4 @@
+import contextlib
 import json
 import sys
 from dataclasses import replace
@@ -13,6 +14,7 @@ from forcing_lab import (
     SchemaVersionUnknown,
     delta_for_nilpotent,
     replay_trace,
+    verify_certificate,
 )
 from forcing_lab.certio import (
     CertificateDocument,
@@ -245,15 +247,19 @@ def _paths(obj, path=()):
             yield from _paths(value, path + (key,))
 
 
-def _parse_and_replay(data):
-    """Parse data and replay its report: ForcingLabError is the one
-    exception either may raise."""
+def _parse_replay_and_verify(data, groups):
+    """Parse data, replay its report and verify its certificate on each of
+    groups: ForcingLabError is the one exception any of them may raise."""
     try:
         doc = parse(data)
-        if doc.delta_report is not None:
-            replay_trace(doc.delta_report)
     except ForcingLabError:
-        pass
+        return
+    if doc.delta_report is not None:
+        with contextlib.suppress(ForcingLabError):
+            replay_trace(doc.delta_report)
+    for G in groups:
+        with contextlib.suppress(ForcingLabError):
+            verify_certificate(G, doc.certificate)
 
 
 @pytest.fixture(scope="module")
@@ -265,10 +271,17 @@ def genuine_documents(group_of, cert_of):
             emit(_doc(cert_of, "preset:Abelian(2,4)", delta=ab))]
 
 
+@pytest.fixture(scope="module")
+def genuine_groups(group_of):
+    """The genuine documents' groups, on which each fuzzed certificate is verified."""
+    return [group_of("preset:Heisenberg(3)"), group_of("preset:Abelian(2,4)")]
+
+
 class TestParseFuzz:
     @settings(derandomize=True, max_examples=150, deadline=None, database=None)
     @given(data=st.data())
-    def test_mutated_bytes_raise_only_library_errors(self, genuine_documents, data):
+    def test_mutated_bytes_raise_only_library_errors(self, genuine_documents, genuine_groups,
+                                                     data):
         document = bytearray(data.draw(st.sampled_from(genuine_documents)))
         for _ in range(data.draw(st.integers(1, 4))):
             at = data.draw(st.integers(0, len(document) - 1))
@@ -277,11 +290,12 @@ class TestParseFuzz:
                 del document[at]
             else:
                 document[at:at + (edit == "replace")] = data.draw(st.binary(min_size=1, max_size=3))
-        _parse_and_replay(bytes(document))
+        _parse_replay_and_verify(bytes(document), genuine_groups)
 
     @settings(derandomize=True, max_examples=200, deadline=None, database=None)
     @given(data=st.data())
-    def test_forged_fields_raise_only_library_errors(self, genuine_documents, data):
+    def test_forged_fields_raise_only_library_errors(self, genuine_documents, genuine_groups,
+                                                     data):
         # each forgery re-stamps the digest, so it reaches the field checks
         body = json.loads(data.draw(st.sampled_from(genuine_documents)))
         path = data.draw(st.sampled_from([p for p in _paths(body) if p != ("digest",)]))
@@ -292,4 +306,20 @@ class TestParseFuzz:
             del owner[path[-1]]
         else:
             owner[path[-1]] = data.draw(_HOSTILE)
-        _parse_and_replay(_reforge(json.dumps(body).encode()))
+        _parse_replay_and_verify(_reforge(json.dumps(body).encode()), genuine_groups)
+
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(data=st.data())
+    def test_repeated_chain_entries_raise_only_library_errors(self, genuine_documents,
+                                                              genuine_groups, data):
+        # one entry up to 300 times, its steps left or grown to fit the
+        # chain: a genuine chain has 3 entries, so 59 copies reach the
+        # verifier's bound of 61
+        body = json.loads(data.draw(st.sampled_from(genuine_documents)))
+        cert = body["certificate"]
+        k = data.draw(st.integers(0, len(cert["chain"]) - 1))
+        copies = data.draw(st.one_of(st.integers(57, 61), st.integers(1, 300)))
+        cert["chain"][k:k + 1] = cert["chain"][k:k + 1] * copies
+        if data.draw(st.booleans()):
+            cert["steps"] = cert["steps"][:1] * (len(cert["chain"]) - 2)
+        _parse_replay_and_verify(_reforge(json.dumps(body).encode()), genuine_groups)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from forcing_lab import FiniteGroup, PreconditionViolated, certio
+from forcing_lab import FiniteGroup, ForcingCertificate, PreconditionViolated, certio
 from forcing_lab.cli import main
 from forcing_lab.exponents import (
     AnalyticConstants,
@@ -727,21 +727,41 @@ class TestMainFuzz:
         assert max(orders, default=1) <= 64, argv
 
 
-def test_huge_perm_degree_is_spec_text_only(tmp_path):
-    """A perm group is built on the points its cycles move, so a degree of
-    10^11 allocates nothing of that size: analyze runs under a 1 GiB
-    address-space limit."""
+def _run_in_a_gibibyte(cwd, *argv):
+    """forcing-lab argv in a subprocess under a 1 GiB address-space limit."""
     resource = pytest.importorskip("resource")
     limit = 1 << 30
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-m", "forcing_lab", "analyze", "perm:99999999999:(0 1)", "--no-header"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    return subprocess.run(
+        [sys.executable, "-m", "forcing_lab", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+
+
+def test_huge_perm_degree_is_spec_text_only(tmp_path):
+    """A perm group is built on the points its cycles move, so a degree of
+    10^11 allocates nothing of that size: analyze runs under a 1 GiB
+    address-space limit."""
+    result = _run_in_a_gibibyte(tmp_path, "analyze", "perm:99999999999:(0 1)", "--no-header")
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("spec: perm:99999999999:(0 1)\norder: 2\n")
+
+
+def test_long_forged_chain_is_refused_before_its_masks(tmp_path):
+    """A 2 MB document of 500,000 one-element entries on Dihedral(2048)
+    would take a 977 MiB membership mask; its step count is checked first,
+    so verify names the fault under a 1 GiB address-space limit."""
+    forged = ForcingCertificate(group_spec="preset:Dihedral(2048)", chain=((0,),) * 500_000,
+                                steps=())
+    path = certio.write_document(certio.CertificateDocument(certificate=forged),
+                                 tmp_path / "long.fcert.json")
+    assert path.stat().st_size > 2_000_000
+    result = _run_in_a_gibibyte(tmp_path, "verify", str(path), "--no-header")
+    assert result.returncode == 1
+    assert result.stderr == ("error: MalformedCertificate: 0 steps do not match a chain of "
+                             "500000 entries\n")
 
 
 def test_commands_leave_numpy_ma_unimported(tmp_path):

@@ -389,6 +389,41 @@ class TestReplay:
         with pytest.raises(UnverifiedCertificate, match=f"^trace does not replay: {message}$"):
             replay_trace(trailing)
 
+    @staticmethod
+    def _forged_fold(trace, part, key, text):
+        """trace with record 3, the compositum, forged at one field."""
+        fields = {"inputs": dict(trace[3].inputs), "outputs": dict(trace[3].outputs)}
+        fields[part][key] = text
+        return trace[:3] + (TraceRecord("compositum", **fields),)
+
+    @pytest.mark.parametrize("forge, message", [
+        (lambda trace: (), "empty trace"),
+        (lambda trace: trace[3:], "record 0: compositum before any factor"),
+        (lambda trace: trace[:3], "multiple factors but no compositum records"),
+        (lambda trace: trace[:3] + trace[2:], "unfolded factors remain"),
+        (lambda trace: trace + trace[3:], "record 4: compositum exceeds available factors"),
+        (lambda trace: trace[:1] + (TraceRecord("frobnicate", {}, {}),) + trace[2:],
+         "record 1: unknown rule 'frobnicate'"),
+        (lambda trace: trace + (TraceRecord("frobnicate", {}, {}),),
+         "record 4: unknown rule 'frobnicate'"),
+        (lambda trace: TestReplay._forged_fold(trace, "inputs", "delta1", "1/7"),
+         "record 3: left input does not continue the fold"),
+        (lambda trace: TestReplay._forged_fold(trace, "inputs", "delta2", "1/7"),
+         "record 3: right input is not the next factor"),
+        (lambda trace: TestReplay._forged_fold(trace, "outputs", "delta", "1/7"),
+         "record 3: compositum output mismatch"),
+    ], ids=["empty", "no-factor", "no-compositum", "unfolded", "too-many-composita",
+            "unknown-factor-rule", "unknown-fold-rule", "left", "right", "output"])
+    def test_fold_faults_are_named(self, group_of, forge, message):
+        """The trace is base, extension, base, compositum; each forgery of
+        its shape or of its compositum fails with its own message."""
+        G = group_of("product:preset:Heisenberg(3)|preset:ElemAbelian(5,2)")
+        report = delta_for_nilpotent(G, 5)
+        forged = DeltaReport(report.group_spec, report.ell, report.delta, forge(report.trace))
+        with pytest.raises(UnverifiedCertificate) as caught:
+            replay_trace(forged)
+        assert str(caught.value) == f"trace does not replay: {message}"
+
     def test_final_delta_mismatch_detected(self, group_of):
         report = delta_for_nilpotent(group_of("preset:ElemAbelian(3,2)"), 5)
         lied = DeltaReport(group_spec=report.group_spec, ell=report.ell,

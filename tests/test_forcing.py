@@ -548,6 +548,35 @@ class TestVerifier:
         report = verify_certificate(other, cert)
         assert not report.all_passed
 
+    def test_repeated_entry_fails_descending(self, group_of, cert_of):
+        # entry 1 twice: the chain is still nested, but does not strictly descend
+        G = group_of("preset:Dihedral(16)")
+        cert = cert_of("preset:Dihedral(16)")
+        twice = _refitted(cert, cert.chain[:2] + cert.chain[1:])
+        rows = [c for c in verify_certificate(G, twice).checks if c.condition == "chain-descending"]
+        assert rows == [CheckResult("chain-descending", False, "entries must strictly decrease")]
+
+    def test_group_of_order_two_is_cyclic(self, group_of):
+        G = group_of("preset:Cyclic(2)")
+        cert = ForcingCertificate(group_spec="preset:Cyclic(2)", chain=((0, 1), (0,)), steps=())
+        assert verify_certificate(G, cert).checks[0] == CheckResult(
+            "group-hypotheses", False, "group is cyclic")
+
+    @pytest.mark.parametrize("second, passed", [((0, 2, 4), True), (tuple(range(6)), False)],
+                             ids=["prime-index", "non-prime-index"])
+    def test_step_kernel_order_off_prime_powers(self, group_of, second, passed):
+        # on C6, whose order is not a prime power, a step's index need only
+        # be prime and equal the recorded kernel order
+        C6 = group_of("preset:Cyclic(6)")
+        ratio = len(second)  # the index of {1} in the second entry
+        step = ForcingStep(index_in_chain=1, kernel_order=ratio, quotient_order=6,
+                           quotient_is_quaternion=False, witness=ForcingWitness(1, 2, (3,)))
+        cert = ForcingCertificate(group_spec="preset:Cyclic(6)",
+                                  chain=(tuple(range(6)), second, (0,)), steps=(step,))
+        rows = [c for c in verify_certificate(C6, cert).checks if c.condition == "step-kernel-order"]
+        assert rows == [CheckResult("step-kernel-order", passed,
+                                    f"recorded {ratio}, actual index {ratio}", 0)]
+
     def test_report_labels_are_unique(self, group_of, cert_of):
         G = group_of("preset:Abelian(4,4)")
         report = verify_certificate(G, cert_of("preset:Abelian(4,4)"))
@@ -704,6 +733,18 @@ def _forgeries(G, cert):
                                      + cert.chain[k + 1:])
 
 
+def _refitted(cert, chain):
+    """cert with the given chain and a copy of its first step for each step
+    of that chain."""
+    return replace(cert, chain=chain, steps=tuple(
+        replace(cert.steps[0], index_in_chain=i + 1) for i in range(len(chain) - 2)))
+
+
+def _padded(cert, entries):
+    """cert with its first entry repeated up to the given number of entries."""
+    return _refitted(cert, (cert.chain[0],) * (entries - len(cert.chain)) + cert.chain)
+
+
 class TestReportsMatchQuotientReference:
     @pytest.mark.parametrize("spec", CERTIFIED_64)
     def test_nested_chains_give_identical_checks(self, group_of, cert_of, spec):
@@ -714,15 +755,21 @@ class TestReportsMatchQuotientReference:
             assert ours == _quotient_reference(G, cert), label
 
     def test_chain_longer_than_a_machine_word(self, group_of, cert_of):
-        # 65 entries: the bits that say which entries hold an element outgrow int64
+        # 65 entries: the bits that say which entries hold an element outgrow
+        # int64, and the chain is refused before any mask is allocated
         G = group_of("preset:Dihedral(8)")
-        cert = cert_of("preset:Dihedral(8)")
-        chain = (cert.chain[0],) * 63 + cert.chain[1:]
-        long = replace(cert, chain=chain, steps=tuple(
-            replace(cert.steps[0], index_in_chain=i + 1) for i in range(len(chain) - 2)))
+        with pytest.raises(MalformedCertificate,
+                           match="^chain has 65 entries; a chain may have at most 61$"):
+            verify_certificate(G, _padded(cert_of("preset:Dihedral(8)"), 65))
+
+    def test_longest_chain_read_matches_the_reference(self, group_of, cert_of):
+        G = group_of("preset:Dihedral(8)")
+        long = _padded(cert_of("preset:Dihedral(8)"), verify.MAX_CHAIN_ENTRIES)
         report = verify_certificate(G, long)
         ours = [c for c in report.checks if c.condition in QUOTIENT_CONDITIONS]
         assert ours == _quotient_reference(G, long)
+        with pytest.raises(MalformedCertificate, match="^chain has 62 entries"):
+            verify_certificate(G, _padded(long, verify.MAX_CHAIN_ENTRIES + 1))
 
     @pytest.mark.parametrize("spec", CERTIFIED_64)
     def test_non_nested_chains_fail_descending(self, group_of, cert_of, spec):
@@ -822,10 +869,7 @@ def test_series_equals_the_builders_on_both_paths(monkeypatch, group_of, cert_of
         want = [term.members.tolist() for term in G.lower_exponent_p_series()]
         pth = _power_map(G, p_group_profile(G).p).astype(np.intp)
         everything = np.arange(G.order)
-        commutators = np.zeros(G.order, dtype=bool)
-        for image in verify._commutators(G, everything, everything):
-            commutators[image] = True
-        series = original(G, everything, pth, set(), commutators, None)
+        series = original(G, everything, pth, set(), None)
         assert [term.tolist() for term in series] == want, spec
         if name.startswith(("Cyclic", "GenQuaternion")):
             continue
