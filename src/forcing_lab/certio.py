@@ -10,6 +10,7 @@ parsed document is exactly what emit produced.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -193,8 +194,14 @@ def _parse_step(obj: Any, where: str) -> ForcingStep:
 def _parse_certificate(obj: Any) -> ForcingCertificate:
     _expect(obj, dict, "certificate")
     chain_obj = _expect(obj.get("chain"), list, "certificate.chain")
-    chain = tuple(tuple(_int_list(entry, f"certificate.chain[{i}]"))
-                  for i, entry in enumerate(chain_obj))
+    # one type pass over every entry and its items; the loop below runs
+    # only to name the first fault
+    if (set(map(type, chain_obj)) <= {list}
+            and set(map(type, itertools.chain.from_iterable(chain_obj))) <= {int}):
+        chain = tuple(map(tuple, chain_obj))
+    else:
+        chain = tuple(tuple(_int_list(entry, f"certificate.chain[{i}]"))
+                      for i, entry in enumerate(chain_obj))
     steps_obj = _expect(obj.get("steps"), list, "certificate.steps")
     return ForcingCertificate(
         group_spec=_expect(obj.get("group_spec"), str, "certificate.group_spec"),

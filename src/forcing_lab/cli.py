@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Commands: catalog, analyze, forcing-seq, delta, verify, paper-checks.
-Output is deterministic up to one timestamped header line (drop it with
---no-header; --json implies it). Exit codes are stable API:
+Every command writes its stdout through _finish: canonical JSON under
+--json, otherwise text lines after one timestamped header line, which
+--no-header drops. Output is deterministic up to that line. Exit codes are
+stable API:
 
     0 success            4 not a p-group
     1 other error        5 a Sylow factor is cyclic or quaternion
@@ -65,16 +67,31 @@ from .verify import verify_certificate
 ENV_CAP = "FORCING_LAB_CAP"
 
 
-def _print_json(obj: Any) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                                ensure_ascii=True) + "\n")
+def _finish(args: argparse.Namespace, obj: Any, lines: list[str], code: int = 0) -> int:
+    """Write a command's output, the only stdout the CLI writes, and return
+    its exit code. Under --json that is obj as canonical JSON (bytes, an
+    already emitted document, are written as they are); otherwise the
+    timestamped header line, unless --no-header, and then the text lines."""
+    if args.as_json:
+        text = obj.decode() if isinstance(obj, bytes) else json.dumps(
+            obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+        lines = [text]
+    elif not args.no_header:
+        stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+        lines = [f"# forcing-lab {args.command} {stamp}", *lines]
+    sys.stdout.write("".join(line + "\n" for line in lines))
+    return code
 
 
-def _header(args: argparse.Namespace) -> None:
-    if args.no_header or args.as_json:
-        return
-    stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-    print(f"# forcing-lab {args.command} {stamp}")
+def _result_table(rows: list[tuple[str, bool, str]], noun: str) -> tuple[list[str], int]:
+    """The PASS/FAIL line of each (name, passed, shown) row, then the result
+    line counting the rows as noun, and the exit code: 0 when every row
+    passed, else 1."""
+    lines = [f"{'PASS' if passed else 'FAIL'} {name}{shown}" for name, passed, shown in rows]
+    failed = sum(not passed for _, passed, _ in rows)
+    lines.append(f"result: FAIL ({failed} of {len(rows)} {noun})" if failed
+                 else f"result: PASS ({len(rows)} {noun})")
+    return lines, int(failed > 0)
 
 
 def _resolve_cap(args: argparse.Namespace) -> int:
@@ -124,18 +141,14 @@ def _fraction(text: Any, what: str) -> Fraction:
 
 
 def _constants_from(args: argparse.Namespace) -> AnalyticConstants:
-    kwargs = {}
-    if getattr(args, "beta", None) is not None:
-        kwargs["beta"] = _fraction(args.beta, "--beta")
-    if getattr(args, "gamma", None) is not None:
-        kwargs["gamma"] = _fraction(args.gamma, "--gamma")
-    if getattr(args, "eps_delta", None) is not None:
-        kwargs["epsilon_delta"] = _fraction(args.eps_delta, "--eps-delta")
+    kwargs = {key: _fraction(value, flag) for key, value, flag in (
+        ("beta", args.beta, "--beta"), ("gamma", args.gamma, "--gamma"),
+        ("epsilon_delta", args.eps_delta, "--eps-delta")) if value is not None}
     return AnalyticConstants(**kwargs) if kwargs else DEFAULT_CONSTANTS
 
 
 def _overrides_from(args: argparse.Namespace) -> dict[int, Fraction]:
-    path = getattr(args, "base_override", None)
+    path = args.base_override
     if path is None:
         return {}
     try:
@@ -172,16 +185,10 @@ def cmd_catalog(args: argparse.Namespace) -> int:
             structure = f"nilpotent {parts}" if parts else "trivial"
         rows.append({"name": entry.name, "order": G.order, "structure": structure,
                      "spec": entry.spec, "notes": entry.notes})
-    if args.as_json:
-        _print_json(rows)
-        return 0
-    _header(args)
     name_w = max(len(r["name"]) for r in rows)
     struct_w = max(len(r["structure"]) for r in rows)
-    for r in rows:
-        print(f"{r['name']:<{name_w}}  {r['order']:>6}  "
-              f"{r['structure']:<{struct_w}}  {r['spec']}")
-    return 0
+    return _finish(args, rows, [f"{r['name']:<{name_w}}  {r['order']:>6}  "
+                                f"{r['structure']:<{struct_w}}  {r['spec']}" for r in rows])
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -189,43 +196,27 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     G = parse_group_spec(args.spec, cap=cap)
     hist = _class_size_histogram(G)
     profiles = [p_group_profile(P) for _, P in sylow_factors(G)]
+    obj: dict[str, Any] = {"spec": spec_text(G), "order": G.order,
+                           "class_sizes": [list(h) for h in hist]}
+    lines = [f"spec: {obj['spec']}", f"order: {G.order}"]
     if prime_power(G.order) is not None:
         prof, = profiles
-        series = G.lower_exponent_p_series()
-        orders = [term.order for term in series]
-        if args.as_json:
-            _print_json({"spec": spec_text(G), "order": G.order,
-                         "profile": asdict(prof), "series_orders": orders,
-                         "class_sizes": [list(h) for h in hist]})
-            return 0
-        _header(args)
-        print(f"spec: {spec_text(G)}")
-        print(f"order: {G.order}")
-        print(f"p: {prof.p}")
-        print(f"n: {prof.n}")
-        print(f"p-class: {prof.p_class}")
-        print(f"rank: {prof.rank}")
-        print(f"cyclic: {'yes' if prof.is_cyclic else 'no'}")
+        orders = [term.order for term in G.lower_exponent_p_series()]
+        obj.update(profile=asdict(prof), series_orders=orders)
         quat = f"yes (n={prof.quaternion_index})" if prof.quaternion_index is not None else "no"
-        print(f"quaternion: {quat}")
-        print("series orders: " + " > ".join(str(o) for o in orders))
+        lines += [f"p: {prof.p}", f"n: {prof.n}", f"p-class: {prof.p_class}",
+                  f"rank: {prof.rank}", f"cyclic: {'yes' if prof.is_cyclic else 'no'}",
+                  f"quaternion: {quat}", "series orders: " + " > ".join(map(str, orders))]
     else:
-        if args.as_json:
-            _print_json({"spec": spec_text(G), "order": G.order,
-                         "sylow": [asdict(prof) for prof in profiles],
-                         "class_sizes": [list(h) for h in hist]})
-            return 0
-        _header(args)
-        print(f"spec: {spec_text(G)}")
-        print(f"order: {G.order}")
-        print("nilpotent: yes")
+        obj["sylow"] = [asdict(prof) for prof in profiles]
+        lines.append("nilpotent: yes")
         for prof in profiles:
             quat = (f"quaternion n={prof.quaternion_index}" if prof.quaternion_index is not None
                     else "cyclic" if prof.is_cyclic else "ok")
-            print(f"sylow p={prof.p}: order={prof.p ** prof.n} class={prof.p_class} "
-                  f"rank={prof.rank} [{quat}]")
-    print("class sizes: " + ", ".join(f"{size} (x{count})" for size, count in hist))
-    return 0
+            lines.append(f"sylow p={prof.p}: order={prof.p ** prof.n} class={prof.p_class} "
+                         f"rank={prof.rank} [{quat}]")
+    lines.append("class sizes: " + ", ".join(f"{size} (x{count})" for size, count in hist))
+    return _finish(args, obj, lines)
 
 
 def cmd_forcing_seq(args: argparse.Namespace) -> int:
@@ -237,10 +228,11 @@ def cmd_forcing_seq(args: argparse.Namespace) -> int:
         for check in report.failures():
             print(f"FAIL {check.label()}: {check.detail}", file=sys.stderr)
         raise ForcingLabError("built certificate failed verification; nothing written")
+    # the constants and the override file are checked with or without --ell
+    consts = _constants_from(args)
+    overrides = _overrides_from(args)
     delta_report = None
     if args.ell is not None:
-        consts = _constants_from(args)
-        overrides = _overrides_from(args)
         prof = p_group_profile(G)
         delta_report = delta_for_p_group(prof, cert, args.ell, consts,
                                          base_override=overrides.get(prof.p))
@@ -248,35 +240,30 @@ def cmd_forcing_seq(args: argparse.Namespace) -> int:
     data = certio.emit(certio.CertificateDocument(certificate=cert, delta_report=delta_report))
     path = Path(args.out)
     path.write_bytes(data + b"\n")
-    if args.as_json:
-        sys.stdout.write(data.decode() + "\n")
-        return 0
-    _header(args)
-    print(f"spec: {cert.group_spec}")
-    print(f"order: {G.order}")
-    print("chain orders: " + " > ".join(str(len(entry)) for entry in cert.chain))
-    print(f"steps: {len(cert.steps)}")
-    print(f"verification: PASS ({len(report.checks)} conditions)")
+    lines = [f"spec: {cert.group_spec}", f"order: {G.order}",
+             "chain orders: " + " > ".join(str(len(entry)) for entry in cert.chain),
+             f"steps: {len(cert.steps)}", f"verification: PASS ({len(report.checks)} conditions)"]
     if delta_report is not None:
-        print(f"delta (ell={delta_report.ell}): {format_rational(delta_report.delta)}")
-    print(f"wrote: {path}")
-    print(f"digest: {certio.emitted_digest(data)}")
-    return 0
+        lines.append(f"delta (ell={delta_report.ell}): {format_rational(delta_report.delta)}")
+    lines += [f"wrote: {path}", f"digest: {certio.emitted_digest(data)}"]
+    return _finish(args, data, lines)
 
 
-def _print_trace(report) -> None:
+def _trace_lines(report) -> list[str]:
+    lines = []
     for rec in report.trace:
         if rec.rule == "base":
             source = " (override)" if rec.inputs.get("source") == "override" else ""
-            print(f"base p={rec.inputs['p']} rank={rec.inputs['rank']} "
-                  f"ell={rec.inputs['ell']}{source}: delta = {rec.outputs['delta']}")
+            lines.append(f"base p={rec.inputs['p']} rank={rec.inputs['rank']} "
+                         f"ell={rec.inputs['ell']}{source}: delta = {rec.outputs['delta']}")
         elif rec.rule == "extension":
-            print(f"extension m={rec.inputs['m']} r={rec.inputs['r']} "
-                  f"eta0 = {rec.inputs['eta0']}: delta = {rec.outputs['delta']}")
+            lines.append(f"extension m={rec.inputs['m']} r={rec.inputs['r']} "
+                         f"eta0 = {rec.inputs['eta0']}: delta = {rec.outputs['delta']}")
         elif rec.rule == "compositum":
-            print(f"compositum ({rec.inputs['delta1']} @ {rec.inputs['degree1']}) * "
-                  f"({rec.inputs['delta2']} @ {rec.inputs['degree2']}): "
-                  f"delta = {rec.outputs['delta']}")
+            lines.append(f"compositum ({rec.inputs['delta1']} @ {rec.inputs['degree1']}) * "
+                         f"({rec.inputs['delta2']} @ {rec.inputs['degree2']}): "
+                         f"delta = {rec.outputs['delta']}")
+    return lines
 
 
 def cmd_delta(args: argparse.Namespace) -> int:
@@ -285,18 +272,13 @@ def cmd_delta(args: argparse.Namespace) -> int:
     consts = _constants_from(args)
     overrides = _overrides_from(args)
     report = delta_for_nilpotent(G, args.ell, consts, overrides=overrides)
-    if args.as_json:
-        _print_json(certio.delta_report_obj(report))
-        return 0
-    _header(args)
-    print(f"spec: {report.group_spec}")
-    print(f"ell: {report.ell}")
-    _print_trace(report)
+    lines = [f"spec: {report.group_spec}", f"ell: {report.ell}", *_trace_lines(report)]
     if report.closed_form_check is not None:
         mark = "matched" if report.closed_form_check.matched else "MISMATCH"
-        print(f"closed form: {format_rational(report.closed_form_check.predicted)} ({mark})")
-    print(f"delta = {format_rational(report.delta)}")
-    return 0
+        lines.append(f"closed form: {format_rational(report.closed_form_check.predicted)} "
+                     f"({mark})")
+    lines.append(f"delta = {format_rational(report.delta)}")
+    return _finish(args, certio.delta_report_obj(report), lines)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -304,44 +286,29 @@ def cmd_verify(args: argparse.Namespace) -> int:
     doc = certio.read_document(args.path)
     G = parse_group_spec(doc.group_spec, cap=cap)
     report = verify_certificate(G, doc.certificate)
-    lines = [(check.label(), check.passed, check.detail) for check in report.checks]
-    ok = report.all_passed
+    rows = [(check.label(), check.passed, check.detail) for check in report.checks]
     if doc.certificate.group_spec != doc.group_spec:
-        lines.append(("document-spec-consistent", False,
-                      "document and certificate name different groups"))
-        ok = False
+        rows.append(("document-spec-consistent", False,
+                     "document and certificate name different groups"))
     replay_note = None
     if doc.delta_report is not None:
         try:
             value = replay_trace(doc.delta_report)
-            if ok:
+            if all(passed for _, passed, _ in rows):
                 tie_report(doc.delta_report, doc.certificate, G.order)
-            lines.append(("delta-replay", True, f"delta = {format_rational(value)}"))
+            rows.append(("delta-replay", True, f"delta = {format_rational(value)}"))
         except ForcingLabError as exc:
-            lines.append(("delta-replay", False, str(exc)))
-            ok = False
-        replay_note = lines[-1][1]
-    if args.as_json:
-        _print_json({
-            "spec": doc.group_spec,
-            "conditions": [{"condition": label, "passed": passed, "detail": detail}
-                           for label, passed, detail in lines],
-            "delta_replay": replay_note,
-            "all_passed": ok,
-        })
-        return 0 if ok else 1
-    _header(args)
-    print(f"spec: {doc.group_spec}")
-    for label, passed, detail in lines:
-        tag = "PASS" if passed else "FAIL"
-        suffix = f": {detail}" if (detail and not passed) else ""
-        print(f"{tag} {label}{suffix}")
-    failed = sum(1 for _, passed, _ in lines if not passed)
-    if ok:
-        print(f"result: PASS ({len(lines)} conditions)")
-        return 0
-    print(f"result: FAIL ({failed} of {len(lines)} conditions)")
-    return 1
+            rows.append(("delta-replay", False, str(exc)))
+        replay_note = rows[-1][1]
+    lines, code = _result_table([(label, passed, f": {detail}" if detail and not passed else "")
+                                 for label, passed, detail in rows], "conditions")
+    return _finish(args, {
+        "spec": doc.group_spec,
+        "conditions": [{"condition": label, "passed": passed, "detail": detail}
+                       for label, passed, detail in rows],
+        "delta_replay": replay_note,
+        "all_passed": code == 0,
+    }, [f"spec: {doc.group_spec}", *lines], code)
 
 
 def _run_grid_checks(consts: AnalyticConstants, cap: int) -> list[dict[str, Any]]:
@@ -425,34 +392,18 @@ def cmd_paper_checks(args: argparse.Namespace) -> int:
     try:
         consts = _constants_from(args)
     except ValueError as exc:
-        if args.as_json:
-            _print_json([{"check": "constants-invariant", "passed": False,
-                          "cases": 1, "detail": str(exc)}])
-        else:
-            _header(args)
-            print(f"FAIL constants-invariant: {exc}")
-            print("result: FAIL (1 of 1 checks)")
-        return 1
+        rows = [("constants-invariant", False, f": {exc}")]
+        return _finish(args, [{"check": "constants-invariant", "passed": False, "cases": 1,
+                               "detail": str(exc)}], *_result_table(rows, "checks"))
     results = [{"check": "constants-invariant", "passed": True, "cases": 1,
                 "detail": f"beta={format_rational(consts.beta)} "
                           f"gamma={format_rational(consts.gamma)} "
                           f"eps={format_rational(consts.epsilon_delta)}"}]
     results.extend(_run_grid_checks(consts, cap))
-    ok = all(r["passed"] for r in results)
-    if args.as_json:
-        _print_json(results)
-        return 0 if ok else 1
-    _header(args)
-    for r in results:
-        tag = "PASS" if r["passed"] else "FAIL"
-        note = f" [{r['detail']}]" if r["detail"] else ""
-        print(f"{tag} {r['check']} ({r['cases']} cases){note}")
-    failed = sum(1 for r in results if not r["passed"])
-    if ok:
-        print(f"result: PASS ({len(results)} checks)")
-        return 0
-    print(f"result: FAIL ({failed} of {len(results)} checks)")
-    return 1
+    rows = [(r["check"], r["passed"],
+             f" ({r['cases']} cases)" + (f" [{r['detail']}]" if r["detail"] else ""))
+            for r in results]
+    return _finish(args, results, *_result_table(rows, "checks"))
 
 
 def _build_parser() -> argparse.ArgumentParser:

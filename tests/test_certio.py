@@ -167,6 +167,15 @@ class TestParseErrors:
             parse(forged)
         assert str(info.value) == f"certificate.chain[1][1]: expected int, got {name}"
 
+    @pytest.mark.parametrize("entry, name", [(5, "int"), ("05", "str"), (None, "NoneType"),
+                                             ({"0": 0}, "dict")])
+    def test_chain_entry_of_wrong_type_named(self, cert_of, entry, name):
+        body = json.loads(emit(_doc(cert_of, "preset:Dihedral(8)")))
+        body["certificate"]["chain"][1] = entry
+        with pytest.raises(Malformed) as info:
+            parse(_reforge(json.dumps(body).encode()))
+        assert str(info.value) == f"certificate.chain[1]: expected list, got {name}"
+
     def test_missing_witness_rejected(self, cert_of):
         data = emit(_doc(cert_of, "preset:Dihedral(8)"))
         body = json.loads(data)

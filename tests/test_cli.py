@@ -1,7 +1,9 @@
+import ast
 import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -12,7 +14,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from forcing_lab import FiniteGroup, ForcingCertificate, PreconditionViolated, certio
+from forcing_lab import (FiniteGroup, ForcingCertificate, PreconditionViolated, certio, cli,
+                         forcing)
 from forcing_lab.cli import main
 from forcing_lab.exponents import (
     AnalyticConstants,
@@ -172,6 +175,43 @@ class TestForcingSeq:
         assert code == expected
         assert "error:" in err
         assert not (tmp_path / "x.fcert.json").exists()
+
+    @pytest.mark.parametrize("flags, error", [
+        (["--beta", "1", "--gamma", "5"],
+         "error: InvalidConstants: constants invariant rejected: beta must exceed gamma + 1/2\n"),
+        (["--base-override", "missing.json"],
+         "error: [Errno 2] No such file or directory: 'missing.json'\n"),
+        (["--base-override", "garbage.json"],
+         "error: ForcingLabError: base override file is not valid JSON: "
+         "Expecting value: line 1 column 7 (char 6)\n"),
+    ], ids=["constants", "missing-override", "override-not-json"])
+    def test_constants_are_checked_without_ell(self, capsys, tmp_path, monkeypatch, flags,
+                                               error):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "garbage.json").write_text('{"2": ')
+        code, out, err = run(capsys, "forcing-seq", "preset:Dihedral(8)", "--out",
+                             "x.fcert.json", *flags)
+        assert (code, out, err) == (1, "", error)
+        assert not (tmp_path / "x.fcert.json").exists()
+
+    def test_refused_input_exits_before_the_constants_are_read(self, capsys, tmp_path):
+        code, out, err = run(capsys, "forcing-seq", "preset:GenQuaternion(1)", "--out",
+                             str(tmp_path / "x.fcert.json"), "--beta", "1",
+                             "--base-override", str(tmp_path / "missing.json"))
+        assert (code, out) == (3, "") and err.startswith("error: QuaternionGroup: ")
+
+    def test_failed_self_check_writes_nothing(self, capsys, tmp_path, monkeypatch):
+        image_class = forcing._image_class
+        # the largest image first, so it becomes the class representative
+        monkeypatch.setattr(forcing, "_image_class",
+                            lambda project, members: image_class(project, members)[::-1])
+        path = tmp_path / "d16.fcert.json"
+        code, out, err = run(capsys, "forcing-seq", "preset:Dihedral(16)", "--out", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("FAIL step-witness-class[1]: ")
+        assert err.endswith("error: ForcingLabError: built certificate failed verification; "
+                            "nothing written\n")
+        assert not path.exists()
 
 
 class TestDelta:
@@ -534,19 +574,103 @@ class TestPaperChecks:
         assert all(r["passed"] for r in rows)
         assert len(rows) == 8
 
+    def test_forged_beta_json(self, capsys):
+        code, out, err = run(capsys, "paper-checks", "--beta", "19", "--json")
+        assert (code, err) == (1, "")
+        assert json.loads(out) == [{
+            "check": "constants-invariant", "passed": False, "cases": 1,
+            "detail": "constants invariant rejected: beta must exceed gamma + 1/2"}]
+
+
+# one argv per subcommand, and a verify and a paper-checks that exit 1;
+# "GOOD" and "FORGED" stand for the files the output_dir fixture writes
+_OUTPUT_ARGVS = [
+    ["catalog"],
+    ["analyze", "preset:Dihedral(8)"],
+    ["analyze", "product:preset:GenQuaternion(1)|preset:Cyclic(3)"],
+    ["forcing-seq", "preset:Heisenberg(3)", "--ell", "5", "--out", "h3.fcert.json"],
+    ["delta", "preset:Heisenberg(3)", "--ell", "5"],
+    ["verify", "GOOD"],
+    ["verify", "FORGED"],
+    ["paper-checks"],
+    ["paper-checks", "--beta", "19"],
+]
+_HEADER = re.compile(r"# forcing-lab ([a-z-]+) \d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ\n")
+
+
+@pytest.fixture(scope="module")
+def output_dir(tmp_path_factory):
+    """Dihedral(8)'s certificate as GOOD, and as FORGED with its Frattini
+    entry cut to the identity and the digest recomputed."""
+    root = tmp_path_factory.mktemp("output")
+    good = root / "GOOD"
+    assert main(["forcing-seq", "preset:Dihedral(8)", "--out", str(good)]) == 0
+    doc = certio.read_document(good)
+    chain = (doc.certificate.chain[0], (0,)) + doc.certificate.chain[2:]
+    certio.write_document(replace(doc, certificate=replace(doc.certificate, chain=chain)),
+                          root / "FORGED")
+    return root
+
+
+class TestOutput:
+    """Every command's stdout: a header line and text, or JSON alone."""
+
+    @pytest.mark.parametrize("argv", _OUTPUT_ARGVS, ids=" ".join)
+    def test_header_then_the_headerless_text(self, capsys, monkeypatch, output_dir, argv):
+        monkeypatch.chdir(output_dir)
+        code, out, err = run(capsys, *argv)
+        plain = run(capsys, *argv, "--no-header")
+        header = _HEADER.match(out)
+        assert header and header[1] == argv[0]
+        assert (code, out[header.end():], err) == plain
+        assert plain[1] and not plain[1].startswith("#")
+        assert code == (1 if "FORGED" in argv or "--beta" in argv else 0)
+
+    @pytest.mark.parametrize("argv", _OUTPUT_ARGVS, ids=" ".join)
+    def test_json_alone(self, capsys, monkeypatch, output_dir, argv):
+        monkeypatch.chdir(output_dir)
+        code, out, err = run(capsys, *argv, "--json")
+        assert code == (1 if "FORGED" in argv or "--beta" in argv else 0) and err == ""
+        assert out.endswith("\n") and out.count("\n") == 1
+        json.loads(out)
+
+    @pytest.mark.parametrize("argv", [
+        ["catalog", "--cap", "4"],
+        ["analyze", "preset:Nope(1)"],
+        ["forcing-seq", "preset:Cyclic(8)", "--out", "x.fcert.json"],
+        ["delta", "preset:ElemAbelian(2,2)", "--ell", "3"],
+        ["verify", "missing.fcert.json"],
+        ["paper-checks", "--beta", "one"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_a_command_that_raises_writes_no_stdout(self, capsys, monkeypatch, tmp_path, argv,
+                                                     flags):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv, *flags)
+        assert code != 0 and out == "" and err.startswith("error: ")
+
+    def test_stdout_is_written_only_by_finish(self):
+        """Every write to stdout in cli.py, a print without file=sys.stderr
+        or a use of sys.stdout, lies inside _finish, so each command has one
+        way out."""
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        finish, = [node for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef) and node.name == "_finish"]
+        inside = {id(node) for node in ast.walk(finish)}
+
+        def to_stderr(call):
+            return any(kw.arg == "file" and ast.unparse(kw.value) == "sys.stderr"
+                       for kw in call.keywords)
+
+        writes = [node for node in ast.walk(tree)
+                  if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                      and node.func.id == "print" and not to_stderr(node))
+                  or (isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.stdout")]
+        assert writes and all(id(node) in inside for node in writes), \
+            [f"line {node.lineno}" for node in writes if id(node) not in inside]
+
 
 class TestHeaderAndCap:
-    def test_header_present_by_default(self, capsys):
-        _, out, _ = run(capsys, "catalog")
-        assert out.startswith("# forcing-lab catalog ")
-
-    def test_header_suppressed(self, capsys):
-        _, out, _ = run(capsys, "catalog", "--no-header")
-        assert not out.startswith("#")
-
-    def test_json_suppresses_header(self, capsys):
-        _, out, _ = run(capsys, "catalog", "--json")
-        assert out.startswith("[")
 
     def test_cap_flag(self, capsys):
         code, _, err = run(capsys, "analyze", "preset:Cyclic(100)", "--cap", "50",
