@@ -54,15 +54,16 @@ print("=" * 64)
 print("4. Quotients keep a canonical labeling")
 print("=" * 64)
 
-# Cosets are labeled by their least member, so the quotient of a quotient
-# lines up with quotienting once by the bigger subgroup.
+# A quotient is its coset labels: each element gets the index of its coset,
+# the cosets ordered by their least members, so the kernel is coset 0. A
+# coset's order is the least power that takes its members into the kernel.
 G = parse_group_spec("preset:Heisenberg(3)")
 series = G.lower_exponent_p_series()
-q = G.quotient(series[1])
-print(f"Heisenberg(3) / Frattini has order {q.target.order}")
-print(f"fiber of coset 0 (the kernel): {tuple(np.flatnonzero(q.project == 0).tolist())}")
+project = G.quotient(series[1])
+print(f"Heisenberg(3) / Frattini has order {int(project.max()) + 1}")
+print(f"fiber of coset 0 (the kernel): {tuple(np.flatnonzero(project == 0).tolist())}")
 print(f"quotient is elementary abelian: "
-      f"{sorted(set(int(o) for o in q.target.orders()))} element orders")
+      f"{sorted(set(G.coset_orders(series[1]).tolist()))} element orders")
 
 print()
 print("=" * 64)

@@ -61,12 +61,13 @@ print("=" * 64)
 C6 = parse_group_spec("preset:Cyclic(6)")
 orders = C6.orders()
 inv = next(x for x in range(C6.order) if int(orders[x]) == 2)
-q = C6.quotient(C6.subgroup_closure([inv]))
-print(f"C6 -> C3 forcing witness: {is_forcing(q)}")
+# is_forcing(G, upper, lower) decides the map G/lower -> G/upper.
+print(f"C6 -> C3 forcing witness: "
+      f"{is_forcing(C6, C6.subgroup_closure([inv]), C6.trivial_subgroup())}")
 
 Q8 = parse_group_spec("preset:GenQuaternion(1)")
-q = Q8.quotient(Q8.center())
-print(f"Q8 -> Klein four forcing witness: {is_forcing(q)}")
+print(f"Q8 -> Klein four forcing witness: "
+      f"{is_forcing(Q8, Q8.center(), Q8.trivial_subgroup())}")
 
 print()
 print("=" * 64)

@@ -35,8 +35,6 @@ class CertificateDocument:
     certificate: ForcingCertificate
     group_spec: str = ""
     delta_report: DeltaReport | None = None
-    schema_version: str = SCHEMA_VERSION
-    digest_alg: str = DIGEST_ALG
 
     def __post_init__(self) -> None:
         if not self.group_spec:
@@ -44,23 +42,25 @@ class CertificateDocument:
 
 
 # one encoder for every canonical encoding (json.dumps would build one per
-# call); it skips the cycle check, as decoded and emitted documents are trees
+# call); it skips the cycle check, as documents and CLI output are trees
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True,
                               check_circular=False)
 
 
-def _canonical_bytes(obj: Any) -> bytes:
+def canonical_bytes(obj: Any) -> bytes:
+    """obj as canonical JSON, the encoding of documents, their digests and
+    the CLI's --json output."""
     return _CANONICAL.encode(obj).encode()
 
 
 def _digest_of(body: dict[str, Any]) -> str:
     undigested = {k: v for k, v in body.items() if k != "digest"}
-    return hashlib.sha256(_canonical_bytes(undigested)).hexdigest()
+    return hashlib.sha256(canonical_bytes(undigested)).hexdigest()
 
 
 def _joined(members: dict[str, bytes]) -> bytes:
     """The canonical bytes of an object, from the canonical "key":value bytes
-    of each of its members: the same bytes _canonical_bytes gives for it."""
+    of each of its members: the same bytes canonical_bytes gives for it."""
     return b"{" + b",".join(members[key] for key in sorted(members)) + b"}"
 
 
@@ -111,8 +111,8 @@ def delta_report_obj(report: DeltaReport) -> dict[str, Any]:
 
 def _undigested_obj(doc: CertificateDocument) -> dict[str, Any]:
     body: dict[str, Any] = {
-        "schema_version": doc.schema_version,
-        "digest_alg": doc.digest_alg,
+        "schema_version": SCHEMA_VERSION,
+        "digest_alg": DIGEST_ALG,
         "group_spec": doc.group_spec,
         "certificate": _certificate_obj(doc.certificate),
     }
@@ -135,10 +135,10 @@ def emit(doc: CertificateDocument) -> bytes:
     """The document's canonical bytes. Each top-level member is encoded
     once, and the members are joined in key order twice: without the digest,
     to compute it, and then with it."""
-    members = {key: _canonical_bytes(key) + b":" + _canonical_bytes(value)
+    members = {key: canonical_bytes(key) + b":" + canonical_bytes(value)
                for key, value in _undigested_obj(doc).items()}
     digest = hashlib.sha256(_joined(members)).hexdigest()
-    members["digest"] = b'"digest":' + _canonical_bytes(digest)
+    members["digest"] = b'"digest":' + canonical_bytes(digest)
     return _joined(members)
 
 
@@ -295,8 +295,6 @@ def _parse_document(data: bytes) -> CertificateDocument:
         certificate=certificate,
         group_spec=_expect(body.get("group_spec"), str, "group_spec"),
         delta_report=delta_report,
-        schema_version=version,
-        digest_alg=alg,
     )
 
 

@@ -44,13 +44,13 @@ def is_elementary_abelian(G: FiniteGroup) -> tuple[int, int] | None:
 def is_generalized_quaternion(G: FiniteGroup) -> int | None:
     """The index n with G isomorphic to the order-2**(n+2) generalized
     quaternion group, or None. Uses the unique-involution characterization:
-    a non-cyclic 2-group with exactly one involution is generalized quaternion."""
+    a non-cyclic 2-group with exactly one involution is generalized quaternion.
+    Both facts are read from one look at the element orders."""
     pp = prime_power(G.order)
     if pp is None or pp[0] != 2 or pp[1] < 3:
         return None
-    if is_cyclic(G):
-        return None
-    if count_order_p_subgroups(G, 2) != 1:
+    orders = G.orders()
+    if int(orders.max()) == G.order or np.count_nonzero(orders == 2) != 1:
         return None
     return pp[1] - 2
 

@@ -73,9 +73,7 @@ def _finish(args: argparse.Namespace, obj: Any, lines: list[str], code: int = 0)
     already emitted document, are written as they are); otherwise the
     timestamped header line, unless --no-header, and then the text lines."""
     if args.as_json:
-        text = obj.decode() if isinstance(obj, bytes) else json.dumps(
-            obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
-        lines = [text]
+        lines = [(obj if isinstance(obj, bytes) else certio.canonical_bytes(obj)).decode()]
     elif not args.no_header:
         stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
         lines = [f"# forcing-lab {args.command} {stamp}", *lines]
@@ -338,15 +336,14 @@ def _run_grid_checks(consts: AnalyticConstants, cap: int) -> list[dict[str, Any]
     add("quaternion-profile", not prof_bad, 4, ";".join(prof_bad))
     add("quaternion-rejected", not reject_bad, 4, ";".join(reject_bad))
 
-    # unique involution iff cyclic or generalized quaternion, all 2-groups <= 64
+    # unique involution iff cyclic or generalized quaternion, all 2-groups <= 64;
+    # which groups those are is read from how two_group_specs named them, not
+    # from the detector, which counts the same involutions
     hall_bad: list[str] = []
     specs = two_group_specs(64)
     for name, spec in specs:
-        G = parse_group_spec(spec, cap=cap)
-        prof = p_group_profile(G)
-        unique = count_order_p_subgroups(G, 2) == 1
-        special = prof.is_cyclic or prof.quaternion_index is not None
-        if unique != special:
+        unique = count_order_p_subgroups(parse_group_spec(spec, cap=cap), 2) == 1
+        if unique != name.startswith(("Cyclic(", "GenQuaternion(")):
             hall_bad.append(name)
     add("hall-unique-involution", not hall_bad, len(specs), ";".join(hall_bad[:3]))
 

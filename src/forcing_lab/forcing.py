@@ -19,8 +19,9 @@ past B, the steps are the spans <B, b_1, ..., b_k> for k = r - 1 down to 0,
 and a layer of index p has B alone. It screens each entry for a quaternion
 quotient by counting the elements of G that square into it, and only past
 a refused entry does it build a step's other candidates. is_forcing
-searches a quotient's classes by their labels, never by member lists.
-The certificate is checked by verify_certificate, in verify.py.
+decides any map G/lower -> G/upper the same way, from G's class labels, the
+coset labels of upper and the coset orders modulo upper and lower. The
+certificate is checked by verify_certificate, in verify.py.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import is_cyclic, is_generalized_quaternion
-from .errors import CyclicGroup, PreconditionViolated, QuaternionGroup
-from .groups import FiniteGroup, QuotientMap, Subgroup, is_prime
+from .errors import CyclicGroup, NotNormal, PreconditionViolated, QuaternionGroup
+from .groups import FiniteGroup, Subgroup, is_prime
 from .groupspec import spec_text
 from .verify import verify_certificate  # bench/ calls and traces it by this name
 
@@ -41,7 +42,8 @@ BUILDER_VERSION = "1"
 
 @dataclass(frozen=True)
 class ForcingWitness:
-    """A conjugacy class (by target index) whose fibers all preserve order."""
+    """A conjugacy class of G/upper (by coset index) whose fibers in
+    G/lower all preserve order."""
 
     class_rep: int
     class_order: int
@@ -71,27 +73,42 @@ class ForcingCertificate:
     builder_version: str = BUILDER_VERSION
 
 
-def is_forcing(quotient: QuotientMap) -> ForcingWitness | None:
-    """Search the target's conjugacy classes for a forcing witness.
+def is_forcing(G: FiniteGroup, upper: Subgroup,
+               lower: Subgroup) -> ForcingWitness | None:
+    """Search the conjugacy classes of G/upper for a witness that the map
+    G/lower -> G/upper is forcing, for normal subgroups lower <= upper.
 
-    Classes are scanned by their representatives in (order, representative)
-    order, so the returned witness has minimal class order, ties broken by
-    least representative. The identity class never qualifies: its fiber is
-    the kernel, whose non-identity elements have the wrong order. A class's
-    fibers are the source elements whose image is labelled with its
-    representative; each fiber is a coset of the kernel.
+    Cosets of upper are indexed as G.quotient(upper) labels them. A class
+    of G/upper is the image of a class of G, as conjugation commutes with
+    projection, and it is labelled with its least coset index. Classes are
+    scanned by that representative in (order, representative) order, so the
+    returned witness has minimal class order, ties broken by least
+    representative. The identity class never qualifies: its fiber is
+    upper/lower, whose non-identity elements have the wrong order. The
+    fiber over a coset xU holds the cosets of lower inside it, so its
+    elements' orders are the coset orders modulo lower of xU's members.
     """
-    target = quotient.target
-    label, orders = target.conjugacy_classes(), target.orders()
-    src_orders = quotient.source.orders()
-    src_label = label[quotient.project]
-    reps = (label == np.arange(target.order)).nonzero()[0][1:].tolist()
+    project = G.quotient(upper)
+    if not G.is_normal(lower):
+        raise NotNormal(f"subgroup of order {lower.order} is not normal")
+    if project[lower.members].any():
+        raise PreconditionViolated("lower is not inside upper")
+    label = G.conjugacy_classes()
+    least = np.full(G.order, G.order, dtype=project.dtype)
+    np.minimum.at(least, label, project)
+    # each element's class in G/upper, by the least coset of its class in G
+    image = least[label]
+    orders = np.empty(G.order // upper.order, dtype=np.int64)
+    orders[project] = G.coset_orders(upper)
+    fiber_orders = G.coset_orders(lower)
+    reps = np.bincount(image[image == project]).nonzero()[0][1:].tolist()
     for rep in sorted(reps, key=lambda r: (int(orders[r]), r)):
         order = int(orders[rep])
-        if (src_orders[src_label == rep] == order).all():
-            size = int(np.count_nonzero(label == rep))
+        fibers = image == rep
+        if (fiber_orders[fibers] == order).all():
+            size = int(np.count_nonzero(fibers)) // upper.order
             return ForcingWitness(class_rep=rep, class_order=order,
-                                  checked_fiber_sizes=(quotient.kernel.order,) * size)
+                                  checked_fiber_sizes=(upper.order // lower.order,) * size)
     return None
 
 
@@ -121,7 +138,7 @@ def central_step_witness(G: FiniteGroup, upper: Subgroup,
     if not len(found):
         return None
     label = G.conjugacy_classes()
-    images = _image_class(G.quotient(upper).project, (label == label[found[0]]).nonzero()[0])
+    images = _image_class(G.quotient(upper), (label == label[found[0]]).nonzero()[0])
     return ForcingWitness(class_rep=int(images[0]), class_order=p,
                           checked_fiber_sizes=(p,) * len(images))
 

@@ -12,9 +12,9 @@ table a coset at a time and then drops every row, the generators' too; no
 element is ever a Python tuple, and neither is a subgroup: its members are
 one sorted, read-only int32 array, which every kernel takes and returns as
 it is. Derived groups come from table arithmetic: a direct product composes
-its factors' tables, a quotient or subgroup relabels the parent's. Building
-a group makes no full-table temporary: every kernel that reads or writes a
-whole table does so in row slabs of at most _SLAB_ITEMS items.
+its factors' tables, a subgroup relabels the parent's. Building a group
+makes no full-table temporary: every kernel that reads or writes a whole
+table does so in row slabs of at most _SLAB_ITEMS items.
 
 One kernel closes subgroups from generators, never by squaring member sets:
 ``FiniteGroup._closure`` (Dimino's algorithm) serves ``subgroup_closure`` and
@@ -25,15 +25,15 @@ orders, power maps x -> x^e, conjugacy classes and the lower exponent-p
 series are derived once per group and cached on it, and so is one (n x d)
 table of the commutators [x, g] with the d generators g: normality, the
 centre, centrality, the commutator subgroups [A, G] and the conjugates
-x^g = x [x, g] are all read from it. Element orders come in
-prime-power steps: the q-part of x's order is read from x^(|G|/q^k) by at
-most k steps of the q-th power map, for q^k exactly dividing |G|. A class
-is a label, as a coset is: one int32 array gives each element the least
-member of its class, and a ``QuotientMap`` gives each element the index of
-its coset, labelled at once; the quotient's target group is built only the
-first time it is read. A central layer A > B of exponent p is spanned coset
-by coset over its greedy basis, one p-fold gather per basis element, and
-its index-p subgroups are read off that one span (``Refinements``).
+x^g = x [x, g] are all read from it. Element orders, and the orders of
+cosets of any subgroup, come in prime-power steps: the q-part is read from
+x^(|G|/q^k) by at most k steps of the q-th power map, for q^k exactly
+dividing |G|. A class is a label, as a coset is: one int32 array gives
+each element the least member of its class, and ``quotient(N)`` gives each
+element the index of its coset in G/N; no quotient group is ever built. A
+central layer A > B of exponent p is spanned coset by coset over its greedy
+basis, one p-fold gather per basis element, and its index-p subgroups are
+read off that one span (``Refinements``).
 """
 
 from __future__ import annotations
@@ -177,39 +177,6 @@ class Subgroup:
         return len(self.members)
 
 
-class QuotientMap:
-    """A surjection source -> source/kernel with explicit coset bookkeeping.
-
-    Target element i is the coset whose least source element index is the
-    i-th smallest such representative, so target indexing is canonical given
-    the source indexing. The target group is built the first time it is read.
-    """
-
-    def __init__(self, source: "FiniteGroup", kernel: Subgroup, project: np.ndarray) -> None:
-        self.source = source
-        self.kernel = kernel
-        project = np.asarray(project, dtype=_IDX)
-        project.setflags(write=False)
-        self.project = project
-        self._target: FiniteGroup | None = None
-
-    @property
-    def target(self) -> "FiniteGroup":
-        """The quotient group: any member of a coset stands for it in the
-        product, and its generators are the distinct non-identity images of
-        the source's, or the identity alone when there are none, as the
-        parse of its spec text would give them."""
-        if self._target is None:
-            source, project = self.source, self.project
-            reps = np.empty(source.order // self.kernel.order, dtype=_IDX)
-            reps[project] = np.arange(source.order, dtype=_IDX)
-            gens = dict.fromkeys(int(project[g]) for g in source.generators)
-            gens.pop(0, None)
-            self._target = FiniteGroup(_induced_table(source.mul_table, reps, project),
-                                       list(gens) or [0])
-        return self._target
-
-
 class FiniteGroup:
     """A fully enumerated group: its product table, inverses and generator
     indices, and the canonical spec it was parsed from, if any."""
@@ -257,23 +224,34 @@ class FiniteGroup:
         return int(self._inv[a])
 
     def orders(self) -> np.ndarray:
-        """Element orders, indexed like elements. For q^k exactly dividing
-        |G|, x^(|G|/q^k) is a q-element whose order is the q-part of x's; it
-        is the least q^j that power_map(q) applied j times takes to 1, so k
-        steps find it. Derived once, read-only."""
+        """Element orders, indexed like elements: the coset orders modulo
+        {1}. Derived once, read-only."""
         if self._orders is None:
-            orders = np.ones(self.order, dtype=_IDX)
-            for q, k in factorize(self.order).items():
-                qth = self.power_map(q)
-                power = self.power_map(self.order // q ** k)
-                steps = np.zeros(self.order, dtype=_IDX)
-                while (moving := power != 0).any():
-                    steps += moving
-                    power = qth[power]
-                orders *= q ** steps
+            orders = self.coset_orders(Subgroup._checked(self, np.zeros(1, dtype=_IDX)))
             orders.setflags(write=False)
             self._orders = orders
         return self._orders
+
+    def coset_orders(self, N: Subgroup) -> np.ndarray:
+        """The least k >= 1 with x^k in N, for every element x: for N normal,
+        the order of xN in G/N. The k with x^k in N are the multiples of
+        that least one, so for q^j exactly dividing |G|, the q-part of it is
+        the least q^i that takes x^(|G|/q^j) into N by i steps of
+        power_map(q), and j steps find it."""
+        if N.parent is not self:
+            raise PreconditionViolated("subgroup belongs to a different group")
+        outside = np.bincount(N.members, minlength=self.order) == 0
+        orders = np.ones(self.order, dtype=_IDX)
+        for q, j in factorize(self.order).items():
+            qth = self.power_map(q)
+            power = self.power_map(self.order // q ** j)
+            steps = np.zeros(self.order, dtype=_IDX)
+            # count_nonzero costs a third of any() on a short mask
+            while np.count_nonzero(moving := outside[power]):
+                steps += moving
+                power = qth[power]
+            orders *= q ** steps
+        return orders
 
     def power_map(self, e: int) -> np.ndarray:
         """x^e for every element x, by square-and-multiply over whole
@@ -453,17 +431,21 @@ class FiniteGroup:
         """log_p of the index of the Frattini subgroup."""
         return prime_power(self.order // self.frattini().order)[1]
 
-    def quotient(self, N: Subgroup) -> QuotientMap:
-        """Quotient by a normal subgroup, cosets labeled by least member index.
-        As N is normal, xN = Nx: the least member of x's coset is the least of
-        column x over N's rows, and the least members are those it fixes."""
+    def quotient(self, N: Subgroup) -> np.ndarray:
+        """The projection onto G/N, for N normal: each element's coset index,
+        read-only int32. Coset i is the one whose least member is the i-th
+        smallest such, so N is coset 0. As N is normal, xN = Nx: the least
+        member of x's coset is the least of column x over N's rows, and the
+        least members are those it fixes."""
         if not self.is_normal(N):
             raise NotNormal(f"subgroup of order {N.order} is not normal")
         rep = np.empty(self.order, dtype=_IDX)
         for cols in _slabs(self.order, N.order):
             rep[cols] = self._mul[N.members, cols].min(axis=0)
-        return QuotientMap(self, N, np.searchsorted(
-            (rep == np.arange(self.order)).nonzero()[0], rep))
+        least = (rep == np.arange(self.order)).nonzero()[0]
+        project = np.searchsorted(least, rep).astype(_IDX)
+        project.setflags(write=False)
+        return project
 
     def conjugacy_classes(self) -> np.ndarray:
         """label[x], the least member of x's class, for every element x;
@@ -599,15 +581,6 @@ def _other_candidates(parent: FiniteGroup, span: np.ndarray, coset: int, p: int,
     # big-endian bytes compare as the members do (_row_keys)
     out.sort(key=lambda s: s.members.astype(_BIG).tobytes())
     yield from out
-
-
-def _induced_table(mul: np.ndarray, elements: np.ndarray, label: np.ndarray) -> np.ndarray:
-    """The int32 table label[x y] for x, y in elements, filled in row slabs."""
-    k = len(elements)
-    table = np.empty((k, k), dtype=_IDX)
-    for rows in _slabs(k, k):
-        np.take(label, mul[np.ix_(elements[rows], elements)], out=table[rows], mode="clip")
-    return table
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -803,15 +776,16 @@ def subgroup_as_group(H: Subgroup) -> FiniteGroup:
     """Stand-alone group with the same multiplication as the subgroup.
 
     Its elements are H's members in order; nothing of the parent is read
-    but its table. Generators are chosen greedily (smallest member not yet
-    generated) so the derived spec stays short; for a p-group this yields a
-    minimal set.
+    but its table, which is relabelled in row slabs. Generators are chosen
+    greedily (smallest member not yet generated) so the derived spec stays
+    short; for a p-group this yields a minimal set.
     """
-    parent = H.parent
-    gens = parent._closure(H.members)[1] or [0]
-    m = H.members
+    parent, m = H.parent, H.members
+    gens = parent._closure(m)[1] or [0]
     # position[x] is x's index among the members
     position = np.zeros(parent.order, dtype=_IDX)
     position[m] = np.arange(len(m), dtype=_IDX)
-    table = _induced_table(parent.mul_table, m, position)
+    table = np.empty((len(m), len(m)), dtype=_IDX)
+    for rows in _slabs(len(m), len(m)):
+        np.take(position, parent.mul_table[np.ix_(m[rows], m)], out=table[rows], mode="clip")
     return FiniteGroup(table, position[gens].tolist())

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from forcing_lab import (
+    FiniteGroup,
     build_forcing_sequence,
     catalog,
     direct_product,
@@ -38,6 +39,20 @@ def cert_of(group_of):
         return _certs[spec]
 
     return build
+
+
+def quotient_group(G, N):
+    """G/N as a group of its own, the reference the tool no longer builds:
+    element i is coset i of G.quotient(N), any member of a coset stands for
+    it in the product, and the generators are the distinct non-identity
+    images of G's, or the identity alone when there are none, as the parse
+    of its spec text would give them."""
+    project = G.quotient(N)
+    reps = np.empty(G.order // N.order, dtype=np.int32)
+    reps[project] = np.arange(G.order, dtype=np.int32)
+    gens = dict.fromkeys(int(project[g]) for g in G.generators)
+    gens.pop(0, None)
+    return FiniteGroup(project[G.mul_table[np.ix_(reps, reps)]], list(gens) or [0])
 
 
 def cycle_row(text, degree):

@@ -39,6 +39,8 @@ from forcing_lab import (
     verify_certificate,
 )
 
+from conftest import quotient_group
+
 GRID_PRIMES = (3, 5, 7)
 GRID_ELLS = (2, 3, 5, 7, 11)
 GRID_RANKS = (2, 3)
@@ -156,17 +158,17 @@ def test_criterion_04_negative_controls(announce):
     C6 = parse_group_spec("preset:Cyclic(6)")
     orders = C6.orders()
     inv = next(x for x in range(C6.order) if int(orders[x]) == 2)
-    to_c3 = C6.quotient(C6.subgroup_closure([inv]))
-    if to_c3.target.order != 3:
+    to_c3 = C6.subgroup_closure([inv])
+    if quotient_group(C6, to_c3).order != 3:
         problems.append("C6 quotient is not C3")
-    if is_forcing(to_c3) is not None:
+    if is_forcing(C6, to_c3, C6.trivial_subgroup()) is not None:
         problems.append("C6 -> C3 reported forcing")
 
     Q8 = parse_group_spec("preset:GenQuaternion(1)")
-    to_klein = Q8.quotient(Q8.center())
-    if to_klein.target.order != 4 or is_cyclic(to_klein.target):
+    klein = quotient_group(Q8, Q8.center())
+    if klein.order != 4 or is_cyclic(klein):
         problems.append("Q8 quotient is not Klein four")
-    if is_forcing(to_klein) is not None:
+    if is_forcing(Q8, Q8.center(), Q8.trivial_subgroup()) is not None:
         problems.append("Q8 -> Klein four reported forcing")
 
     elapsed = time.perf_counter() - t0
@@ -309,14 +311,15 @@ def test_criterion_09_series_quotient_compatibility(announce):
             continue
         G = parse_group_spec(by_name[name])
         series = G.lower_exponent_p_series()
-        ancestors = [G.quotient(term) for term in series[1:-1]]
+        ancestors = series[1:-1]
         if not ancestors:
             problems.append(f"{name}: no ancestor quotients to check")
-        for q in ancestors:
+        for N in ancestors:
             quotients += 1
-            own = q.target.lower_exponent_p_series()
+            project = G.quotient(N)
+            own = quotient_group(G, N).lower_exponent_p_series()
             for j, term in enumerate(own):
-                image = tuple(sorted({int(q.project[x]) for x in series[j].members}))
+                image = tuple(sorted({int(project[x]) for x in series[j].members}))
                 if image != tuple(term.members.tolist()):
                     problems.append(f"{name}: image of term {j} disagrees")
                     break

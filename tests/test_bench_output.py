@@ -5,7 +5,8 @@ BENCHMARK.json declares.
 traced run never reached, so a program that stops calling a traced method
 makes the benchmark's output malformed. This runs the corpus-256 pipeline
 and the cli-session commands once each under the benchmark's own tracer and
-checks that nothing is left out.
+checks that nothing is left out. It also counts one call the corpus pass
+makes per group.
 """
 
 import importlib.util
@@ -72,3 +73,24 @@ def test_traced_cli_session_reaches_every_declared_per_layer_metric(tmp_path, mo
     finally:
         tracer.uninstall()
     assert not _unreached(spans, tracer)
+
+
+def test_corpus_pass_asks_is_cyclic_at_most_twice_per_group(monkeypatch):
+    """p_group_profile and build_forcing_sequence ask once each; the
+    quaternion detector reads the largest element order itself."""
+    workloads = _load("workloads")
+    pins = workloads.load_pins()
+    fl = SimpleNamespace(certio=certio, classify=classify, errors=errors,
+                         exponents=exponents, forcing=forcing, groupspec=groupspec)
+    original, calls = classify.is_cyclic, []
+
+    def counting(G):
+        calls.append(G.order)
+        return original(G)
+
+    monkeypatch.setattr(classify, "is_cyclic", counting)
+    monkeypatch.setattr(forcing, "is_cyclic", counting)
+    for spec in workloads.workload_specs(pins, "corpus-256"):
+        calls.clear()
+        workloads.run_group(fl, spec, 3)
+        assert 1 <= len(calls) <= 2, (spec, len(calls))

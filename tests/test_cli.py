@@ -14,8 +14,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from forcing_lab import (FiniteGroup, ForcingCertificate, PreconditionViolated, certio, cli,
-                         forcing)
+from forcing_lab import (FiniteGroup, ForcingCertificate, PreconditionViolated, certio,
+                         classify, cli, forcing)
 from forcing_lab.cli import main
 from forcing_lab.exponents import (
     AnalyticConstants,
@@ -573,6 +573,24 @@ class TestPaperChecks:
         rows = json.loads(out)
         assert all(r["passed"] for r in rows)
         assert len(rows) == 8
+
+    def test_miscounted_involutions_fail_the_hall_check(self, capsys, monkeypatch):
+        """With one involution planted on every order-16 group, Dihedral(16)
+        and Abelian(4,4) among them, hall-unique-involution fails: which groups
+        are cyclic or quaternion is not read from a detector that counts the
+        same involutions."""
+        original = classify.count_order_p_subgroups
+
+        def planted(G, p):
+            return 1 if G.order == 16 else original(G, p)
+
+        monkeypatch.setattr(classify, "count_order_p_subgroups", planted)
+        monkeypatch.setattr(cli, "count_order_p_subgroups", planted)
+        code, out, _ = run(capsys, "paper-checks", "--no-header")
+        assert code == 1
+        assert ("FAIL hall-unique-involution (64 cases) [Abelian(8,2);Abelian(4,4);Abelian(4,2,2)]"
+                in out)
+        assert "PASS quaternion-profile" in out and "PASS quaternion-rejected" in out
 
     def test_forged_beta_json(self, capsys):
         code, out, err = run(capsys, "paper-checks", "--beta", "19", "--json")

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import inspect
+import itertools
 import random
 import tracemalloc
 from dataclasses import replace
@@ -17,9 +18,9 @@ from forcing_lab import (
     ForcingWitness,
     MalformedCertificate,
     NotAPGroup,
+    NotNormal,
     PreconditionViolated,
     QuaternionGroup,
-    QuotientMap,
     Subgroup,
     TWISTED_C4_SPEC,
     build_forcing_sequence,
@@ -37,6 +38,8 @@ from forcing_lab.errors import Malformed
 from forcing_lab.forcing import _quaternion_quotient
 from forcing_lab.groups import factorize
 from forcing_lab.verify import _BLOCK_ITEMS, _coset_orders, _power_map, _row_blocks
+
+from conftest import quotient_group
 
 BUILDABLE = [
     "preset:Dihedral(8)",
@@ -67,56 +70,106 @@ def _order_p_kernel(G, order):
     raise AssertionError("no such kernel")
 
 
+def _is_forcing_reference(G, upper, lower):
+    """The search for a witness that G/lower -> G/upper is forcing, run on
+    quotient groups built here: the source G/lower and its quotient by the
+    image of upper, classes and orders read from their own tables."""
+    source, low = quotient_group(G, lower), G.quotient(lower)
+    kernel = source.subgroup_closure(sorted({int(low[m]) for m in upper.members}))
+    target, project = quotient_group(source, kernel), source.quotient(kernel)
+    label, orders = target.conjugacy_classes(), target.orders()
+    src_label = label[project]
+    reps = (label == np.arange(target.order)).nonzero()[0][1:].tolist()
+    for rep in sorted(reps, key=lambda r: (int(orders[r]), r)):
+        order = int(orders[rep])
+        if (source.orders()[src_label == rep] == order).all():
+            size = int(np.count_nonzero(label == rep))
+            return ForcingWitness(class_rep=rep, class_order=order,
+                                  checked_fiber_sizes=(kernel.order,) * size)
+    return None
+
+
+def _normal_subgroups(G):
+    """Every normal subgroup of a group whose subgroups are 2-generated,
+    by order, then members."""
+    found = {}
+    for a, b in itertools.combinations_with_replacement(range(G.order), 2):
+        H = G.subgroup_closure([a, b])
+        if G.is_normal(H):
+            found[tuple(H.members.tolist())] = H
+    return [found[key] for key in sorted(found, key=lambda k: (len(k), k))]
+
+
 class TestIsForcing:
     def test_elementary_abelian_quotient_is_forcing(self, group_of):
         E9 = group_of("preset:ElemAbelian(3,2)")
-        q = E9.quotient(_order_p_kernel(E9, 3))
-        witness = is_forcing(q)
+        witness = is_forcing(E9, _order_p_kernel(E9, 3), E9.trivial_subgroup())
         assert witness is not None
         assert witness.class_order == 3
         assert witness.checked_fiber_sizes == (3,)
 
     def test_c6_to_c3_is_not_forcing(self, group_of):
         C6 = group_of("preset:Cyclic(6)")
-        q = C6.quotient(_order_p_kernel(C6, 2))
-        assert q.target.order == 3
-        assert is_forcing(q) is None
+        N = _order_p_kernel(C6, 2)
+        assert quotient_group(C6, N).order == 3
+        assert is_forcing(C6, N, C6.trivial_subgroup()) is None
 
     def test_q8_to_klein_four_is_not_forcing(self, group_of):
         Q8 = group_of("preset:GenQuaternion(1)")
-        q = Q8.quotient(Q8.center())
-        assert q.target.order == 4
-        assert is_forcing(q) is None
+        assert quotient_group(Q8, Q8.center()).order == 4
+        assert is_forcing(Q8, Q8.center(), Q8.trivial_subgroup()) is None
 
     def test_c4_to_c2_is_not_forcing(self, group_of):
         C4 = group_of("preset:Cyclic(4)")
-        q = C4.quotient(_order_p_kernel(C4, 2))
-        assert is_forcing(q) is None
+        assert is_forcing(C4, _order_p_kernel(C4, 2), C4.trivial_subgroup()) is None
 
     def test_d4_to_v4_is_forcing(self, group_of):
         D4 = group_of("preset:Dihedral(8)")
-        q = D4.quotient(D4.center())
-        witness = is_forcing(q)
+        witness = is_forcing(D4, D4.center(), D4.trivial_subgroup())
         assert witness is not None
         assert witness.class_order == 2
+
+    @pytest.mark.parametrize("spec", ["preset:Cyclic(6)", "preset:GenQuaternion(1)",
+                                      "preset:Dihedral(8)", "preset:ElemAbelian(3,2)",
+                                      "preset:Cyclic(4)", "perm:4:(0 1 2 3),(0 1)"])
+    def test_every_normal_pair_agrees_with_quotient_groups(self, group_of, spec):
+        """G/lower -> G/upper for every pair of normal subgroups lower <= upper,
+        G -> G/N among them, S4 the one group that is not a p-group."""
+        G = group_of(spec)
+        normal = _normal_subgroups(G)
+        pairs = [(upper, lower) for upper in normal for lower in normal
+                 if set(lower.members.tolist()) <= set(upper.members.tolist())]
+        for upper, lower in pairs:
+            assert is_forcing(G, upper, lower) == _is_forcing_reference(G, upper, lower), (
+                upper.members, lower.members)
+        assert sum(is_forcing(G, upper, lower) is not None for upper, lower in pairs)
+
+    def test_refuses_maps_that_are_not_quotient_maps(self, group_of):
+        D4 = group_of("preset:Dihedral(8)")
+        reflection = next(H for H in map(D4.subgroup_closure, [[m] for m in range(1, 8)])
+                          if H.order == 2 and not D4.is_normal(H))
+        whole, centre, trivial = D4.whole_subgroup(), D4.center(), D4.trivial_subgroup()
+        with pytest.raises(NotNormal):
+            is_forcing(D4, reflection, trivial)
+        with pytest.raises(NotNormal):
+            is_forcing(D4, whole, reflection)
+        with pytest.raises(PreconditionViolated, match="lower is not inside upper"):
+            is_forcing(D4, trivial, centre)
 
 
 class TestCentralStepWitness:
     def test_agrees_with_brute_force(self, group_of, cert_of):
-        """The witness read from G/N_i and the exhaustive predicate, run on the
-        quotient of quotients (G/N_{i+1}) / (N_i/N_{i+1}) built here, pick the
-        same class on every step."""
+        """The witness read from G/N_i, is_forcing and the exhaustive
+        predicate, run on the quotient of quotients (G/N_{i+1}) / (N_i/N_{i+1})
+        built here, pick the same class on every step."""
         for spec in BUILDABLE + CERTIFIED_64:
             G = group_of(spec)
             cert = cert_of(spec)
             for i in range(1, len(cert.chain) - 1):
                 upper, lower = Subgroup(G, cert.chain[i]), Subgroup(G, cert.chain[i + 1])
-                q_low = G.quotient(lower)
-                src = q_low.target
-                kernel = src.subgroup_closure(
-                    sorted({int(q_low.project[m]) for m in upper.members}))
-                brute = is_forcing(src.quotient(kernel))
+                brute = _is_forcing_reference(G, upper, lower)
                 assert brute is not None, spec
+                assert is_forcing(G, upper, lower) == brute, spec
                 assert central_step_witness(G, upper, lower) == brute, spec
                 assert cert.steps[i - 1].witness == brute, spec
 
@@ -225,16 +278,14 @@ class TestQuaternionDetour:
         assert len(candidates) == 3
         flags = []
         for cand in candidates:
-            q = G.quotient(cand)
-            flags.append(is_generalized_quaternion(q.target) is not None)
+            flags.append(is_generalized_quaternion(quotient_group(G, cand)) is not None)
         assert sum(flags) == 1
 
     def test_built_chain_avoids_the_quaternion_quotient(self, group_of, cert_of):
         G = group_of(TWISTED_C4_SPEC)
         cert = cert_of(TWISTED_C4_SPEC)
         for entry in cert.chain[:-1]:
-            q = G.quotient(Subgroup(G, entry))
-            assert is_generalized_quaternion(q.target) is None
+            assert is_generalized_quaternion(quotient_group(G, Subgroup(G, entry))) is None
 
     def test_squares_agree_with_quotient_groups(self, group_of):
         """Over every subgroup the builder could refine to, between each pair
@@ -254,7 +305,7 @@ class TestQuaternionDetour:
                         continue
                     seen.add(key)
                     for S in G.intermediate_index_p_subgroups(current, series[j + 1], 2):
-                        expected = is_generalized_quaternion(G.quotient(S).target) is not None
+                        expected = is_generalized_quaternion(quotient_group(G, S)) is not None
                         assert _quaternion_quotient(G, S) == expected, (spec, S.members)
                         quaternion += expected
                         todo.append(S)
@@ -438,7 +489,7 @@ class TestVerifier:
 
         # every method, orders and power_map among them, so that a new
         # builder kernel is covered without being listed here
-        for owner in (FiniteGroup, Subgroup, QuotientMap):
+        for owner in (FiniteGroup, Subgroup):
             for name, value in list(vars(owner).items()):
                 if inspect.isfunction(value):
                     monkeypatch.setattr(owner, name, builder_only)
@@ -450,7 +501,7 @@ class TestVerifier:
         # C8 x C2 over a C2 with quotient C8: a single involution, but cyclic
         G = group_of("preset:Abelian(8,2)")
         kernel = next(H for H in (G.subgroup_closure([m]) for m in range(1, G.order))
-                      if H.order == 2 and int(G.quotient(H).target.orders().max()) == 8)
+                      if H.order == 2 and int(quotient_group(G, H).orders().max()) == 8)
         step = ForcingStep(index_in_chain=1, kernel_order=2, quotient_order=16,
                            quotient_is_quaternion=False, witness=ForcingWitness(1, 2, (2,)))
         cert = ForcingCertificate(group_spec=G.spec, chain=(tuple(range(16)),
@@ -593,10 +644,9 @@ def _largest_member_representative(original):
 
 def _reversed_target_labels(original):
     def quotient(self, N):
-        q = original(self, N)
         # t -> |Q| - t for t >= 1 is an involution, so it is its own inverse
         relabel = np.concatenate([[0], np.arange(self.order // N.order - 1, 0, -1)])
-        return QuotientMap(self, N, relabel[q.project])
+        return relabel[original(self, N)]
     return quotient
 
 
@@ -629,7 +679,7 @@ QUOTIENT_CONDITIONS = {"chain-normal", "quotient-non-quaternion", "chain-central
 
 def _quotient_reference(G, cert):
     """The QUOTIENT_CONDITIONS checks as derived from Subgroup, FiniteGroup.quotient,
-    the targets' conjugacy classes and the step map phi between quotients."""
+    the quotient groups' conjugacy classes and the step map phi between them."""
     chain = [tuple(sorted(entry)) for entry in cert.chain]
     checks, quotients = [], []
     for k, entry in enumerate(chain):
@@ -642,9 +692,9 @@ def _quotient_reference(G, cert):
             continue
         normal = G.is_normal(sub)
         checks.append(CheckResult("chain-normal", normal, f"entry {k}", step=k))
-        quotients.append(G.quotient(sub) if normal else None)
+        quotients.append((G.quotient(sub), quotient_group(G, sub)) if normal else None)
     for k, q in enumerate(quotients):
-        idx = None if q is None else is_generalized_quaternion(q.target)
+        idx = None if q is None else is_generalized_quaternion(q[1])
         detail = (f"entry {k}: quotient could not be formed" if q is None else
                   f"entry {k}" + ("" if idx is None else f": quotient is Q({idx})"))
         checks.append(CheckResult("quotient-non-quaternion", q is not None and idx is None,
@@ -661,24 +711,25 @@ def _quotient_reference(G, cert):
                 checks.append(CheckResult(condition, False, "quotients could not be formed",
                                           step=i))
             continue
+        (up, Q_up), (low, Q_low) = q_up, q_low
         flag_ok = (step.quotient_is_quaternion is False
-                   and is_generalized_quaternion(q_low.target) is None)
+                   and is_generalized_quaternion(Q_low) is None)
         checks.append(CheckResult("step-quaternion-flag", flag_ok,
                                   "recorded flag must be false and match recomputation",
                                   step=i))
         witness = step.witness
-        if witness.class_rep >= q_up.target.order:
+        if witness.class_rep >= Q_up.order:
             checks.append(CheckResult("step-witness-class", False,
                                       f"representative {witness.class_rep} out of range",
                                       step=i))
             checks.append(CheckResult("step-forcing", False, "witness unusable", step=i))
             continue
-        label = q_up.target.conjugacy_classes()
+        label = Q_up.conjugacy_classes()
         rep = int(label[witness.class_rep])
-        order = int(q_up.target.orders()[rep])
-        phi = np.empty(q_low.target.order, dtype=np.int32)
-        phi[q_low.project] = q_up.project
-        low_orders = q_low.target.orders()
+        order = int(Q_up.orders()[rep])
+        phi = np.empty(Q_low.order, dtype=np.int32)
+        phi[low] = up
+        low_orders = Q_low.orders()
         fibers = [np.flatnonzero(phi == member) for member in np.flatnonzero(label == rep)]
         sizes = [len(f) for f in fibers]
         class_ok = (rep == witness.class_rep

@@ -1,10 +1,13 @@
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import forcing_lab
 from forcing_lab import (
     FiniteGroup,
     GroupSpecError,
@@ -26,6 +29,8 @@ from forcing_lab import (
 )
 from forcing_lab.groups import PRIME_TEST_LIMIT, is_prime, prime_power
 from forcing_lab.groupspec import _cycle_string
+
+from conftest import quotient_group
 
 AXIOM_SPECS = [
     "preset:Cyclic(6)",
@@ -169,13 +174,16 @@ def test_element_orders_divide_group_order(group_of, rows_of, spec):
         assert _perm_order(images) == int(orders[i])
 
 
-def _orders_by_multiplication(G):
-    """Reference: the least k with x^k = 1, multiplying by x once per step."""
+def _orders_by_multiplication(G, members=(0,)):
+    """Reference: the least k with x^k among the members, 1 unless given,
+    multiplying by x once per step."""
+    inside = np.zeros(G.order, dtype=bool)
+    inside[list(members)] = True
     x = np.arange(G.order)
     power, orders = x.copy(), np.zeros(G.order, dtype=np.int64)
     k = 1
     while not orders.all():
-        orders[(power == 0) & (orders == 0)] = k
+        orders[inside[power] & (orders == 0)] = k
         power = G.mul_table[power, x]
         k += 1
     return orders
@@ -187,12 +195,27 @@ def test_orders_match_repeated_multiplication(group_of):
               "product:preset:Heisenberg(5)|preset:ElemAbelian(3,2)", "preset:Cyclic(1024)"]
     S3xC3 = group_of("product:perm:3:(0 1 2),(0 1)|preset:Cyclic(3)")
     cases = [(spec, group_of(spec)) for spec in specs]
-    cases.append(("S3 x C3 / Z", S3xC3.quotient(S3xC3.center()).target))
+    cases.append(("S3 x C3 / Z", quotient_group(S3xC3, S3xC3.center())))
     assert cases[-1][1].order == 6
     for name, G in cases:
         orders = G.orders()
         assert np.array_equal(orders, _orders_by_multiplication(G)), name
         assert orders.dtype == np.int32 and not orders.flags.writeable, name
+
+
+def test_coset_orders_match_repeated_multiplication(group_of):
+    """The least k with x^k in N, for every cyclic subgroup N, normal or not,
+    and the centre; for N normal, the element orders of G/N."""
+    for spec in ["preset:Dihedral(16)", "preset:Heisenberg(3)", "preset:Abelian(8,4)",
+                 "product:perm:3:(0 1 2),(0 1)|preset:Cyclic(3)", "perm:4:(0 1 2 3),(0 1)"]:
+        G = group_of(spec)
+        for N in [G.center(), *(G.subgroup_closure([m]) for m in range(G.order))]:
+            orders = G.coset_orders(N)
+            assert np.array_equal(orders, _orders_by_multiplication(G, N.members)), spec
+            if G.is_normal(N):
+                assert np.array_equal(orders, quotient_group(G, N).orders()[G.quotient(N)]), spec
+    with pytest.raises(PreconditionViolated, match="different group"):
+        group_of("preset:Dihedral(8)").coset_orders(group_of("preset:Cyclic(8)").center())
 
 
 def test_elements_sorted_and_identity_first(group_of, rows_of):
@@ -259,7 +282,7 @@ def _product_cases(group_of):
         yield spec, [group_of(part) for part in spec.removeprefix("product:").split("|")]
     yield "ElemAbelian(2,11)", [group_of("preset:Cyclic(2)")] * 11
     D8 = group_of("preset:Dihedral(16)")
-    yield "Dihedral(16)/Z x C3", [D8.quotient(D8.center()).target, group_of("preset:Cyclic(3)")]
+    yield "Dihedral(16)/Z x C3", [quotient_group(D8, D8.center()), group_of("preset:Cyclic(3)")]
     H = group_of("preset:Heisenberg(3)")
     yield "D4 x Z(Heisenberg(3)) x V4", [group_of("preset:Dihedral(8)"),
                                          subgroup_as_group(H.center()),
@@ -397,21 +420,21 @@ def test_quotient_c6_by_c3(group_of):
     orders = C6.orders()
     third = int(np.nonzero(orders == 3)[0][0])
     N = C6.subgroup_closure([third])
-    q = C6.quotient(N)
-    assert q.target.order == 2
+    project, Q = C6.quotient(N), quotient_group(C6, N)
+    assert Q.order == 2
+    assert project.dtype == np.int32 and not project.flags.writeable
     # projection is a homomorphism
     for a in range(C6.order):
         for b in range(C6.order):
-            assert (q.target.mul(int(q.project[a]), int(q.project[b]))
-                    == int(q.project[C6.mul(a, b)]))
+            assert Q.mul(int(project[a]), int(project[b])) == int(project[C6.mul(a, b)])
 
 
 def test_quotient_labels_are_min_coset_members(group_of):
     D4 = group_of("preset:Dihedral(8)")
-    q = D4.quotient(D4.center())
+    project = D4.quotient(D4.center())
     for g in range(D4.order):
         coset = {D4.mul(g, k) for k in D4.center().members}
-        label = np.flatnonzero(q.project == q.project[g]).tolist()
+        label = np.flatnonzero(project == project[g]).tolist()
         assert set(label) == coset
 
 
@@ -438,14 +461,10 @@ def test_nested_quotient_labels_align(group_of):
         if len(series) < 3:
             continue
         N1, N2 = series[1], series[2]
-        q_low = G.quotient(N2)
-        q_up = G.quotient(N1)
-        image = q_low.target.subgroup_closure(
-            sorted({int(q_low.project[m]) for m in N1.members}))
-        inner = q_low.target.quotient(image)
+        low, up, Q = G.quotient(N2), G.quotient(N1), quotient_group(G, N2)
+        inner = Q.quotient(Q.subgroup_closure(sorted({int(low[m]) for m in N1.members})))
         for g in range(G.order):
-            assert (int(inner.project[int(q_low.project[g])])
-                    == int(q_up.project[g]))
+            assert int(inner[int(low[g])]) == int(up[g])
 
 
 def test_intermediate_index_p_subgroups_elementary_abelian(group_of):
@@ -528,7 +547,7 @@ def _kernel_cases(group_of):
                  "preset:SemiDihedral(64)"]:
         G = group_of(spec)
         for N in (G.center(), G.lower_exponent_p_series()[-2]):
-            yield f"{spec}/N{N.order}", G.quotient(N).target
+            yield f"{spec}/N{N.order}", quotient_group(G, N)
 
 
 def test_closure_kernels_match_fixpoint_references(group_of):
@@ -678,7 +697,7 @@ def _subgroup_cases(group_of):
         yield f"{spec} center", G.center()
         yield f"{spec} Frattini", G.frattini()
     D8 = group_of("preset:Dihedral(16)")
-    Q = D8.quotient(D8.center()).target
+    Q = quotient_group(D8, D8.center())
     yield "Dihedral(16)/Z subgroup", Q.subgroup_closure([Q.order - 1])
     yield "trivial", D8.trivial_subgroup()
 
@@ -704,9 +723,29 @@ def test_subgroup_as_group_is_under_its_parents_cap():
     assert subgroup_as_group(G.whole_subgroup()).order == 2049
 
 
+def test_only_enumeration_and_table_arithmetic_construct_a_group():
+    """In src/, a FiniteGroup is constructed only where a table is enumerated
+    or composed: from_generators, direct_product, subgroup_as_group and the
+    cyclic preset. A quotient is its coset labels, never a group."""
+    owners = []
+    for path in sorted(Path(forcing_lab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        where = {id(node): None for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and ast.unparse(node.func).split(".")[-1] == "FiniteGroup"}
+        # ast.walk is breadth first, so an inner function overwrites its outer one
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    if id(node) in where:
+                        where[id(node)] = fn.name
+        owners += [f"{path.stem}.{name}" for name in where.values()]
+    assert sorted(owners) == ["catalog._cyclic", "groups.direct_product",
+                              "groups.from_generators", "groups.subgroup_as_group"]
+
+
 def test_quotient_target_acts_by_right_multiplication(group_of, rows_of):
     G = group_of("preset:Heisenberg(3)")
-    Q = G.quotient(G.center()).target
+    Q = quotient_group(G, G.center())
     assert spec_text(Q) == "perm:9:(0 1 2)(3 4 5)(6 7 8),(0 3 6)(1 4 7)(2 5 8)"
     # each generator's row in the spec is its table column: y -> y g
     _, rows = rows_of(spec_text(Q))
@@ -716,8 +755,7 @@ def test_quotient_target_acts_by_right_multiplication(group_of, rows_of):
 def test_ancestor_quotients(group_of):
     G = group_of("preset:GenQuaternion(2)")  # series 16 > 4 > 2 > 1
     series = G.lower_exponent_p_series()
-    qs = [G.quotient(term) for term in series[1:-1]]
-    assert [q.target.order for q in qs] == [4, 8]
+    assert [quotient_group(G, term).order for term in series[1:-1]] == [4, 8]
 
 
 @st.composite
@@ -820,7 +858,7 @@ def test_is_abelian_from_generator_pairs_matches_the_whole_table(group_of):
     specs = [spec for _, spec in p_group_specs(256)] + [e.spec for e in catalog_entries()]
     for spec in specs:
         G = group_of(spec)
-        for H in (G, G.quotient(G.center()).target):
+        for H in (G, quotient_group(G, G.center())):
             assert H.is_abelian() == np.array_equal(H.mul_table, H.mul_table.T), spec
 
 
