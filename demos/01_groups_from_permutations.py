@@ -20,8 +20,7 @@ D4 = from_generators([rot, ref], 4)
 print(f"generated group order: {D4.order}")
 print(f"element orders: {sorted(int(o) for o in D4.orders())}")
 print(f"center order: {D4.center().order}")
-print(f"commutator subgroup order: "
-      f"{D4.commutator_subgroup(D4.whole_subgroup(), D4.whole_subgroup()).order}")
+print(f"commutator subgroup order: {D4.commutator_subgroup(D4.whole_subgroup()).order}")
 
 print()
 print("=" * 64)

@@ -270,30 +270,31 @@ def _abelian_partitions(total: int) -> list[tuple[int, ...]]:
     return out
 
 
-def two_group_specs(max_order: int = 64) -> tuple[tuple[str, str], ...]:
-    """Named spec strings for the standing corpus of 2-groups up to max_order."""
+def _abelian_specs(p: int, max_order: int) -> list[tuple[str, str]]:
+    """Named specs of the abelian p-groups up to max_order: the cyclic ones
+    by order, then the others by partition of the exponent."""
     out: list[tuple[str, str]] = []
     k = 1
-    while 2 ** k <= max_order:
-        out.append((f"Cyclic({2 ** k})", f"preset:Cyclic({2 ** k})"))
+    while p ** k <= max_order:
+        out.append((f"Cyclic({p ** k})", f"preset:Cyclic({p ** k})"))
         k += 1
-    s = 2
-    while 2 ** s <= max_order:
+    for s in range(2, k):
         for partition in _abelian_partitions(s):
-            ks = ",".join(str(2 ** part) for part in partition)
+            ks = ",".join(str(p ** part) for part in partition)
             out.append((f"Abelian({ks})", f"preset:Abelian({ks})"))
-        s += 1
-    for family, start in (("Dihedral", 8), ("GenQuaternion", None),
+    return out
+
+
+def two_group_specs(max_order: int = 64) -> tuple[tuple[str, str], ...]:
+    """Named spec strings for the standing corpus of 2-groups up to max_order."""
+    out = _abelian_specs(2, max_order)
+    for family, start in (("Dihedral", 8), ("GenQuaternion", 8),
                           ("SemiDihedral", 16), ("ModularMaximalCyclic", 16)):
-        if family == "GenQuaternion":
-            n = 1
-            while 2 ** (n + 2) <= max_order:
-                out.append((f"GenQuaternion({n})", f"preset:GenQuaternion({n})"))
-                n += 1
-            continue
         m = start
         while m <= max_order:
-            out.append((f"{family}({m})", f"preset:{family}({m})"))
+            # GenQuaternion(n) has order 2^(n+2); the others are named by their order
+            arg = m.bit_length() - 3 if family == "GenQuaternion" else m
+            out.append((f"{family}({arg})", f"preset:{family}({arg})"))
             m *= 2
     if 16 <= max_order:
         out.append(("TwistedC4xC4", TWISTED_C4_SPEC))
@@ -329,16 +330,7 @@ def p_group_specs(max_order: int = 256) -> tuple[tuple[str, str], ...]:
     """Named spec strings for the standing corpus of p-groups up to max_order."""
     out = list(two_group_specs(max_order))
     for p in (3, 5, 7, 11):
-        k = 1
-        while p ** k <= max_order:
-            out.append((f"Cyclic({p ** k})", f"preset:Cyclic({p ** k})"))
-            k += 1
-        s = 2
-        while p ** s <= max_order:
-            for partition in _abelian_partitions(s):
-                ks = ",".join(str(p ** part) for part in partition)
-                out.append((f"Abelian({ks})", f"preset:Abelian({ks})"))
-            s += 1
+        out += _abelian_specs(p, max_order)
     for name, spec, order in (
         ("Heisenberg(3)", "preset:Heisenberg(3)", 27),
         ("Heisenberg(5)", "preset:Heisenberg(5)", 125),

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotNilpotent, PNotDividing, PreconditionViolated
-from .groups import FiniteGroup, Subgroup, factorize, prime_power, subgroup_as_group
+from .groups import FiniteGroup, Subgroup, factorize, is_prime, prime_power, subgroup_as_group
 
 
 @dataclass(frozen=True)
@@ -27,20 +27,6 @@ def is_cyclic(G: FiniteGroup) -> bool:
     return int(G.orders().max()) == G.order
 
 
-def is_elementary_abelian(G: FiniteGroup) -> tuple[int, int] | None:
-    """(p, r) with G abelian of exponent p and order p**r, or None."""
-    pp = prime_power(G.order)
-    if pp is None:
-        return None
-    p, n = pp
-    if not G.is_abelian():
-        return None
-    # element orders of a p-group are powers of p
-    if int(G.orders().max()) > p:
-        return None
-    return (p, n)
-
-
 def is_generalized_quaternion(G: FiniteGroup) -> int | None:
     """The index n with G isomorphic to the order-2**(n+2) generalized
     quaternion group, or None. Uses the unique-involution characterization:
@@ -57,6 +43,8 @@ def is_generalized_quaternion(G: FiniteGroup) -> int | None:
 
 def count_order_p_subgroups(G: FiniteGroup, p: int) -> int:
     """Number of subgroups of order p; each contributes p - 1 elements of order p."""
+    if not is_prime(p):
+        raise PreconditionViolated(f"{p} is not prime")
     if G.order % p:
         raise PNotDividing(f"{p} does not divide {G.order}")
     return int((G.orders() == p).sum()) // (p - 1)
@@ -66,7 +54,8 @@ def sylow_decomposition(G: FiniteGroup) -> dict[int, Subgroup]:
     """Sylow subgroups of a nilpotent group by prime, one per prime divisor.
 
     In a nilpotent group the p-elements form the (normal) Sylow p-subgroup;
-    anything else raises NotNilpotent.
+    anything else raises NotNilpotent. This is the package's one test of
+    nilpotency.
     """
     orders = G.orders()
     factors: dict[int, Subgroup] = {}
@@ -94,14 +83,6 @@ def sylow_factors(G: FiniteGroup) -> list[tuple[int, FiniteGroup]]:
     if pp is not None:
         return [(pp[0], G)]
     return [(p, subgroup_as_group(sub)) for p, sub in sorted(sylow_decomposition(G).items())]
-
-
-def is_nilpotent(G: FiniteGroup) -> bool:
-    try:
-        sylow_decomposition(G)
-    except NotNilpotent:
-        return False
-    return True
 
 
 def p_group_profile(G: FiniteGroup) -> PGroupProfile:

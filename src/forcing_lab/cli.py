@@ -386,12 +386,7 @@ def _run_grid_checks(consts: AnalyticConstants, cap: int) -> list[dict[str, Any]
 
 def cmd_paper_checks(args: argparse.Namespace) -> int:
     cap = _resolve_cap(args)
-    try:
-        consts = _constants_from(args)
-    except ValueError as exc:
-        rows = [("constants-invariant", False, f": {exc}")]
-        return _finish(args, [{"check": "constants-invariant", "passed": False, "cases": 1,
-                               "detail": str(exc)}], *_result_table(rows, "checks"))
+    consts = _constants_from(args)
     results = [{"check": "constants-invariant", "passed": True, "cases": 1,
                 "detail": f"beta={format_rational(consts.beta)} "
                           f"gamma={format_rational(consts.gamma)} "

@@ -1,8 +1,8 @@
 """Finite groups realized concretely as Cayley tables.
 
 Every group is fully enumerated: an element is an index into its numpy
-multiplication table, index 0 is the identity, and mul(a, b) applies a first,
-then b. A group holds its table, its inverses and its generator indices,
+multiplication table, index 0 is the identity, and mul_table[a, b] applies a
+first, then b. A group holds its table, its inverses and its generator indices,
 and nothing of any permutation. Permutations are only an input format: a
 generator is an int32 image row from the spec to the table, and enters only
 through from_generators, which indexes the elements by their image rows,
@@ -41,7 +41,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from math import lcm, prod
+from math import prod
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -79,6 +79,18 @@ def _slabs(rows: int, width: int) -> Iterator[slice]:
 # PRIME_TEST_LIMIT exactly (Sorenson and Webster, Math. Comp. 86, 2017)
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_TEST_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def _index_array(values: Sequence[int] | np.ndarray, what: str) -> np.ndarray:
+    """values as a one-dimensional array of integers; floats, strings and
+    anything else are refused, not truncated. An empty sequence passes."""
+    try:
+        array = np.asarray(values)
+    except (OverflowError, TypeError, ValueError):
+        array = None
+    if array is None or array.ndim != 1 or (array.size and array.dtype.kind not in "iu"):
+        raise PreconditionViolated(f"{what} are not a sequence of int64 indices")
+    return array
 
 
 def _distinct(indices: np.ndarray, n: int) -> np.ndarray:
@@ -139,12 +151,7 @@ class Subgroup:
     members: np.ndarray
 
     def __post_init__(self) -> None:
-        try:
-            given = np.asarray(self.members, dtype=np.int64)
-        except (OverflowError, TypeError, ValueError):
-            given = None
-        if given is None or given.ndim != 1:
-            raise PreconditionViolated("members are not a sequence of int64 indices")
+        given = _index_array(self.members, "members")
         if not given.size or given.min() != 0:
             raise PreconditionViolated("subgroup must contain the identity (index 0)")
         if given.max() >= self.parent.order:
@@ -179,10 +186,10 @@ class Subgroup:
 
 class FiniteGroup:
     """A fully enumerated group: its product table, inverses and generator
-    indices, and the canonical spec it was parsed from, if any."""
+    indices, and the canonical spec it was parsed from, if any (the parser
+    sets it once the group is built)."""
 
-    def __init__(self, mul_table: np.ndarray, generators: Sequence[int],
-                 spec: str | None = None) -> None:
+    def __init__(self, mul_table: np.ndarray, generators: Sequence[int]) -> None:
         # C order: flat gathers then index a view of the table, never a copy
         mul = np.ascontiguousarray(mul_table, dtype=_IDX)
         n = len(mul)
@@ -198,7 +205,7 @@ class FiniteGroup:
             inv[rows] = mul[rows].argmin(axis=1)
         inv.setflags(write=False)
         self._inv = inv
-        self.spec = spec
+        self.spec: str | None = None
         self._orders: np.ndarray | None = None
         self._powers: dict[int, np.ndarray] = {}
         self._classes: np.ndarray | None = None
@@ -216,12 +223,6 @@ class FiniteGroup:
     @property
     def inv_table(self) -> np.ndarray:
         return self._inv
-
-    def mul(self, a: int, b: int) -> int:
-        return int(self._mul[a, b])
-
-    def inv(self, a: int) -> int:
-        return int(self._inv[a])
 
     def orders(self) -> np.ndarray:
         """Element orders, indexed like elements: the coset orders modulo
@@ -279,14 +280,6 @@ class FiniteGroup:
             raise NotAPGroup(f"order {self.order} is not a prime power")
         return pp[0]
 
-    def exponent(self) -> int:
-        return lcm(*_distinct(self.orders(), self.order + 1).tolist())
-
-    def is_abelian(self) -> bool:
-        """Whether the generators commute pairwise, as they generate G."""
-        table = self._mul[np.ix_(self.generators, self.generators)]
-        return bool(np.array_equal(table, table.T))
-
     def whole_subgroup(self) -> Subgroup:
         return Subgroup._checked(self, np.arange(self.order, dtype=_IDX))
 
@@ -333,7 +326,7 @@ class FiniteGroup:
 
     def subgroup_closure(self, seed: Sequence[int] | np.ndarray) -> Subgroup:
         """Smallest subgroup containing the seed indices."""
-        seed = np.asarray(seed, dtype=np.int64)
+        seed = _index_array(seed, "seeds")
         if len(seed) and (seed.min() < 0 or seed.max() >= self.order):
             raise PreconditionViolated("seed index out of range")
         return Subgroup._checked(self, self._closure(seed)[0])
@@ -368,24 +361,21 @@ class FiniteGroup:
         """The x that commute with every generator: rows of identities."""
         return Subgroup._checked(self, (~self.commutator_table().any(axis=1)).nonzero()[0])
 
-    def commutator_subgroup(self, A: Subgroup, B: Subgroup) -> Subgroup:
-        """Subgroup generated by all [a, b] = a^-1 b^-1 a b: the closure of the
-        [a, y] for generators y of B, closed under conjugation by the y. This
-        is exact, since [a, yz] = [a, z] [a, y]^z."""
-        if A.parent is not self or B.parent is not self:
+    def commutator_subgroup(self, A: Subgroup) -> Subgroup:
+        """[A, G], generated by all [a, g] = a^-1 g^-1 a g: the closure of the
+        [a, y] for the generators y of G, read from the commutator table and
+        closed under conjugation by the y. This is exact, since
+        [a, yz] = [a, z] [a, y]^z."""
+        if A.parent is not self:
             raise PreconditionViolated("subgroup belongs to a different group")
-        if B.order == self.order:
-            commutators = self.commutator_table().__getitem__
-        else:
-            ys = np.array(self._closure(B.members)[1], dtype=_IDX)
-            commutators = functools.partial(self._commutators, ys=ys)
-        seed = _distinct(commutators(A.members), self.order)
+        table = self.commutator_table()
+        seed = _distinct(table[A.members], self.order)
         while True:
             members, gens = self._closure(seed)
             g = np.array(gens, dtype=_IDX)
             # y normalises H once [g, y] = g^-1 g^y lies in H for each generator g of H
             new = np.zeros(self.order, dtype=bool)
-            new[commutators(g)] = True
+            new[table[g]] = True
             new[members] = False
             if not new.any():
                 return Subgroup._checked(self, members)
@@ -407,11 +397,10 @@ class FiniteGroup:
         the same group as closing the powers first."""
         if self._series is None:
             pth = self.power_map(self.prime())
-            whole = self.whole_subgroup()
-            series = [whole]
+            series = [self.whole_subgroup()]
             while series[-1].order > 1:
                 current = series[-1]
-                comm = self.commutator_subgroup(current, whole)
+                comm = self.commutator_subgroup(current)
                 nxt = self.subgroup_closure(_distinct(
                     np.concatenate([pth[current.members], comm.members]),
                     self.order))

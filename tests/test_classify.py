@@ -4,11 +4,10 @@ from forcing_lab import (
     NotAPGroup,
     NotNilpotent,
     PNotDividing,
+    PreconditionViolated,
     count_order_p_subgroups,
     is_cyclic,
-    is_elementary_abelian,
     is_generalized_quaternion,
-    is_nilpotent,
     p_group_profile,
     subgroup_as_group,
     sylow_decomposition,
@@ -65,13 +64,13 @@ class TestProfiles:
         G = group_of("preset:Heisenberg(3)")
         prof = p_group_profile(G)
         assert (prof.p, prof.n, prof.p_class, prof.rank) == (3, 3, 2, 2)
-        assert G.exponent() == 3
+        assert G.orders().max() == 3
 
     def test_extraspecial_exponent_p(self, group_of):
         G = group_of("preset:Extraspecial(3,2)")
         prof = p_group_profile(G)
         assert (prof.p, prof.n, prof.p_class, prof.rank) == (3, 5, 2, 4)
-        assert G.exponent() == 3
+        assert G.orders().max() == 3
         assert len(G.center().members) == 3
 
     def test_elementary_abelian_has_class_one(self, group_of):
@@ -99,11 +98,6 @@ class TestPredicates:
         assert is_cyclic(group_of("preset:Cyclic(12)"))
         assert not is_cyclic(group_of("preset:ElemAbelian(2,2)"))
 
-    def test_is_elementary_abelian(self, group_of):
-        assert is_elementary_abelian(group_of("preset:ElemAbelian(5,2)")) == (5, 2)
-        assert is_elementary_abelian(group_of("preset:Cyclic(4)")) is None
-        assert is_elementary_abelian(group_of("preset:Cyclic(3)")) == (3, 1)
-
     def test_rank_and_class(self, group_of):
         G = group_of("preset:Abelian(4,4)")
         assert G.generator_rank() == 2
@@ -118,6 +112,11 @@ class TestPredicates:
     def test_count_order_p_subgroups_requires_divisor(self, group_of):
         with pytest.raises(PNotDividing):
             count_order_p_subgroups(group_of("preset:Cyclic(4)"), 3)
+
+    @pytest.mark.parametrize("p", [0, 1, 4])
+    def test_count_order_p_subgroups_requires_a_prime(self, group_of, p):
+        with pytest.raises(PreconditionViolated, match=f"^{p} is not prime$"):
+            count_order_p_subgroups(group_of("preset:Dihedral(8)"), p)
 
 
 class TestSylow:
@@ -137,10 +136,8 @@ class TestSylow:
         assert is_cyclic(three)
 
     def test_s3_is_not_nilpotent(self, group_of):
-        G = group_of("perm:3:(0 1 2),(0 1)")
-        assert not is_nilpotent(G)
         with pytest.raises(NotNilpotent):
-            sylow_decomposition(G)
+            sylow_decomposition(group_of("perm:3:(0 1 2),(0 1)"))
 
     def test_factors_of_a_p_group_are_the_group_itself(self, group_of):
         G = group_of("preset:Heisenberg(3)")
@@ -165,5 +162,6 @@ class TestSylow:
             sylow_factors(group_of("perm:3:(0 1 2),(0 1)"))
 
     def test_p_group_is_nilpotent(self, group_of):
-        assert is_nilpotent(group_of("preset:Dihedral(8)"))
-        assert not is_nilpotent(group_of("perm:4:(0 1 2 3),(0 1)"))
+        assert sorted(sylow_decomposition(group_of("preset:Dihedral(8)"))) == [2]
+        with pytest.raises(NotNilpotent):
+            sylow_decomposition(group_of("perm:4:(0 1 2 3),(0 1)"))

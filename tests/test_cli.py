@@ -563,9 +563,12 @@ class TestPaperChecks:
             assert f"PASS {name}" in out
 
     def test_forged_beta_rejected(self, capsys):
-        code, out, _ = run(capsys, "paper-checks", "--beta", "19", "--no-header")
-        assert code == 1
-        assert "FAIL constants-invariant" in out
+        """Constants that break the invariant end as delta's do: an error
+        on stderr, exit 1 and no table."""
+        code, out, err = run(capsys, "paper-checks", "--beta", "19", "--no-header")
+        assert (code, out) == (1, "")
+        assert err == ("error: InvalidConstants: constants invariant rejected: "
+                       "beta must exceed gamma + 1/2\n")
 
     def test_json_form(self, capsys):
         code, out, _ = run(capsys, "paper-checks", "--json")
@@ -594,13 +597,12 @@ class TestPaperChecks:
 
     def test_forged_beta_json(self, capsys):
         code, out, err = run(capsys, "paper-checks", "--beta", "19", "--json")
-        assert (code, err) == (1, "")
-        assert json.loads(out) == [{
-            "check": "constants-invariant", "passed": False, "cases": 1,
-            "detail": "constants invariant rejected: beta must exceed gamma + 1/2"}]
+        assert (code, out) == (1, "")
+        assert err == ("error: InvalidConstants: constants invariant rejected: "
+                       "beta must exceed gamma + 1/2\n")
 
 
-# one argv per subcommand, and a verify and a paper-checks that exit 1;
+# one argv per subcommand, and a verify that exits 1;
 # "GOOD" and "FORGED" stand for the files the output_dir fixture writes
 _OUTPUT_ARGVS = [
     ["catalog"],
@@ -611,7 +613,6 @@ _OUTPUT_ARGVS = [
     ["verify", "GOOD"],
     ["verify", "FORGED"],
     ["paper-checks"],
-    ["paper-checks", "--beta", "19"],
 ]
 _HEADER = re.compile(r"# forcing-lab ([a-z-]+) \d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ\n")
 
@@ -642,13 +643,13 @@ class TestOutput:
         assert header and header[1] == argv[0]
         assert (code, out[header.end():], err) == plain
         assert plain[1] and not plain[1].startswith("#")
-        assert code == (1 if "FORGED" in argv or "--beta" in argv else 0)
+        assert code == (1 if "FORGED" in argv else 0)
 
     @pytest.mark.parametrize("argv", _OUTPUT_ARGVS, ids=" ".join)
     def test_json_alone(self, capsys, monkeypatch, output_dir, argv):
         monkeypatch.chdir(output_dir)
         code, out, err = run(capsys, *argv, "--json")
-        assert code == (1 if "FORGED" in argv or "--beta" in argv else 0) and err == ""
+        assert code == (1 if "FORGED" in argv else 0) and err == ""
         assert out.endswith("\n") and out.count("\n") == 1
         json.loads(out)
 
@@ -659,7 +660,9 @@ class TestOutput:
         ["delta", "preset:ElemAbelian(2,2)", "--ell", "3"],
         ["verify", "missing.fcert.json"],
         ["paper-checks", "--beta", "one"],
-    ], ids=lambda argv: argv[0])
+        ["paper-checks", "--beta", "19"],
+    ], ids=["catalog", "analyze", "forcing-seq", "delta", "verify", "paper-checks",
+            "paper-checks-invariant"])
     @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
     def test_a_command_that_raises_writes_no_stdout(self, capsys, monkeypatch, tmp_path, argv,
                                                      flags):

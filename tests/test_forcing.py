@@ -951,7 +951,7 @@ def _premise_chains(G, p):
                  (G.subgroup_closure([a]) for a in range(1, G.order)) if H.order == p]
     for H, other in zip(subgroups[:3], subgroups[1:] + subgroups[:1]):
         for t in range(1, min(G.order, 24)):
-            layer = {int(G.mul(h, powers(j)[t])) for h in H for j in range(p)}
+            layer = {int(G.mul_table[h, powers(j)[t]]) for h in H for j in range(p)}
             if len(layer) == p * p:
                 yield whole, tuple(sorted(layer)), H, (0,)
                 yield whole, tuple(sorted(layer)), other, (0,)
@@ -1054,7 +1054,7 @@ def _unit_step_coset_orders(G, members):
     for x in range(G.order):
         power, k = x, 1
         while power not in inside:
-            power, k = G.mul(power, x), k + 1
+            power, k = int(G.mul_table[power, x]), k + 1
         orders.append(k)
     return orders
 

@@ -25,7 +25,7 @@ class TestPermSpecs:
     def test_parse_multiple_generators(self):
         G = parse_group_spec("perm:3:(0 1 2),(0 1)")
         assert G.order == 6
-        assert not G.is_abelian()
+        assert not np.array_equal(G.mul_table, G.mul_table.T)
 
     def test_parse_multi_cycle_generator(self):
         G = parse_group_spec("perm:4:(0 1)(2 3)")

@@ -70,8 +70,9 @@ def test_wrong_inverse_table_is_refused_by_name(cert_of):
     G = parse_group_spec("preset:Dihedral(8)")
     # row 3 without the identity: the table's inverse of 3 is then wrong
     table = G.mul_table.copy()
-    table[3, G.inv(3)] = 3
-    bad = FiniteGroup(table, G.generators, spec=G.spec)
+    table[3, G.inv_table[3]] = 3
+    bad = FiniteGroup(table, G.generators)
+    bad.spec = G.spec
     with pytest.raises(PreconditionViolated, match=r"^inv_table\[3\] is not the inverse of 3$"):
         verify_certificate(bad, cert_of("preset:Dihedral(8)"))
     assert verify_certificate(G, cert_of("preset:Dihedral(8)")).all_passed
